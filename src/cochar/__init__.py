@@ -28,39 +28,11 @@ from cochar.series import (
     substitute_monomials,
     VarSet,
 )
-from cochar.schur import (
-    convert_mult_series,
-    elementary_poly,
-    from_mult_series,
-    MultSeries,
-    pieri_col,
-    pieri_row,
-    schur_decompose,
-    schur_poly,
-    SchurExpansion,
-    to_mult_series,
-    vandermonde,
-    verify_mult_series,
-)
-from cochar.operators import (
-    conjugate_young_derived,
-    even_column_derived,
-    grassmann_derived,
-    grassmann_derived_power,
-    young_derived,
-    young_derived_substitution,
-)
-from cochar.hilbert import (
-    grassmann_double_hilbert,
-    grassmann_hilbert,
-    utn_double_hilbert,
-    utn_hilbert,
-    utn_mult_series,
-)
 from cochar.hooks import (
     decode_hook_mult,
     encode_hook_mult,
     hook_col_derived,
+    hook_even_col_derived,
     hook_grassmann_derived,
     hook_grassmann_derived_power,
     hook_pieri_col,
@@ -72,7 +44,23 @@ from cochar.hooks import (
     hs_poly,
     utn_hook_mult_series,
 )
+from cochar.schur import (
+    convert_mult_series,
+    from_mult_series,
+    MultSeries,
+    to_mult_series,
+    verify_mult_series,
+    young_derived_substitution,
+)
+from cochar.hilbert import (
+    grassmann_double_hilbert,
+    grassmann_hilbert,
+    utn_double_hilbert,
+    utn_hilbert,
+    utn_mult_series,
+)
 from cochar.closed_forms import closed_multiplicity, reference_series
 from cochar.verify import check_acceptance, check_invariants, CheckResult, run_suite
+from cochar import operators  # noqa: F401  (stubs resolved by bench/tracer.py)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

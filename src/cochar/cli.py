@@ -14,7 +14,7 @@ Subcommands:
 Every route is exact (integer / rational arithmetic throughout); whenever
 more than one route is requested the tool insists on exact agreement and
 exits nonzero with a diff report otherwise.  Output is deterministic:
-repeated runs produce identical bytes, whatever ``COCHAR_THREADS`` says.
+repeated runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -23,18 +23,16 @@ import argparse
 import csv
 import io
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Sequence
 
 from .closed_forms import closed_multiplicity
 from .hilbert import utn_double_hilbert, utn_hilbert, utn_mult_series
 from .hooks import hs_decompose, utn_hook_mult_series
 from .partitions import format_partition, hook_partitions_of, partitions_upto
-from .schur import schur_decompose
 from .verify import run_suite
 
 # Soft limits.  Past these the computations still work, they just get slow;
@@ -72,17 +70,6 @@ def _parse_hook(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(
             f"bad hook {text!r}: both arms must be >= 1")
     return k, l
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("COCHAR_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise SpecError(f"COCHAR_THREADS={raw!r} is not an integer") from None
-    if n < 1:
-        raise SpecError(f"COCHAR_THREADS={raw!r} must be >= 1")
-    return n
 
 
 def _check_guardrails(args, n: int) -> None:
@@ -137,14 +124,14 @@ def _closed_hook_tag(n: int, k: int, l: int) -> str | None:
     return None
 
 
-def _mult_routes(n: int, d: int, trunc: int,
-                 domain: list[tuple[int, ...]]) -> dict[str, Callable]:
+def _mult_routes(n: int, d: int, trunc: int, domain: list[tuple[int, ...]],
+                 series: Callable) -> dict[str, Callable]:
     def pipeline():
-        ms = utn_mult_series(n, d, trunc)
+        ms = series()
         return {lam: ms.coefficient(lam) for lam in domain}
 
     def decompose():
-        exp = schur_decompose(utn_hilbert(n, d, trunc))
+        exp = hs_decompose(utn_hilbert(n, d, trunc), d, 0)
         return {lam: exp.coefficient(lam) for lam in domain}
 
     routes = {"pipeline": pipeline, "decompose": decompose}
@@ -155,10 +142,10 @@ def _mult_routes(n: int, d: int, trunc: int,
     return routes
 
 
-def _hook_routes(n: int, k: int, l: int, trunc: int,
-                 domain: list[tuple[int, ...]]) -> dict[str, Callable]:
+def _hook_routes(n: int, k: int, l: int, trunc: int, domain: list[tuple[int, ...]],
+                 series: Callable) -> dict[str, Callable]:
     def pipeline():
-        hm = utn_hook_mult_series(n, k, l, trunc)
+        hm = series()
         return {lam: hm.coefficient(lam) for lam in domain}
 
     def decompose():
@@ -179,18 +166,6 @@ def _select_routes(routes: dict[str, Callable], method: str) -> dict[str, Callab
     if method not in routes:
         raise SpecError(f"no {method} route for this algebra/variable combination")
     return {method: routes[method]}
-
-
-def _run_routes(selected: dict[str, Callable]) -> dict[str, dict]:
-    names = list(selected)
-    threads = _thread_count()
-    if threads > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(selected[name]) for name in names]
-            values = [f.result() for f in futures]
-    else:
-        values = [selected[name]() for name in names]
-    return dict(zip(names, values))
 
 
 def _compare_routes(results: dict[str, dict],
@@ -306,7 +281,7 @@ def _cmd_hilbert(args) -> int:
 
 def _table_driver(args, routes_factory, domain, extra_factory=None) -> int:
     selected = _select_routes(routes_factory(), args.method)
-    results = _run_routes(selected)
+    results = {name: route() for name, route in selected.items()}
     diffs = _compare_routes(results, domain)
     if diffs:
         print("route disagreement on "
@@ -322,32 +297,36 @@ def _table_driver(args, routes_factory, domain, extra_factory=None) -> int:
     return 0
 
 
+def _hook_domain(k: int, l: int, trunc: int) -> list[tuple[int, ...]]:
+    return [lam for w in range(trunc + 1) for lam in hook_partitions_of(w, k, l)]
+
+
 def _cmd_mult(args) -> int:
     n = _parse_algebra(args.algebra)
     _check_guardrails(args, n)
     domain = list(partitions_upto(args.trunc, max_parts=args.vars))
+    # one pipeline run serves both the route and the JSON embed
+    series = cache(lambda: utn_mult_series(n, args.vars, args.trunc))
 
     def extra():
-        ms = utn_mult_series(n, args.vars, args.trunc)
+        ms = series()
         return {"series": {"form": ms.form, "d": ms.d, "bound": ms.bound,
                            "terms": ms.series.to_obj()}}
 
-    return _table_driver(args, lambda: _mult_routes(n, args.vars, args.trunc, domain),
-                         domain, extra)
+    return _table_driver(
+        args, lambda: _mult_routes(n, args.vars, args.trunc, domain, series),
+        domain, extra)
 
 
 def _cmd_hookmult(args) -> int:
     n = _parse_algebra(args.algebra)
     _check_guardrails(args, n)
     k, l = args.hook
-    domain = [lam for w in range(args.trunc + 1)
-              for lam in hook_partitions_of(w, k, l)]
-
-    def extra():
-        return {"series": utn_hook_mult_series(n, k, l, args.trunc).to_obj()}
-
-    return _table_driver(args, lambda: _hook_routes(n, k, l, args.trunc, domain),
-                         domain, extra)
+    domain = _hook_domain(k, l, args.trunc)
+    series = cache(lambda: utn_hook_mult_series(n, k, l, args.trunc))
+    return _table_driver(
+        args, lambda: _hook_routes(n, k, l, args.trunc, domain, series),
+        domain, lambda: {"series": series().to_obj()})
 
 
 def _cmd_table(args) -> int:
@@ -357,12 +336,13 @@ def _cmd_table(args) -> int:
         raise SpecError("table needs exactly one of --vars or --hook")
     if args.vars is not None:
         domain = list(partitions_upto(args.trunc, max_parts=args.vars))
-        factory = lambda: _mult_routes(n, args.vars, args.trunc, domain)
+        series = lambda: utn_mult_series(n, args.vars, args.trunc)
+        factory = lambda: _mult_routes(n, args.vars, args.trunc, domain, series)
     else:
         k, l = args.hook
-        domain = [lam for w in range(args.trunc + 1)
-                  for lam in hook_partitions_of(w, k, l)]
-        factory = lambda: _hook_routes(n, k, l, args.trunc, domain)
+        domain = _hook_domain(k, l, args.trunc)
+        series = lambda: utn_hook_mult_series(n, k, l, args.trunc)
+        factory = lambda: _hook_routes(n, k, l, args.trunc, domain, series)
     return _table_driver(args, factory, domain)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .partitions import in_hook, partition
-from .series import Series, VarSet, expand_factor, series_mul
+from .series import Series, VarSet, expand_factor
 
 # ---------------------------------------------------------------------------
 # piecewise multiplicity tables
@@ -178,7 +178,7 @@ def _frac(vars_: VarSet, bound: int, num: dict | None = None,
     factors = [(_mono(vars_, a), 1, p) for a, p in plus]
     factors += [(_mono(vars_, b), -1, -p) for b, p in minus]
     if factors:
-        out = series_mul(out, expand_factor(vars_, factors, bound))
+        out = out * expand_factor(vars_, factors, bound)
     return out
 
 
@@ -361,10 +361,9 @@ def _ref_g_squared_of_v1(bound: int) -> Series:
                   minus=[("t1", 2), ("t1 t2", 1), ("y1", 2)])
     s = s + _frac(v, bound, _shift(_Q, "v1^3 v2^3 y1 y2", 4),
                   minus=[("t1", 2), ("t1 t2", 1), ("y1", 2), ("y1 y2", 1)])
-    s = s + series_mul(
-        _frac(v, bound, _shift(_Q, "v1^3 v2^3"),
-              minus=[("t1", 2), ("t1 t2", 1), ("y1", 2), ("y1 y2", 1)]),
-        _poly(v, bound, _R))
+    s = s + (_frac(v, bound, _shift(_Q, "v1^3 v2^3"),
+                   minus=[("t1", 2), ("t1 t2", 1), ("y1", 2), ("y1 y2", 1)])
+             * _poly(v, bound, _R))
     s = s + _frac(v, bound, _shift(_R, "v1^3 v2^3"),
                   minus=[("t1", 1), ("y1", 2), ("y1 y2", 1)])
     return s
@@ -408,10 +407,9 @@ def _ref_hook_mult_ut2(bound: int) -> Series:
                   minus=[("t1", 2), ("t1 t2", 1), ("y1", 2)])
     s = s + _frac(v, bound, _shift(_Q, "v1^3 v2^3 y1 y2", 2),
                   minus=[("t1", 2), ("t1 t2", 1), ("y1", 2), ("y1 y2", 1)])
-    s = s + series_mul(
-        _frac(v, bound, _shift(_Q, "v1^3 v2^3"),
-              minus=[("t1", 2), ("t1 t2", 1), ("y1", 2), ("y1 y2", 1)]),
-        _poly(v, bound, _R))
+    s = s + (_frac(v, bound, _shift(_Q, "v1^3 v2^3"),
+                   minus=[("t1", 2), ("t1 t2", 1), ("y1", 2), ("y1 y2", 1)])
+             * _poly(v, bound, _R))
     s = s + _frac(v, bound, _shift(_R, "v1^3 v2^3"),
                   minus=[("t1", 1), ("y1", 2), ("y1 y2", 1)])
     return s

@@ -11,9 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from cochar.partitions import char_degree, partitions_of
-from cochar.operators import grassmann_derived_power
-from cochar.schur import MultSeries, SchurExpansion, to_mult_series
+from cochar.hooks import decode_hook_mult, utn_hook_mult_series
+from cochar.schur import MultSeries, to_mult_series
 from cochar.series import expand_factor, Series, VarSet
 
 
@@ -56,25 +55,11 @@ def utn_hilbert(n: int, d: int, bound: int) -> Series:
 def utn_mult_series(n: int, d: int, bound: int) -> MultSeries:
     """T-form multiplicity series of the n-by-n triangular algebra over E.
 
-    Operator route: sum over (j, q, lam) of signed binomials times the
-    character degree, applied to the j-th Grassmann-derived power seeded at
-    the single Schur monomial lam.  All final coefficients must come out as
-    nonnegative integers; anything else raises.
+    Schur functions in d variables are the hook Schur functions of the (d, 0)
+    hook, so this is the operator route :func:`utn_hook_mult_series` with
+    ``l = 0``, packed into T-form.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    total = SchurExpansion(d, bound)
-    for j in range(1, n + 1):
-        for q in range(j):
-            sign = (-1) ** (j - 1 - q)
-            for lam in partitions_of(q, max_parts=d):
-                c = sign * comb(n, j) * comb(j - 1, q) * char_degree(lam)
-                seed = SchurExpansion(d, bound, {lam: 1})
-                total = total + grassmann_derived_power(seed, j).scale(c)
-    for lam, c in total.coeffs.items():
-        if not isinstance(c, int) or c < 0:
-            raise ValueError(f"multiplicity of {lam} is {c}, not a nonnegative integer")
-    return to_mult_series(total, "T")
+    return to_mult_series(decode_hook_mult(utn_hook_mult_series(n, d, 0, bound)))
 
 
 def grassmann_double_hilbert(k: int, l: int, bound: int) -> Series:

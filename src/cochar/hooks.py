@@ -9,17 +9,24 @@ lies in the (k,l) hook, and distinct hook partitions give linearly
 independent polynomials, so finite symmetric data can be decomposed exactly
 in this basis.
 
+With an empty second alphabet the hook Schur functions are the ordinary
+Schur functions (Berele-Regev): hs_poly(lam, d, 0, bound) is s_lam(t_1..t_d),
+and ``HookExpansion(d, 0, ...)`` is an ordinary Schur expansion in d
+variables.  Every function below serves that case too; the one-alphabet
+multiplicity-series encodings live in :mod:`cochar.schur`.
+
 Products of hook Schur functions expand by the ordinary Littlewood-Richardson
 rule with every summand outside the hook discarded, so the one-row and
-one-column Pieri steps below enumerate ordinary strips and filter.
+one-column Pieri steps below add the ordinary strips that stay in the hook.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from typing import Mapping, Sequence
+from math import comb, factorial
+from typing import Callable, Iterable, Mapping, Sequence
 
 from cochar.partitions import (
     assemble_hook,
@@ -34,8 +41,49 @@ from cochar.partitions import (
     weight,
     HookSplit,
 )
-from cochar.schur import _schur_terms
 from cochar.series import norm_coeff, Coeff, Exps, Series, VarSet
+
+
+def _peels(lam: tuple[int, ...]):
+    """All mu obtained by removing a horizontal strip from lam."""
+
+    def rec(i: int, acc: list[int]):
+        if i == len(lam):
+            yield tuple(v for v in acc if v)
+            return
+        lo = lam[i + 1] if i + 1 < len(lam) else 0
+        for v in range(lo, lam[i] + 1):
+            acc.append(v)
+            yield from rec(i + 1, acc)
+            acc.pop()
+
+    yield from rec(0, [])
+
+
+@lru_cache(maxsize=None)
+def _schur_terms(lam: tuple[int, ...], d: int,
+                 dominant: bool) -> tuple[tuple[Exps, int], ...]:
+    """Monomials of s_lam(t_1..t_d), tabulated by weight of the last variable.
+
+    Peeling the horizontal strip filled with the letter d enumerates exactly
+    the semistandard tableaux with entries in {1,...,d}, grouped by content.
+    With ``dominant`` only weakly decreasing exponent vectors are kept; they
+    fix a symmetric polynomial, and they stay decreasing when the last
+    variable is peeled.
+    """
+    if len(lam) > d:
+        return ()
+    if not lam:
+        return (((0,) * d, 1),)
+    out: dict[Exps, int] = {}
+    for mu in _peels(lam):
+        power = sum(lam) - sum(mu)
+        for exps, c in _schur_terms(mu, d - 1, dominant):
+            if dominant and exps and exps[-1] < power:
+                continue
+            key = exps + (power,)
+            out[key] = out.get(key, 0) + c
+    return tuple(sorted(out.items()))
 
 
 def _vertical_peels(lam: tuple[int, ...]):
@@ -52,20 +100,27 @@ def _vertical_peels(lam: tuple[int, ...]):
                 nxt.append((choice,) + tail)
         out = nxt
     for mu in out:
-        yield partition(mu)
+        yield tuple(v for v in mu if v)
 
 
 @lru_cache(maxsize=None)
-def _hs_terms(lam: tuple[int, ...], k: int, l: int) -> tuple[tuple[Exps, int], ...]:
-    """Monomials of the hook Schur polynomial, peeling the last y variable."""
+def _hs_terms(lam: tuple[int, ...], k: int, l: int,
+              dominant: bool) -> tuple[tuple[Exps, int], ...]:
+    """Monomials of the hook Schur polynomial, peeling the last y variable.
+
+    With ``dominant`` only the monomials whose t- and y-exponents both weakly
+    decrease are kept, as in :func:`_schur_terms`.
+    """
     if not in_hook(lam, k, l):
         return ()
     if l == 0:
-        return _schur_terms(lam, k)
+        return _schur_terms(lam, k, dominant)
     acc: dict[Exps, int] = {}
     for mu in set(_vertical_peels(lam)):
-        stripped = weight(lam) - weight(mu)
-        for e, c in _hs_terms(mu, k, l - 1):
+        stripped = sum(lam) - sum(mu)
+        for e, c in _hs_terms(mu, k, l - 1, dominant):
+            if dominant and l > 1 and e[-1] < stripped:
+                continue
             key = e + (stripped,)
             acc[key] = acc.get(key, 0) + c
     return tuple(sorted(acc.items()))
@@ -77,16 +132,23 @@ def hs_poly(lam: Sequence[int], k: int, l: int, bound: int) -> Series:
     vars_ = VarSet.ty(k, l)
     if weight(lam) > bound:
         return Series.zero(vars_, bound)
-    return Series(vars_, bound, dict(_hs_terms(lam, k, l)), _raw=True)
+    return Series(vars_, bound, dict(_hs_terms(lam, k, l, False)), _raw=True)
 
 
 class HookExpansion:
-    """Sparse map partition -> coefficient over the (k,l) hook basis."""
+    """Sparse map partition -> coefficient over the (k,l) hook basis.
+
+    The constructor validates what it is given.  Operations of this module
+    pass ``_raw=True`` instead: their results are built from canonical
+    in-hook partitions of weight at most ``bound`` with nonzero normalized
+    coefficients, and the new expansion takes ownership of that dict.
+    """
 
     __slots__ = ("k", "l", "bound", "coeffs")
 
     def __init__(self, k: int, l: int, bound: int,
-                 coeffs: Mapping[tuple[int, ...], Coeff] | None = None):
+                 coeffs: Mapping[tuple[int, ...], Coeff] | None = None, *,
+                 _raw: bool = False):
         if k < 0 or l < 0 or k + l < 1:
             raise ValueError("need a nonempty hook")
         if bound < 0:
@@ -94,6 +156,9 @@ class HookExpansion:
         self.k = k
         self.l = l
         self.bound = bound
+        if _raw:
+            self.coeffs = coeffs if coeffs is not None else {}
+            return
         clean: dict[tuple[int, ...], Coeff] = {}
         for lam, c in (coeffs or {}).items():
             lam = partition(lam)
@@ -117,7 +182,7 @@ class HookExpansion:
         return self.coeffs.get(partition(lam), 0)
 
     def support(self) -> list[tuple[int, ...]]:
-        return sorted(self.coeffs, key=lambda p: (weight(p), p))
+        return sorted(self.coeffs, key=lambda p: (sum(p), p))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HookExpansion):
@@ -133,23 +198,16 @@ class HookExpansion:
         if (self.k, self.l) != (other.k, other.l):
             raise ValueError("mismatched hooks")
         bound = min(self.bound, other.bound)
-        out = {lam: c for lam, c in self.coeffs.items() if weight(lam) <= bound}
-        for lam, c in other.coeffs.items():
-            if weight(lam) > bound:
-                continue
-            s = out.get(lam, 0) + c
-            if s:
-                out[lam] = norm_coeff(s)
-            else:
-                out.pop(lam, None)
-        return HookExpansion(self.k, self.l, bound, out)
+        return _collect(self.k, self.l, bound,
+                        (self.coeffs.items(), other.coeffs.items()))
 
     def scale(self, c: Coeff) -> "HookExpansion":
         c = norm_coeff(c)
         if not c:
             return HookExpansion(self.k, self.l, self.bound)
         return HookExpansion(self.k, self.l, self.bound,
-                             {lam: norm_coeff(v * c) for lam, v in self.coeffs.items()})
+                             {lam: norm_coeff(v * c) for lam, v in self.coeffs.items()},
+                             _raw=True)
 
     def to_series(self) -> Series:
         """Synthesize sum of coeff * hook Schur polynomial."""
@@ -159,96 +217,143 @@ class HookExpansion:
         return out
 
 
+def _collect(k: int, l: int, bound: int,
+             groups: Iterable[Iterable[tuple[tuple[int, ...], Coeff]]]) -> HookExpansion:
+    """Sum of (partition, coefficient) pairs already known to lie in the hook."""
+    acc: dict[tuple[int, ...], Coeff] = {}
+    for group in groups:
+        for lam, c in group:
+            if sum(lam) <= bound:
+                acc[lam] = acc.get(lam, 0) + c
+    return HookExpansion(k, l, bound,
+                         {lam: norm_coeff(c) for lam, c in acc.items() if c}, _raw=True)
+
+
+def _arrangements(block: Sequence[int]) -> int:
+    """Number of distinct orderings of the entries of ``block``."""
+    out = factorial(len(block))
+    for m in Counter(block).values():
+        out //= factorial(m)
+    return out
+
+
+def _block_sorted_terms(terms: dict[Exps, Coeff], k: int, n: int) -> dict[Exps, Coeff]:
+    """The terms with weakly decreasing t- and y-exponents, for block-symmetric input.
+
+    Raises unless every term is a permutation within the blocks of a kept
+    term with the same coefficient and every such orbit is complete.
+    """
+    kept: dict[Exps, Coeff] = {}
+    orbits = 0
+    for e, c in terms.items():
+        t, y = e[:k], e[k:]
+        key = tuple(sorted(t, reverse=True)) + tuple(sorted(y, reverse=True))
+        if terms.get(key) != c:
+            raise ValueError(f"degree {n}: input is not symmetric in each alphabet at {e}")
+        if key == e:
+            kept[e] = c
+            orbits += _arrangements(t) * _arrangements(y)
+    if orbits != len(terms):
+        raise ValueError(f"degree {n}: input is not symmetric in each alphabet "
+                         f"(incomplete orbits)")
+    return kept
+
+
 def hs_decompose(g: Series, k: int, l: int) -> HookExpansion:
     """Write g in the hook basis, degree by degree, or fail loudly.
 
-    Within each total degree the basis is triangular for the block lexicographic
-    order: the largest monomial of hs_poly(lam) is t^(top k rows) y^(conjugate
-    of the rest), with coefficient 1, and distinct partitions give distinct
-    leading monomials.  Forward substitution therefore either terminates with
-    a zero residual or exposes a monomial no basis element can lead with.
+    Hook Schur polynomials are symmetric in the t and in the y variables, so
+    g must be too, and then its monomials with weakly decreasing t- and
+    y-exponents fix it.  Within each total degree the basis is triangular on
+    those for the block lexicographic order: the largest monomial of
+    hs_poly(lam) is t^(top k rows) y^(conjugate of the rest), with coefficient
+    1, and distinct partitions give distinct leading monomials.  Forward
+    substitution therefore either terminates with a zero residual or exposes
+    a monomial no basis element can lead with.
     """
     if g.vars.names != VarSet.ty(k, l).names:
         raise ValueError(f"series variables {g.vars.names} do not fit hook ({k},{l})")
     coeffs: dict[tuple[int, ...], Coeff] = {}
     for n in range(g.bound + 1):
-        slice_ = dict(g.degree_slice(n))
+        slice_ = _block_sorted_terms(g.degree_slice(n), k, n)
         while slice_:
             exps = max(slice_)
-            top, nu = exps[:k], exps[k:]
-            below = conjugate(nu)
-            ok = (all(top[i] >= top[i + 1] for i in range(k - 1))
-                  and all(nu[j] >= nu[j + 1] for j in range(l - 1)))
-            if ok and below and k > 0:
-                ok = top[k - 1] >= below[0]
-            if not ok:
+            top, below = exps[:k], conjugate(exps[k:])
+            if below and k > 0 and top[k - 1] < below[0]:
                 raise ValueError(f"degree {n}: residual monomial {exps} "
                                  f"is not led by any hook basis element")
-            lam = partition(top + below)
+            lam = partition(top + below)  # in the hook: below[0] <= l
             c = slice_[exps]
             coeffs[lam] = norm_coeff(coeffs.get(lam, 0) + c)
             if not coeffs[lam]:
                 del coeffs[lam]
-            for e, v in _hs_terms(lam, k, l):
+            for e, v in _hs_terms(lam, k, l, True):
                 t = slice_.get(e, 0) - c * v
                 if t:
                     slice_[e] = t
                 else:
                     slice_.pop(e, None)
-    return HookExpansion(k, l, g.bound, coeffs)
+    return HookExpansion(k, l, g.bound, coeffs, _raw=True)
 
 
 # -- Pieri steps and derived operators ---------------------------------------
 
 
+def _pieri(e: HookExpansion, size: int, strips: Callable) -> HookExpansion:
+    hook = (e.k, e.l)
+    return _collect(e.k, e.l, e.bound,
+                    (((nu, c) for nu in strips(lam, size, hook=hook))
+                     for lam, c in e.coeffs.items() if sum(lam) + size <= e.bound))
+
+
 def hook_pieri_row(e: HookExpansion, n: int) -> HookExpansion:
     """Expansion of e times the one-row hook Schur function of size n."""
-    out: dict[tuple[int, ...], Coeff] = {}
-    for lam, c in e.coeffs.items():
-        if weight(lam) + n > e.bound:
-            continue
-        for nu in horizontal_strips(lam, n):
-            if in_hook(nu, e.k, e.l):
-                out[nu] = out.get(nu, 0) + c
-    return HookExpansion(e.k, e.l, e.bound, out)
+    return _pieri(e, n, horizontal_strips)
 
 
 def hook_pieri_col(e: HookExpansion, m: int) -> HookExpansion:
     """Expansion of e times the one-column hook Schur function of size m."""
-    out: dict[tuple[int, ...], Coeff] = {}
-    for lam, c in e.coeffs.items():
-        if weight(lam) + m > e.bound:
-            continue
-        for nu in vertical_strips(lam, m):
-            if in_hook(nu, e.k, e.l):
-                out[nu] = out.get(nu, 0) + c
-    return HookExpansion(e.k, e.l, e.bound, out)
+    return _pieri(e, m, vertical_strips)
+
+
+def _pieri_sum(e: HookExpansion, step: Callable, sizes: range) -> HookExpansion:
+    return _collect(e.k, e.l, e.bound,
+                    (step(e, size).coeffs.items() for size in sizes))
 
 
 def hook_row_derived(e: HookExpansion) -> HookExpansion:
-    """Multiply by the sum of all one-row hook Schur functions."""
-    out = HookExpansion(e.k, e.l, e.bound)
-    for n in range(e.bound + 1):
-        out = out + hook_pieri_row(e, n)
-    return out
+    """Multiply by the row series R, the sum of all one-row hook Schur functions.
+
+    R = prod_j (1+y_j) / prod_i (1-t_i); at l = 0 it is prod 1/(1-t_i).
+    """
+    return _pieri_sum(e, hook_pieri_row, range(e.bound + 1))
 
 
 def hook_col_derived(e: HookExpansion) -> HookExpansion:
-    """Multiply by the sum of all one-column hook Schur functions."""
-    out = HookExpansion(e.k, e.l, e.bound)
-    for m in range(e.bound + 1):
-        out = out + hook_pieri_col(e, m)
-    return out
+    """Multiply by the column series C, the sum of all one-column hook Schur functions.
+
+    C = prod_i (1+t_i) / prod_j (1-y_j); at l = 0 it is e_0 + e_1 + ... + e_d.
+    """
+    return _pieri_sum(e, hook_pieri_col, range(e.bound + 1))
+
+
+def hook_even_col_derived(e: HookExpansion) -> HookExpansion:
+    """Multiply by the sum of the one-column hook Schur functions of even size.
+
+    The alternating column sum  sum_m (-1)^m hs_(1^m) = prod (1-t_i) / prod (1+y_j)
+    is 1/R, so this factor is (1/R + C)/2; at l = 0 it is
+    (prod (1-t_i) + prod (1+t_i))/2.
+    """
+    return _pieri_sum(e, hook_pieri_col, range(0, e.bound + 1, 2))
 
 
 def hook_grassmann_derived(e: HookExpansion) -> HookExpansion:
-    """Half of (identity plus column-derived of row-derived); integral output."""
-    doubled = e + hook_col_derived(hook_row_derived(e))
-    half = doubled.scale(Fraction(1, 2))
-    for lam, c in half.coeffs.items():
-        if not isinstance(c, int):
-            raise ValueError(f"half-sum not integral at {lam}: {c}")
-    return half
+    """Multiply by the Grassmann series (1 + R C)/2.
+
+    (1 + R C)/2 = R (1/R + C)/2, so the step is the row derivation of the
+    even-column derivation: division-free, and integral on integral input.
+    """
+    return hook_row_derived(hook_even_col_derived(e))
 
 
 def hook_grassmann_derived_power(e: HookExpansion, j: int) -> HookExpansion:

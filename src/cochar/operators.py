@@ -1,101 +1,10 @@
-"""Expansion-level operators: multiplication by fixed symmetric series.
+"""Former home of the one-alphabet derived operators.
 
-Each operator multiplies the underlying symmetric function by a fixed factor
-and is implemented on the Schur-coefficient side through Pieri rules, so the
-whole layer is division-free.  The factors:
-
-* young_derived:            prod 1/(1-t_i)            (all row strips)
-* even_column_derived:      (prod(1-t_i)+prod(1+t_i))/2  (even column strips)
-* conjugate_young_derived:  e_0 + e_1 + ... + e_d     (all column strips)
-* grassmann_derived:        1/2 + (1/2)prod (1+t_i)/(1-t_i)
+They are the hook operators of :mod:`cochar.hooks` at ``l = 0``.  The module
+stays only because bench/tracer.py resolves ``cochar.operators`` when it
+installs its span table; see the end of :mod:`cochar.schur`.
 """
 
-from __future__ import annotations
+from cochar.schur import _removed
 
-from itertools import product
-
-from cochar.schur import (
-    convert_mult_series,
-    MultSeries,
-    pieri_col,
-    pieri_row,
-    SchurExpansion,
-)
-from cochar.series import expand_factor, Series, substitute_monomials, VarSet
-
-
-def young_derived(e: SchurExpansion) -> SchurExpansion:
-    """Multiply by prod 1/(1-t_i): add horizontal strips of every size."""
-    out = SchurExpansion(e.d, e.bound)
-    for m in range(e.bound + 1):
-        out = out + pieri_row(e, m)
-    return out
-
-
-def even_column_derived(e: SchurExpansion) -> SchurExpansion:
-    """Multiply by the half-sum of prod(1-t_i) and prod(1+t_i).
-
-    That half-sum is the sum of the even-degree elementary symmetric
-    functions, so only even vertical strips contribute and no halves survive.
-    """
-    out = SchurExpansion(e.d, e.bound)
-    for m in range(0, e.d + 1, 2):
-        out = out + pieri_col(e, m)
-    return out
-
-
-def conjugate_young_derived(e: SchurExpansion) -> SchurExpansion:
-    """Multiply by the sum of all elementary symmetric functions e_0..e_d."""
-    out = SchurExpansion(e.d, e.bound)
-    for m in range(e.d + 1):
-        out = out + pieri_col(e, m)
-    return out
-
-
-def grassmann_derived(e: SchurExpansion) -> SchurExpansion:
-    """Multiply by 1/2 + (1/2) prod (1+t_i)/(1-t_i)."""
-    return young_derived(even_column_derived(e))
-
-
-def grassmann_derived_power(e: SchurExpansion, j: int) -> SchurExpansion:
-    if j < 0:
-        raise ValueError("power must be nonnegative")
-    for _ in range(j):
-        e = grassmann_derived(e)
-    return e
-
-
-def young_derived_substitution(m: MultSeries) -> MultSeries:
-    """young_derived computed on the multiplicity series itself.
-
-    Independent route: a signed sum of monomial substitutions applied to the
-    T-form series, times the geometric product.  Every substitution image of
-    a partition monomial has total degree at least the source weight, so the
-    weight-N truncation is exact.
-    """
-    m = convert_mult_series(m, "T")
-    d, n = m.d, m.bound
-    tv = VarSet.t(d)
-    acc = Series.zero(tv, n)
-    for eps in product((0, 1), repeat=d - 1):  # eps[j-2] is the choice at t_j
-        mapping = {}
-        for i in range(1, d + 1):
-            img = [0] * d
-            if i == 1:
-                img[0] = 1
-                if d > 1:
-                    img[1] += eps[0]
-            elif i < d:
-                img[i - 1] += 1 - eps[i - 2]
-                img[i] += eps[i - 1]
-            else:
-                img[d - 1] += 1 - eps[d - 2]
-            mapping[f"t{i}"] = (1, tuple(img))
-        pref = [0] * d
-        for j in range(2, d + 1):
-            pref[j - 1] = eps[j - 2]
-        sign = -1 if sum(eps) % 2 else 1
-        image = substitute_monomials(m.series, tv, mapping, n)
-        acc = acc + image * Series.monomial(tv, n, tuple(pref), sign)
-    geo = expand_factor(tv, [(f"t{i}", -1, -1) for i in range(1, d + 1)], n)
-    return MultSeries("T", d, n, acc * geo)
+grassmann_derived = _removed("grassmann_derived", "cochar.hooks.hook_grassmann_derived")

@@ -189,32 +189,47 @@ def hook_partitions_of(n: int, k: int, l: int) -> list[tuple[int, ...]]:
     return out
 
 
-def horizontal_strips(lam: Sequence[int], size: int, max_parts: int | None = None,
-                      max_part: int | None = None) -> Iterator[tuple[int, ...]]:
+def _strip_rows(lam: tuple[int, ...], nrows: int,
+                hook: tuple[int, int] | None) -> int | None:
+    """Rows a strip on ``lam`` may fill, or ``None`` when ``lam`` leaves the hook.
+
+    A (k, 0) hook holds at most k rows.
+    """
+    if hook is None:
+        return nrows
+    k, l = hook
+    if len(lam) > k and lam[k] > l:
+        return None
+    return min(nrows, k) if l == 0 else nrows
+
+
+def horizontal_strips(lam: Sequence[int], size: int,
+                      hook: tuple[int, int] | None = None) -> Iterator[tuple[int, ...]]:
     """Partitions obtained from ``lam`` by adding a horizontal strip of ``size`` boxes.
 
-    No two added boxes share a column.  Results are restricted to at most
-    ``max_parts`` rows and parts at most ``max_part`` when given.
+    No two added boxes share a column.  With ``hook=(k, l)`` only results
+    inside the (k, l) hook are made, i.e. with row k+1 at most l: ``(d, 0)``
+    allows at most d rows and ``(0, m)`` parts at most m.  The recursion
+    never builds a row outside the hook.
     """
     lam = partition(lam)
     if size < 0:
         return
-    nrows = len(lam) + 1
-    if max_parts is not None:
-        if len(lam) > max_parts:
-            return
-        nrows = min(nrows, max_parts)
+    nrows = _strip_rows(lam, len(lam) + 1, hook)
+    if nrows is None:
+        return
+    padded = lam + (0,) * (nrows - len(lam))
+    k, l = hook if hook is not None else (nrows, 0)  # no row reaches index nrows
 
     def rec(i: int, budget: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
         if i == nrows:
             if budget == 0:
-                yield partition(acc)
+                yield tuple(v for v in acc if v)
             return
-        low = part_at(lam, i + 1)
-        cap = part_at(lam, i) if i > 0 else low + budget
-        if max_part is not None:
-            cap = min(cap, max_part)
-        # rows below cannot absorb more than what interleaving allows; just recurse
+        low = padded[i]
+        cap = padded[i - 1] if i > 0 else low + budget
+        if i >= k:
+            cap = min(cap, l)
         for v in range(low, min(cap, low + budget) + 1):
             acc.append(v)
             yield from rec(i + 1, budget - (v - low), acc)
@@ -223,33 +238,34 @@ def horizontal_strips(lam: Sequence[int], size: int, max_parts: int | None = Non
     yield from rec(0, size, [])
 
 
-def vertical_strips(lam: Sequence[int], size: int, max_parts: int | None = None,
-                    max_part: int | None = None) -> Iterator[tuple[int, ...]]:
+def vertical_strips(lam: Sequence[int], size: int,
+                    hook: tuple[int, int] | None = None) -> Iterator[tuple[int, ...]]:
     """Partitions obtained from ``lam`` by adding a vertical strip of ``size`` boxes.
 
     No two added boxes share a row, i.e. each row grows by at most one box.
+    ``hook`` restricts the results as in :func:`horizontal_strips`.
     """
     lam = partition(lam)
     if size < 0:
         return
-    nrows = len(lam) + size
-    if max_parts is not None:
-        if len(lam) > max_parts:
-            return
-        nrows = min(nrows, max_parts)
+    nrows = _strip_rows(lam, len(lam) + size, hook)
+    if nrows is None:
+        return
+    padded = lam + (0,) * (nrows - len(lam))
+    k, l = hook if hook is not None else (nrows, 0)  # no row reaches index nrows
 
     def rec(i: int, budget: int, prev: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
         if i >= len(lam) and budget == 0:
             yield tuple(acc)  # remaining rows stay empty
             return
-        if i == nrows:
+        if budget > nrows - i:  # each remaining row takes at most one box
             return
-        base = part_at(lam, i + 1)
+        base = padded[i]
         for eps in (0, 1):
             v = base + eps
             if eps > budget or v > prev or v == 0:
                 continue
-            if max_part is not None and v > max_part:
+            if i >= k and v > l:
                 continue
             acc.append(v)
             yield from rec(i + 1, budget - eps, v, acc)

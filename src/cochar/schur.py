@@ -1,251 +1,28 @@
-"""Schur polynomials, basis decomposition, Pieri products, multiplicity series.
+"""One-alphabet multiplicity series.
 
-A symmetric series ``g`` in d variables decomposes as ``sum m_lam * S_lam``
-over partitions with at most d parts.  :class:`SchurExpansion` holds the
-``m_lam``; :class:`MultSeries` packs them into a generating series, either on
-the exponents ``lam`` themselves (T-form) or on the consecutive differences
-of ``lam`` (V-form).
+Ordinary Schur functions are the hook Schur functions of the (d, 0) hook
+(Berele-Regev): s_lam(t_1..t_d) is ``hs_poly(lam, d, 0, bound)``, a symmetric
+series in d variables decomposes as ``hs_decompose(g, d, 0)``, and the Pieri
+steps and derived operators are those of :mod:`cochar.hooks` at ``l = 0``.
+
+This module keeps what only one alphabet has.  :class:`MultSeries` packs an
+``l = 0`` expansion into a generating series, either on the exponents ``lam``
+themselves (T-form) or on the consecutive differences of ``lam`` (V-form);
+:func:`young_derived_substitution` is a second route for the row derivation,
+working on the T-form series; and :func:`verify_mult_series` checks a
+decomposition by antisymmetrization, independently of the hook layer.
 """
 
 from __future__ import annotations
 
-import json
-import math
-from fractions import Fraction
-from functools import lru_cache
-from itertools import permutations
-from typing import Iterable, Mapping, Sequence
+from itertools import permutations, product
+from typing import Sequence
 
-from cochar.partitions import (
-    horizontal_strips,
-    partition,
-    vertical_strips,
-    weight,
-)
-from cochar.series import Coeff, Exps, norm_coeff, Series, VarSet
-
-
-# -- Schur polynomials ----------------------------------------------------
-
-
-def _peels(lam: tuple[int, ...]):
-    """All mu obtained by removing a horizontal strip from lam."""
-
-    def rec(i: int, acc: list[int]):
-        if i == len(lam):
-            yield partition(acc)
-            return
-        lo = lam[i + 1] if i + 1 < len(lam) else 0
-        for v in range(lo, lam[i] + 1):
-            acc.append(v)
-            yield from rec(i + 1, acc)
-            acc.pop()
-
-    yield from rec(0, [])
-
-
-@lru_cache(maxsize=None)
-def _schur_terms(lam: tuple[int, ...], d: int) -> tuple[tuple[Exps, int], ...]:
-    """Monomials of S_lam(t_1..t_d), tabulated by weight of the last variable.
-
-    Peeling the horizontal strip filled with the letter d enumerates exactly
-    the semistandard tableaux with entries in {1,...,d}, grouped by content.
-    """
-    if len(lam) > d:
-        return ()
-    if not lam:
-        return (((0,) * d, 1),)
-    out: dict[Exps, int] = {}
-    for mu in _peels(lam):
-        power = sum(lam) - sum(mu)
-        for exps, c in _schur_terms(mu, d - 1):
-            key = exps + (power,)
-            out[key] = out.get(key, 0) + c
-    return tuple(sorted(out.items()))
-
-
-def schur_poly(lam: Sequence[int], d: int, bound: int) -> Series:
-    """S_lam in d variables; the zero series when lam has more than d parts."""
-    lam = partition(lam)
-    vars_ = VarSet.t(d)
-    if weight(lam) > bound:
-        return Series.zero(vars_, bound)
-    return Series(vars_, bound, dict(_schur_terms(lam, d)), _raw=True)
-
-
-def elementary_poly(m: int, d: int, bound: int) -> Series:
-    """m-th elementary symmetric polynomial e_m(t_1..t_d) = S_(1^m)."""
-    return schur_poly((1,) * m, d, bound)
-
-
-# -- expansions -----------------------------------------------------------
-
-
-class SchurExpansion:
-    """Sparse map partition -> coefficient, for series with <= d parts support."""
-
-    __slots__ = ("d", "bound", "coeffs")
-
-    def __init__(self, d: int, bound: int,
-                 coeffs: Mapping[tuple[int, ...], Coeff] | None = None):
-        if d < 0 or bound < 0:
-            raise ValueError("d and bound must be nonnegative")
-        self.d = d
-        self.bound = bound
-        clean: dict[tuple[int, ...], Coeff] = {}
-        for lam, c in (coeffs or {}).items():
-            lam = partition(lam)
-            if len(lam) > d:
-                raise ValueError(f"partition {lam} has more than {d} parts")
-            if weight(lam) > bound:
-                continue
-            c = norm_coeff(c)
-            if c:
-                clean[lam] = c
-        self.coeffs = clean
-
-    @classmethod
-    def unit(cls, d: int, bound: int) -> "SchurExpansion":
-        return cls(d, bound, {(): 1})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, lam: Sequence[int]) -> Coeff:
-        return self.coeffs.get(partition(lam), 0)
-
-    def support(self) -> list[tuple[int, ...]]:
-        return sorted(self.coeffs, key=lambda p: (weight(p), p))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SchurExpansion):
-            return NotImplemented
-        return (self.d, self.bound, self.coeffs) == (other.d, other.bound, other.coeffs)
-
-    def __repr__(self) -> str:
-        return f"SchurExpansion(d={self.d}, bound={self.bound}, {len(self.coeffs)} terms)"
-
-    def __add__(self, other: "SchurExpansion") -> "SchurExpansion":
-        if self.d != other.d:
-            raise ValueError("mismatched variable counts")
-        bound = min(self.bound, other.bound)
-        out = {lam: c for lam, c in self.coeffs.items() if weight(lam) <= bound}
-        for lam, c in other.coeffs.items():
-            if weight(lam) > bound:
-                continue
-            s = out.get(lam, 0) + c
-            if s:
-                out[lam] = norm_coeff(s)
-            else:
-                out.pop(lam, None)
-        return SchurExpansion(self.d, bound, out)
-
-    def scale(self, c: Coeff) -> "SchurExpansion":
-        c = norm_coeff(c)
-        if not c:
-            return SchurExpansion(self.d, self.bound)
-        return SchurExpansion(self.d, self.bound,
-                              {lam: norm_coeff(v * c) for lam, v in self.coeffs.items()})
-
-    def to_series(self) -> Series:
-        """Synthesize sum of coeff * S_lam as a raw series."""
-        out = Series.zero(VarSet.t(self.d), self.bound)
-        for lam, c in self.coeffs.items():
-            out = out + schur_poly(lam, self.d, self.bound).scale(c)
-        return out
-
-    def to_obj(self) -> list[dict]:
-        rows = sorted(self.coeffs.items(), key=lambda kv: (weight(kv[0]), kv[0]))
-        return [{"partition": list(lam), "coeff": str(Fraction(c))} for lam, c in rows]
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), separators=(",", ":"))
-
-    @classmethod
-    def from_obj(cls, d: int, bound: int, obj: Iterable[Mapping]) -> "SchurExpansion":
-        coeffs: dict[tuple[int, ...], Coeff] = {}
-        for row in obj:
-            lam = partition(row["partition"])
-            coeffs[lam] = coeffs.get(lam, 0) + Fraction(row["coeff"])
-        return cls(d, bound, coeffs)
-
-
-def pieri_row(e: SchurExpansion, m: int) -> SchurExpansion:
-    """Multiply by the full homogeneous symmetric function of degree m."""
-    out: dict[tuple[int, ...], Coeff] = {}
-    for lam, c in e.coeffs.items():
-        if weight(lam) + m > e.bound:
-            continue
-        for mu in horizontal_strips(lam, m, max_parts=e.d):
-            out[mu] = out.get(mu, 0) + c
-    return SchurExpansion(e.d, e.bound, out)
-
-
-def pieri_col(e: SchurExpansion, m: int) -> SchurExpansion:
-    """Multiply by the elementary symmetric function of degree m."""
-    out: dict[tuple[int, ...], Coeff] = {}
-    for lam, c in e.coeffs.items():
-        if weight(lam) + m > e.bound:
-            continue
-        for mu in vertical_strips(lam, m, max_parts=e.d):
-            out[mu] = out.get(mu, 0) + c
-    return SchurExpansion(e.d, e.bound, out)
-
-
-# -- Vandermonde machinery ------------------------------------------------
-
-
-def perm_sign(sigma: Sequence[int]) -> int:
-    inversions = sum(1 for i in range(len(sigma)) for j in range(i + 1, len(sigma))
-                     if sigma[i] > sigma[j])
-    return -1 if inversions % 2 else 1
-
-
-def vandermonde(d: int, bound: int) -> Series:
-    """prod_{i<j} (t_i - t_j) via the determinant expansion."""
-    terms: dict[Exps, Coeff] = {}
-    for sigma in permutations(range(d)):
-        exps = tuple(d - 1 - sigma[i] for i in range(d))
-        terms[exps] = perm_sign(sigma)
-    return Series(VarSet.t(d), bound, terms)
-
-
-def schur_decompose(g: Series, d: int | None = None) -> SchurExpansion:
-    """Decompose a symmetric truncated series in the Schur basis.
-
-    Multiplies by the Vandermonde product (homogeneous, so raising the bound
-    by its degree stays exact), reads coefficients at strictly decreasing
-    exponents, and verifies the full antisymmetrized residual.  Raises
-    ``ValueError`` when the input is not symmetric within its bound.
-    """
-    if d is None:
-        d = g.vars.arity
-    elif d != g.vars.arity:
-        raise ValueError(f"series has {g.vars.arity} variables, not {d}")
-    n = g.bound
-    dv = d * (d - 1) // 2
-    prod = g.truncate(n + dv) * vandermonde(d, n + dv)
-    delta = tuple(d - 1 - i for i in range(d))
-    coeffs: dict[tuple[int, ...], Coeff] = {}
-    for p, c in prod.terms.items():
-        if all(p[i] > p[i + 1] for i in range(d - 1)):
-            coeffs[partition(tuple(p[i] - delta[i] for i in range(d)))] = c
-    # full residual check: the product must be exactly the antisymmetrization
-    # of the staircase monomials read above, each orbit complete with signs
-    for p, c in prod.terms.items():
-        if len(set(p)) < d:
-            raise ValueError(f"input not symmetric within bound: residual at {p}")
-        order = tuple(sorted(range(d), key=lambda i: -p[i]))
-        ps = tuple(p[i] for i in order)
-        lam = partition(tuple(ps[i] - delta[i] for i in range(d)))
-        if coeffs.get(lam, 0) != perm_sign(order) * c:
-            raise ValueError(f"input not symmetric within bound: residual at {p}")
-    if len(prod.terms) != math.factorial(d) * len(coeffs):
-        raise ValueError("input not symmetric within bound: missing orbit terms")
-    return SchurExpansion(d, n, coeffs)
-
-
-# -- multiplicity series ---------------------------------------------------
+from cochar.hooks import HookExpansion
+from cochar.hooks import _schur_terms  # noqa: F401  (resolved here by bench/tracer.py)
+from cochar.partitions import partition
+from cochar.series import (Coeff, Exps, expand_factor, norm_coeff, Series,
+                           substitute_monomials, VarSet)
 
 
 class MultSeries:
@@ -301,23 +78,26 @@ class MultSeries:
         return self.series.coefficient(exps)
 
 
-def to_mult_series(e: SchurExpansion, form: str = "T") -> MultSeries:
-    """Pack an expansion into a multiplicity series."""
+def to_mult_series(e: HookExpansion, form: str = "T") -> MultSeries:
+    """Pack an l = 0 expansion into a multiplicity series."""
     if form not in ("T", "V"):
         raise ValueError(f"form must be 'T' or 'V', not {form!r}")
-    vars_ = VarSet.t(e.d) if form == "T" else VarSet.v(e.d)
+    if e.l != 0:
+        raise ValueError(f"multiplicity series encode (d, 0) expansions, not ({e.k}, {e.l})")
+    d = e.k
+    vars_ = VarSet.t(d) if form == "T" else VarSet.v(d)
     terms: dict[Exps, Coeff] = {}
     for lam, c in e.coeffs.items():
-        full = lam + (0,) * (e.d - len(lam) + 1)
+        full = lam + (0,) * (d - len(lam) + 1)
         if form == "T":
-            exps = full[: e.d]
+            exps = full[:d]
         else:
-            exps = tuple(full[i] - full[i + 1] for i in range(e.d))
+            exps = tuple(full[i] - full[i + 1] for i in range(d))
         terms[exps] = c
-    return MultSeries(form, e.d, e.bound, Series(vars_, e.bound, terms, _raw=True))
+    return MultSeries(form, d, e.bound, Series(vars_, e.bound, terms, _raw=True))
 
 
-def from_mult_series(m: MultSeries) -> SchurExpansion:
+def from_mult_series(m: MultSeries) -> HookExpansion:
     """Unpack a multiplicity series back into an expansion (round-trip inverse)."""
     coeffs: dict[tuple[int, ...], Coeff] = {}
     for e, c in m.series.terms.items():
@@ -326,13 +106,68 @@ def from_mult_series(m: MultSeries) -> SchurExpansion:
         else:
             lam = partition(tuple(sum(e[i:]) for i in range(m.d)))
         coeffs[lam] = c
-    return SchurExpansion(m.d, m.bound, coeffs)
+    return HookExpansion(m.d, 0, m.bound, coeffs)
 
 
 def convert_mult_series(m: MultSeries, form: str) -> MultSeries:
     if form == m.form:
         return m
     return to_mult_series(from_mult_series(m), form)
+
+
+def young_derived_substitution(m: MultSeries) -> MultSeries:
+    """The row derivation ``hook_row_derived`` at l = 0, on the series itself.
+
+    Multiplying by prod 1/(1-t_i) is here a signed sum of monomial
+    substitutions applied to the T-form series, times the geometric product,
+    with no Pieri step.  Every substitution image of a partition monomial has
+    total degree at least the source weight, so the weight-N truncation is
+    exact.
+    """
+    m = convert_mult_series(m, "T")
+    d, n = m.d, m.bound
+    tv = VarSet.t(d)
+    acc = Series.zero(tv, n)
+    for eps in product((0, 1), repeat=d - 1):  # eps[j-2] is the choice at t_j
+        mapping = {}
+        for i in range(1, d + 1):
+            img = [0] * d
+            if i == 1:
+                img[0] = 1
+                if d > 1:
+                    img[1] += eps[0]
+            elif i < d:
+                img[i - 1] += 1 - eps[i - 2]
+                img[i] += eps[i - 1]
+            else:
+                img[d - 1] += 1 - eps[d - 2]
+            mapping[f"t{i}"] = (1, tuple(img))
+        pref = [0] * d
+        for j in range(2, d + 1):
+            pref[j - 1] = eps[j - 2]
+        sign = -1 if sum(eps) % 2 else 1
+        image = substitute_monomials(m.series, tv, mapping, n)
+        acc = acc + image * Series.monomial(tv, n, tuple(pref), sign)
+    geo = expand_factor(tv, [(f"t{i}", -1, -1) for i in range(1, d + 1)], n)
+    return MultSeries("T", d, n, acc * geo)
+
+
+# -- the antisymmetrization check ---------------------------------------------
+
+
+def _perm_sign(sigma: Sequence[int]) -> int:
+    inversions = sum(1 for i in range(len(sigma)) for j in range(i + 1, len(sigma))
+                     if sigma[i] > sigma[j])
+    return -1 if inversions % 2 else 1
+
+
+def _vandermonde(d: int, bound: int) -> Series:
+    """prod_{i<j} (t_i - t_j) via the determinant expansion."""
+    terms: dict[Exps, Coeff] = {}
+    for sigma in permutations(range(d)):
+        exps = tuple(d - 1 - sigma[i] for i in range(d))
+        terms[exps] = _perm_sign(sigma)
+    return Series(VarSet.t(d), bound, terms)
 
 
 def verify_mult_series(f: Series, h: MultSeries) -> bool:
@@ -348,10 +183,10 @@ def verify_mult_series(f: Series, h: MultSeries) -> bool:
         return False
     n = min(f.bound, h.bound)
     dv = d * (d - 1) // 2
-    lhs = f.truncate(n).truncate(n + dv) * vandermonde(d, n + dv)
+    lhs = f.truncate(n).truncate(n + dv) * _vandermonde(d, n + dv)
     rhs: dict[Exps, Coeff] = {}
     for sigma in permutations(range(d)):
-        sgn = perm_sign(sigma)
+        sgn = _perm_sign(sigma)
         for e, c in h.series.terms.items():
             if sum(e) > n:
                 continue
@@ -365,3 +200,25 @@ def verify_mult_series(f: Series, h: MultSeries) -> bool:
             else:
                 del rhs[key]
     return lhs.terms == {e: norm_coeff(c) for e, c in rhs.items() if c}
+
+
+# -- names of the former ordinary-Schur layer -----------------------------------
+#
+# bench/tracer.py resolves these names (and ``_schur_terms`` above) when it
+# installs its span table, and cochar.operators for the same reason; without
+# them its span pass stops with an AttributeError.  The ordinary layer itself
+# is gone, and the stubs only say where it went.  Delete them together with
+# their span-table entries.
+
+
+def _removed(name: str, replacement: str):
+    def stub(*args, **kwargs):
+        raise NotImplementedError(f"{name} was removed: use {replacement}")
+
+    stub.__name__ = stub.__qualname__ = name
+    return stub
+
+
+schur_decompose = _removed("schur_decompose", "cochar.hooks.hs_decompose(g, d, 0)")
+pieri_row = _removed("pieri_row", "cochar.hooks.hook_pieri_row")
+pieri_col = _removed("pieri_col", "cochar.hooks.hook_pieri_col")

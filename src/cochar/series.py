@@ -19,6 +19,8 @@ Coeff = int | Fraction
 
 def norm_coeff(c: Coeff | str) -> Coeff:
     """Normalize to int when integral, Fraction otherwise."""
+    if type(c) is int:
+        return c
     f = Fraction(c)
     return int(f) if f.denominator == 1 else f
 
@@ -291,15 +293,6 @@ class Series:
             if c:
                 terms[exps] = terms.get(exps, 0) + c
         return cls(vars_, bound, terms)
-
-
-def series_mul(a: Series, b: Series) -> Series:
-    """Truncated product of two series sharing variables and bound."""
-    if a.vars.names != b.vars.names:
-        raise ValueError("mismatched variable sets")
-    if a.bound != b.bound:
-        raise ValueError(f"mismatched bounds {a.bound} != {b.bound}")
-    return a * b
 
 
 def _as_monomial(vars_: VarSet, base) -> Exps:

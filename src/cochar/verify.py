@@ -18,15 +18,12 @@ from .closed_forms import closed_multiplicity, reference_series
 from .hilbert import (grassmann_double_hilbert, grassmann_hilbert,
                       utn_double_hilbert, utn_hilbert, utn_mult_series)
 from .hooks import (HookExpansion, decode_hook_mult, encode_hook_mult,
-                    hook_col_derived, hook_grassmann_derived,
-                    hook_grassmann_derived_power, hook_row_derived,
-                    hs_decompose, utn_hook_mult_series)
-from .operators import (even_column_derived, young_derived,
-                        young_derived_substitution)
+                    hook_col_derived, hook_even_col_derived,
+                    hook_grassmann_derived, hook_grassmann_derived_power,
+                    hook_row_derived, hs_decompose, utn_hook_mult_series)
 from .partitions import (hook_partitions_of, in_extended_hook, in_hook,
                          part_at, partition, partitions_upto)
-from .schur import (SchurExpansion, schur_decompose, to_mult_series,
-                    verify_mult_series)
+from .schur import to_mult_series, verify_mult_series, young_derived_substitution
 from .series import Series, VarSet
 
 
@@ -47,12 +44,13 @@ def _result(suite: str, name: str, failures: list[str],
     return CheckResult(suite, name, True, ok_detail)
 
 
-def _random_expansion(rng: random.Random, d: int, bound: int) -> SchurExpansion:
+def _random_expansion(rng: random.Random, d: int, bound: int) -> HookExpansion:
+    """A random Schur expansion in d variables: the (d, 0) hook."""
     pool = list(partitions_upto(min(bound, 5), max_parts=d))
     coeffs = {}
     for lam in rng.sample(pool, k=min(4, len(pool))):
         coeffs[lam] = rng.randint(-3, 3)
-    return SchurExpansion(d, bound, coeffs)
+    return HookExpansion(d, 0, bound, coeffs)
 
 
 def _random_hook_expansion(rng: random.Random, k: int, l: int,
@@ -73,7 +71,7 @@ def _random_hook_expansion(rng: random.Random, k: int, l: int,
 def hook_multiplicities_of_grassmann(trunc: int = 12) -> CheckResult:
     """Every hook shape once, nothing else: both decomposition routes."""
     failures = []
-    exp = schur_decompose(grassmann_hilbert(3, trunc))
+    exp = hs_decompose(grassmann_hilbert(3, trunc), 3, 0)
     for lam in partitions_upto(trunc, max_parts=3):
         want = 1 if in_hook(lam, 1, 1) else 0
         got = exp.coefficient(lam)
@@ -93,7 +91,7 @@ def _two_variable_routes(n: int, tag: str, trunc: int,
                          spots: dict[tuple, int]) -> CheckResult:
     failures = []
     pipeline = utn_mult_series(n, 2, trunc)
-    decomposed = to_mult_series(schur_decompose(utn_hilbert(n, 2, trunc)), "T")
+    decomposed = to_mult_series(hs_decompose(utn_hilbert(n, 2, trunc), 2, 0), "T")
     if pipeline != decomposed:
         failures.append("operator route and decomposition route differ")
     for lam in partitions_upto(trunc, max_parts=2):
@@ -193,7 +191,7 @@ def support_bounds() -> CheckResult:
             if not in_extended_hook(lam, n):
                 failures.append(f"n={n}: square allowance broken at {lam}")
     for n, d, trunc in [(1, 3, 8), (2, 5, 10), (3, 7, 8)]:
-        exp = schur_decompose(utn_hilbert(n, d, trunc))
+        exp = hs_decompose(utn_hilbert(n, d, trunc), d, 0)
         for lam, c in exp.coeffs.items():
             if c and part_at(lam, n + 1) > 2 * n - 1:
                 failures.append(f"n={n}, {d} variables: row bound broken at {lam}")
@@ -212,7 +210,8 @@ def operator_identities(samples: int = 100, seed: int = 20260817) -> CheckResult
     rng = random.Random(seed)
     for i in range(samples):
         e = _random_expansion(rng, d=3, bound=7)
-        if young_derived(even_column_derived(e)) != even_column_derived(young_derived(e)):
+        if (hook_row_derived(hook_even_col_derived(e))
+                != hook_even_col_derived(hook_row_derived(e))):
             failures.append(f"row/column derivations do not commute (sample {i})")
             break
     for i in range(samples):
@@ -226,13 +225,13 @@ def operator_identities(samples: int = 100, seed: int = 20260817) -> CheckResult
         d = rng.choice((1, 2, 3))
         e = _random_expansion(rng, d=d, bound=7)
         m = to_mult_series(e, "T")
-        direct = to_mult_series(young_derived(e), "T")
+        direct = to_mult_series(hook_row_derived(e), "T")
         if young_derived_substitution(m) != direct:
             failures.append(f"substitution route for the row derivation differs (sample {i}, d={d})")
             break
     for i in range(20):
         e = _random_expansion(rng, d=2, bound=7)
-        lhs = even_column_derived(e).to_series()
+        lhs = hook_even_col_derived(e).to_series()
         rhs = e.to_series().shift_mul_binomial((1, 1), 1)
         if lhs != rhs:
             failures.append(f"two-variable column derivation is not (1+t1t2) (sample {i})")
@@ -305,7 +304,7 @@ def _inv_decomposition_roundtrips() -> CheckResult:
     rng = random.Random(7)
     for i in range(10):
         e = _random_expansion(rng, d=3, bound=6)
-        if schur_decompose(e.to_series(), 3) != e:
+        if hs_decompose(e.to_series(), 3, 0) != e:
             failures.append(f"ordinary round trip fails (sample {i})")
     for i in range(10):
         e = _random_hook_expansion(rng, 2, 2, 6)
@@ -331,7 +330,8 @@ def _inv_commutation() -> CheckResult:
     rng = random.Random(13)
     for i in range(20):
         e = _random_expansion(rng, d=2, bound=6)
-        if young_derived(even_column_derived(e)) != even_column_derived(young_derived(e)):
+        if (hook_row_derived(hook_even_col_derived(e))
+                != hook_even_col_derived(hook_row_derived(e))):
             failures.append(f"sample {i}")
     return _result("invariants", "derivation commutation", failures,
                    "row and column derivations commute on samples")

@@ -56,6 +56,28 @@ def test_hookmult_json_embeds_series(capsys):
     assert {"lambda0": [1], "mu": [2], "nu": [2], "coeff": "6"} in terms
 
 
+@pytest.mark.parametrize("argv, pipeline", [
+    (["mult", "--algebra", "UT2E", "--vars", "2"], "utn_mult_series"),
+    (["hookmult", "--algebra", "UT2E", "--hook", "1,1"], "utn_hook_mult_series"),
+])
+def test_json_embed_runs_the_pipeline_once(capsys, monkeypatch, argv, pipeline):
+    calls = []
+    real = getattr(cli, pipeline)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, pipeline, counted)
+    argv = argv + ["--trunc", "5", "--format", "json"]
+    code, full, _ = run(argv, capsys)
+    assert code == 0 and len(calls) == 1
+    # the decompose route alone still embeds the pipeline series
+    code, alone, _ = run(argv + ["--method", "decompose"], capsys)
+    assert code == 0 and len(calls) == 2
+    assert json.loads(alone)["series"] == json.loads(full)["series"]
+
+
 def test_hilbert_json_matches_module(capsys):
     code, out, err = run(["hilbert", "--algebra", "UT2E", "--vars", "2",
                           "--trunc", "6", "--format", "json"], capsys)
@@ -121,25 +143,6 @@ def test_bad_hook_argument(capsys):
         cli.main(["hookmult", "--algebra", "E", "--hook", "two,three",
                   "--trunc", "4"])
     capsys.readouterr()
-
-
-def test_byte_identical_across_thread_settings(capsys, monkeypatch):
-    argv = ["table", "--algebra", "UT2E", "--hook", "2,3", "--trunc", "6",
-            "--format", "json"]
-    code, first, _ = run(argv, capsys)
-    assert code == 0
-    monkeypatch.setenv("COCHAR_THREADS", "4")
-    code, second, _ = run(argv, capsys)
-    assert code == 0
-    assert first == second
-
-
-def test_bad_thread_setting(capsys, monkeypatch):
-    monkeypatch.setenv("COCHAR_THREADS", "zero")
-    code, out, err = run(["mult", "--algebra", "E", "--vars", "2",
-                          "--trunc", "4"], capsys)
-    assert code == 2
-    assert "COCHAR_THREADS" in err
 
 
 def test_out_writes_file(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -21,7 +22,6 @@ from cochar.hooks import (
     HookMultSeries,
 )
 from cochar.partitions import conjugate, hook_partitions_of, in_hook, partitions_upto, weight
-from cochar.schur import schur_poly
 from cochar.series import expand_factor, Series, VarSet
 
 
@@ -109,11 +109,12 @@ def test_hs_poly_against_tableaux():
 
 
 def test_hs_poly_degenerate_alphabets():
+    # an empty second alphabet gives s_lam, an empty first one s_(lam')
     for lam in partitions_upto(6):
         if len(lam) <= 2:
-            assert hs_poly(lam, 2, 0, 6).terms == schur_poly(lam, 2, 6).terms
+            assert hs_poly(lam, 2, 0, 6) == brute_hs(lam, 2, 0, 6)
         if not lam or lam[0] <= 2:
-            conj = schur_poly(conjugate(lam), 2, 6)
+            conj = hs_poly(conjugate(lam), 2, 0, 6)
             assert hs_poly(lam, 0, 2, 6).terms == conj.terms
 
 
@@ -178,6 +179,17 @@ def test_hs_decompose_rejects_off_span():
         hs_decompose(Series(tv, 4, {(1, 0): 1}), 1, 1)
     with pytest.raises(ValueError, match="do not fit"):
         hs_decompose(Series(VarSet.t(2), 4, {}), 1, 1)
+
+
+def test_hs_decompose_rejects_block_asymmetric():
+    # a coefficient that differs inside an orbit of one alphabet
+    with pytest.raises(ValueError, match="not symmetric"):
+        hs_decompose(Series(VarSet.ty(2, 1), 4, {(1, 0, 0): 1}), 2, 1)
+    with pytest.raises(ValueError, match="not symmetric"):
+        hs_decompose(Series(VarSet.ty(1, 2), 4, {(0, 1, 0): 1, (0, 0, 1): 2}), 1, 2)
+    # equal coefficients, but the orbit of t1^2 t2 in three t's is incomplete
+    with pytest.raises(ValueError, match="incomplete orbits"):
+        hs_decompose(Series(VarSet.t(3), 4, {(2, 1, 0): 1, (1, 2, 0): 1}), 3, 0)
 
 
 # -- Pieri steps -------------------------------------------------------------
@@ -338,6 +350,32 @@ def test_hook_mult_matches_decompose_route():
         direct = utn_hook_mult_series(n, k, l, bound)
         via = hs_decompose(utn_double_hilbert(n, k, l, bound), k, l)
         assert decode_hook_mult(direct) == via
+
+
+# multiplicities that the former ordinary-Schur pipeline gave for
+# utn_mult_series(n, d, b): support size, coefficient sum, sha256 of the
+# sorted (partition, multiplicity) list, and one spot value
+ONE_ALPHABET_PINS = [
+    ((2, 2, 12), 49, 405,
+     "05f1d1eea3f35e63354413ef288251680abb007495589d4316e711d0069ee72a", ((7, 5), 12)),
+    ((3, 2, 14), 64, 3803,
+     "527dad66fb9a514b7ccdb4c431e373bc288322972423a58902e5c765b8a15272", ((9, 5), 370)),
+    ((2, 3, 10), 67, 823,
+     "5a4ca176c97f12a8bd3a34b085e58ef39e5ca0b74e87fb77af696fd5058b689f", ((5, 3, 2), 36)),
+    ((3, 3, 9), 53, 1345,
+     "3f30d8155f0e7ea2f79bdcfaf8a2cbafe1fe26dc5141cc5228ca61360a4c114d", ((4, 3, 2), 160)),
+]
+
+
+@pytest.mark.parametrize("job, size, total, digest, spot", ONE_ALPHABET_PINS,
+                         ids=[str(p[0]) for p in ONE_ALPHABET_PINS])
+def test_empty_second_alphabet_matches_pinned_multiplicities(job, size, total, digest, spot):
+    n, d, b = job
+    items = sorted(decode_hook_mult(utn_hook_mult_series(n, d, 0, b)).coeffs.items())
+    assert (len(items), sum(c for _, c in items)) == (size, total)
+    assert hashlib.sha256(repr(items).encode()).hexdigest() == digest
+    lam, want = spot
+    assert dict(items)[lam] == want
 
 
 def test_hook_mult_two_blocks_frozen():

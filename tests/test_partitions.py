@@ -341,15 +341,28 @@ def test_strips_with_bounds():
     for lam in ((3, 1), (2, 2, 1)):
         for size in range(4):
             full = set(horizontal_strips(lam, size))
-            assert set(horizontal_strips(lam, size, max_parts=3)) == \
+            assert set(horizontal_strips(lam, size, hook=(3, 0))) == \
                 {m for m in full if len(m) <= 3}
-            assert set(horizontal_strips(lam, size, max_part=3)) == \
+            assert set(horizontal_strips(lam, size, hook=(0, 3))) == \
                 {m for m in full if part_at(m, 1) <= 3}
             vfull = set(vertical_strips(lam, size))
-            assert set(vertical_strips(lam, size, max_parts=3)) == \
+            assert set(vertical_strips(lam, size, hook=(3, 0))) == \
                 {m for m in vfull if len(m) <= 3}
-            assert set(vertical_strips(lam, size, max_part=3)) == \
+            assert set(vertical_strips(lam, size, hook=(0, 3))) == \
                 {m for m in vfull if part_at(m, 1) <= 3}
+
+
+def test_strips_with_hook():
+    # the hook bound keeps exactly the strips inside the hook, each once
+    for k, l in ((1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (1, 2), (0, 2)):
+        for w in range(6):
+            for lam in partitions_of(w):
+                for size in range(5):
+                    for strips in (horizontal_strips, vertical_strips):
+                        got = list(strips(lam, size, hook=(k, l)))
+                        assert len(got) == len(set(got))
+                        assert set(got) == {m for m in strips(lam, size)
+                                            if in_hook(m, k, l)}
 
 
 @given(partitions_strategy(max_weight=6, max_parts=4), st.integers(0, 3))

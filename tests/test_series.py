@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cochar.series import (
-    expand_factor, norm_coeff, Series, series_mul, substitute_monomials, VarSet)
+    expand_factor, norm_coeff, Series, substitute_monomials, VarSet)
 
 T1 = VarSet.t(1)
 T2 = VarSet.t(2)
@@ -80,14 +80,13 @@ def test_pow():
 def test_series_mul_contract():
     a = Series(T1, 5, {(0,): 1, (1,): 1})   # 1 + t
     b = Series(T1, 5, {(0,): 1, (1,): -1})  # 1 - t
-    assert series_mul(a, b).terms == {(0,): 1, (2,): -1}
+    assert (a * b).terms == {(0,): 1, (2,): -1}
     geo = Series(T1, 5, {(j,): 1 for j in range(6)})
-    assert series_mul(geo, b) == Series.one(T1, 5)  # t^6 falls above the bound
-    assert series_mul(a, Series.zero(T1, 5)).is_zero()
+    assert geo * b == Series.one(T1, 5)  # t^6 falls above the bound
+    assert (a * Series.zero(T1, 5)).is_zero()
+    assert a * Series.one(T1, 4) == a.truncate(4)  # the smaller bound wins
     with pytest.raises(ValueError):
-        series_mul(a, Series.one(T1, 4))
-    with pytest.raises(ValueError):
-        series_mul(a, Series.one(T2, 5))
+        a * Series.one(T2, 5)
 
 
 def test_substitution_commutes_with_mul():
