@@ -30,9 +30,9 @@ from functools import cache
 from typing import Callable, Sequence
 
 from .closed_forms import closed_multiplicity
-from .hilbert import utn_double_hilbert, utn_hilbert, utn_mult_series
+from .hilbert import utn_double_hilbert, utn_mult_series
 from .hooks import hs_decompose, utn_hook_mult_series
-from .partitions import format_partition, hook_partitions_of, partitions_upto
+from .partitions import format_partition, hook_partitions_of
 from .verify import run_suite
 
 # Soft limits.  Past these the computations still work, they just get slow;
@@ -104,56 +104,27 @@ def _check_guardrails(args, n: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _closed_mult_tag(n: int, d: int) -> str | None:
+def _closed_tag(n: int, k: int, l: int) -> str | None:
+    """Closed-form table for the (k, l) alphabets; one alphabet of d is (d, 0)."""
     if n == 1:
         return "E"
     if n == 2:
-        return "UT2E_parts2" if d == 2 else "UT2E"
-    if n == 3 and d == 2:
-        return "UT3E_parts2"
-    return None
+        return "UT2E_parts2" if (k, l) == (2, 0) else "UT2E"
+    return {(3, 2, 0): "UT3E_parts2", (3, 1, 1): "UT3E_hook11"}.get((n, k, l))
 
 
-def _closed_hook_tag(n: int, k: int, l: int) -> str | None:
-    if n == 1:
-        return "E"
-    if n == 2:
-        return "UT2E"
-    if n == 3 and (k, l) == (1, 1):
-        return "UT3E_hook11"
-    return None
-
-
-def _mult_routes(n: int, d: int, trunc: int, domain: list[tuple[int, ...]],
-                 series: Callable) -> dict[str, Callable]:
+def _routes(n: int, k: int, l: int, trunc: int, domain: list[tuple[int, ...]],
+            series: Callable) -> dict[str, Callable]:
     def pipeline():
         ms = series()
         return {lam: ms.coefficient(lam) for lam in domain}
-
-    def decompose():
-        exp = hs_decompose(utn_hilbert(n, d, trunc), d, 0)
-        return {lam: exp.coefficient(lam) for lam in domain}
-
-    routes = {"pipeline": pipeline, "decompose": decompose}
-    tag = _closed_mult_tag(n, d)
-    if tag is not None:
-        routes["closed-form"] = lambda: {
-            lam: closed_multiplicity(tag, lam) or 0 for lam in domain}
-    return routes
-
-
-def _hook_routes(n: int, k: int, l: int, trunc: int, domain: list[tuple[int, ...]],
-                 series: Callable) -> dict[str, Callable]:
-    def pipeline():
-        hm = series()
-        return {lam: hm.coefficient(lam) for lam in domain}
 
     def decompose():
         exp = hs_decompose(utn_double_hilbert(n, k, l, trunc), k, l)
         return {lam: exp.coefficient(lam) for lam in domain}
 
     routes = {"pipeline": pipeline, "decompose": decompose}
-    tag = _closed_hook_tag(n, k, l)
+    tag = _closed_tag(n, k, l)
     if tag is not None:
         routes["closed-form"] = lambda: {
             lam: closed_multiplicity(tag, lam) or 0 for lam in domain}
@@ -265,22 +236,30 @@ def _job_fields(args) -> dict:
     return job
 
 
+def _alphabets(args) -> tuple[int, int]:
+    """The (k, l) hook of the request; one alphabet of d variables is (d, 0)."""
+    d = getattr(args, "vars", None)
+    return (d, 0) if d is not None else args.hook
+
+
 def _cmd_hilbert(args) -> int:
     n = _parse_algebra(args.algebra)
     _check_guardrails(args, n)
     if (args.vars is None) == (args.hook is None):
         raise SpecError("hilbert needs exactly one of --vars or --hook")
-    if args.vars is not None:
-        series = utn_hilbert(n, args.vars, args.trunc)
-    else:
-        k, l = args.hook
-        series = utn_double_hilbert(n, k, l, args.trunc)
+    series = utn_double_hilbert(n, *_alphabets(args), args.trunc)
     _emit(_render_series(series, args.format, _job_fields(args)), args.out)
     return 0
 
 
-def _table_driver(args, routes_factory, domain, extra_factory=None) -> int:
-    selected = _select_routes(routes_factory(), args.method)
+def _table_driver(args, n: int, extra_factory: Callable | None = None) -> int:
+    k, l = _alphabets(args)
+    domain = [lam for w in range(args.trunc + 1) for lam in hook_partitions_of(w, k, l)]
+    # one pipeline run serves both the route and the JSON embed; `mult`
+    # embeds the one-alphabet series in T-form
+    series = cache(lambda: utn_mult_series(n, k, args.trunc) if l == 0
+                   else utn_hook_mult_series(n, k, l, args.trunc))
+    selected = _select_routes(_routes(n, k, l, args.trunc, domain, series), args.method)
     results = {name: route() for name, route in selected.items()}
     diffs = _compare_routes(results, domain)
     if diffs:
@@ -292,41 +271,23 @@ def _table_driver(args, routes_factory, domain, extra_factory=None) -> int:
             print(f"  ... {len(diffs) - 20} more", file=sys.stderr)
         return 1
     rows = _build_rows(results, domain)
-    extra = extra_factory() if extra_factory and args.format == "json" else None
+    extra = extra_factory(series()) if extra_factory and args.format == "json" else None
     _emit(_render_rows(rows, args.format, _job_fields(args), extra), args.out)
     return 0
-
-
-def _hook_domain(k: int, l: int, trunc: int) -> list[tuple[int, ...]]:
-    return [lam for w in range(trunc + 1) for lam in hook_partitions_of(w, k, l)]
 
 
 def _cmd_mult(args) -> int:
     n = _parse_algebra(args.algebra)
     _check_guardrails(args, n)
-    domain = list(partitions_upto(args.trunc, max_parts=args.vars))
-    # one pipeline run serves both the route and the JSON embed
-    series = cache(lambda: utn_mult_series(n, args.vars, args.trunc))
-
-    def extra():
-        ms = series()
-        return {"series": {"form": ms.form, "d": ms.d, "bound": ms.bound,
-                           "terms": ms.series.to_obj()}}
-
-    return _table_driver(
-        args, lambda: _mult_routes(n, args.vars, args.trunc, domain, series),
-        domain, extra)
+    return _table_driver(args, n, lambda ms: {
+        "series": {"form": ms.form, "d": ms.d, "bound": ms.bound,
+                   "terms": ms.series.to_obj()}})
 
 
 def _cmd_hookmult(args) -> int:
     n = _parse_algebra(args.algebra)
     _check_guardrails(args, n)
-    k, l = args.hook
-    domain = _hook_domain(k, l, args.trunc)
-    series = cache(lambda: utn_hook_mult_series(n, k, l, args.trunc))
-    return _table_driver(
-        args, lambda: _hook_routes(n, k, l, args.trunc, domain, series),
-        domain, lambda: {"series": series().to_obj()})
+    return _table_driver(args, n, lambda hm: {"series": hm.to_obj()})
 
 
 def _cmd_table(args) -> int:
@@ -334,16 +295,7 @@ def _cmd_table(args) -> int:
     _check_guardrails(args, n)
     if (args.vars is None) == (args.hook is None):
         raise SpecError("table needs exactly one of --vars or --hook")
-    if args.vars is not None:
-        domain = list(partitions_upto(args.trunc, max_parts=args.vars))
-        series = lambda: utn_mult_series(n, args.vars, args.trunc)
-        factory = lambda: _mult_routes(n, args.vars, args.trunc, domain, series)
-    else:
-        k, l = args.hook
-        domain = _hook_domain(k, l, args.trunc)
-        series = lambda: utn_hook_mult_series(n, k, l, args.trunc)
-        factory = lambda: _hook_routes(n, k, l, args.trunc, domain, series)
-    return _table_driver(args, factory, domain)
+    return _table_driver(args, n)
 
 
 def _cmd_verify(args) -> int:

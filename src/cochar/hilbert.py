@@ -1,9 +1,15 @@
 """Hilbert series of the Grassmann algebra and of upper triangular algebras.
 
 The generic-element algebra of the Grassmann algebra E has the rational
-Hilbert series 1/2 + (1/2) prod (1+t_i)/(1-t_i); products of ideals give the
-series of the n-by-n upper triangular algebra over E as a binomial sum.  The
-two-alphabet variants replace each factor by its hook analog.
+Hilbert series B = 1/2 + (1/2) prod (1+x)/(1-x) over the variables x;
+products of ideals give the series of the n-by-n upper triangular algebra
+over E as the binomial sum  sum_{j=1}^{n} C(n,j) B^j L^(j-1)  with
+L = sum x - 1.  The two-alphabet variants run over t_1..t_k, y_1..y_l; one
+alphabet t_1..t_d is the case l = 0.
+
+The sum is evaluated in Horner form,
+B (C(n,1) + L B (C(n,2) + ... + L B C(n,n))), so it takes n multiplications
+by B, each a chain of shifts, and n - 1 by the (k+l+1)-term L.
 """
 
 from __future__ import annotations
@@ -13,18 +19,16 @@ from math import comb
 
 from cochar.hooks import decode_hook_mult, utn_hook_mult_series
 from cochar.schur import MultSeries, to_mult_series
-from cochar.series import expand_factor, Series, VarSet
+from cochar.series import Series, VarSet
 
 
-def grassmann_hilbert(d: int, bound: int) -> Series:
-    """1/2 + (1/2) prod_{i<=d} (1+t_i)/(1-t_i), truncated."""
-    if d < 1:
-        raise ValueError("need at least one variable")
-    tv = VarSet.t(d)
-    factors = [(f"t{i}", 1, 1) for i in range(1, d + 1)] + \
-              [(f"t{i}", -1, -1) for i in range(1, d + 1)]
-    prod = expand_factor(tv, factors, bound)
-    return (prod + Series.one(tv, bound)).scale(Fraction(1, 2))
+def _grassmann_step(s: Series) -> Series:
+    """s times B = (1 + prod (1+x)/(1-x))/2, by shift operations only."""
+    prod = s
+    for i in range(s.vars.arity):
+        x = tuple(int(i == j) for j in range(s.vars.arity))
+        prod = prod.shift_mul_binomial(x, 1).shift_mul_geometric(x, -1)
+    return (s + prod).scale(Fraction(1, 2))
 
 
 def _linear_minus_one(vars_: VarSet, bound: int) -> Series:
@@ -36,20 +40,14 @@ def _linear_minus_one(vars_: VarSet, bound: int) -> Series:
     return Series(vars_, bound, terms, _raw=True)
 
 
-def utn_hilbert(n: int, d: int, bound: int) -> Series:
-    """Hilbert series of the n-by-n upper triangular algebra over E.
+def grassmann_hilbert(d: int, bound: int) -> Series:
+    """1/2 + (1/2) prod_{i<=d} (1+t_i)/(1-t_i), truncated."""
+    return grassmann_double_hilbert(d, 0, bound)
 
-    sum_{j=1}^{n} C(n,j) * base^j * (t_1+...+t_d-1)^(j-1) with base the
-    Grassmann series; the product law for ideal powers gives the shape.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    base = grassmann_hilbert(d, bound)
-    lin = _linear_minus_one(base.vars, bound)
-    out = Series.zero(base.vars, bound)
-    for j in range(1, n + 1):
-        out = out + (base ** j * lin ** (j - 1)).scale(comb(n, j))
-    return out
+
+def utn_hilbert(n: int, d: int, bound: int) -> Series:
+    """Hilbert series of the n-by-n upper triangular algebra over E, in d variables."""
+    return utn_double_hilbert(n, d, 0, bound)
 
 
 def utn_mult_series(n: int, d: int, bound: int) -> MultSeries:
@@ -69,23 +67,19 @@ def grassmann_double_hilbert(k: int, l: int, bound: int) -> Series:
     """
     if k < 0 or l < 0 or k + l < 1:
         raise ValueError("need a nonempty combined alphabet")
-    vars_ = VarSet.ty(k, l)
-    factors = []
-    for i in range(1, k + 1):
-        factors += [(f"t{i}", 1, 1), (f"t{i}", -1, -1)]
-    for j in range(1, l + 1):
-        factors += [(f"y{j}", 1, 1), (f"y{j}", -1, -1)]
-    prod = expand_factor(vars_, factors, bound)
-    return (prod + Series.one(vars_, bound)).scale(Fraction(1, 2))
+    return _grassmann_step(Series.one(VarSet.ty(k, l), bound))
 
 
 def utn_double_hilbert(n: int, k: int, l: int, bound: int) -> Series:
-    """Two-alphabet Hilbert series of the triangular algebra over E."""
+    """Two-alphabet Hilbert series of the triangular algebra over E.
+
+    sum_{j=1}^{n} C(n,j) B^j L^(j-1), in Horner form from the inside out.
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    base = grassmann_double_hilbert(k, l, bound)
-    lin = _linear_minus_one(base.vars, bound)
-    out = Series.zero(base.vars, bound)
-    for j in range(1, n + 1):
-        out = out + (base ** j * lin ** (j - 1)).scale(comb(n, j))
-    return out
+    acc = grassmann_double_hilbert(k, l, bound)
+    one = Series.one(acc.vars, bound)
+    lin = _linear_minus_one(acc.vars, bound)
+    for j in range(n - 1, 0, -1):
+        acc = _grassmann_step(acc * lin + one.scale(comb(n, j)))
+    return acc

@@ -30,12 +30,10 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from cochar.partitions import (
     assemble_hook,
-    char_degree,
     conjugate,
     horizontal_strips,
     in_hook,
     partition,
-    partitions_of,
     split_hook,
     vertical_strips,
     weight,
@@ -437,10 +435,10 @@ class HookMultSeries:
         return json.dumps(self.to_obj(), indent=2, sort_keys=False)
 
     @classmethod
-    def from_obj(cls, obj: Mapping) -> "HookMultSeries":
+    def from_obj(cls, obj: Mapping, bound: int) -> "HookMultSeries":
+        """Inverse of :meth:`to_obj`; the object does not carry the bound."""
         k, l = (int(x) for x in obj["hook"])
         terms: dict[Exps, Coeff] = {}
-        bound = 0
         for row in obj["terms"]:
             lam0 = [int(x) for x in row["lambda0"]]
             mu = [int(x) for x in row["mu"]]
@@ -448,9 +446,9 @@ class HookMultSeries:
             if len(lam0) != k or len(mu) != k or len(nu) != l:
                 raise ValueError("split widths do not match the hook")
             exps = tuple(lam0) + tuple(mu) + tuple(nu)
-            c = Fraction(row["coeff"])
-            terms[exps] = norm_coeff(c)
-            bound = max(bound, sum(exps))
+            if sum(exps) > bound:
+                raise ValueError(f"term {exps} is heavier than the bound {bound}")
+            terms[exps] = norm_coeff(Fraction(row["coeff"]))
         series = Series(VarSet.vty(k, l), bound, terms)
         return cls(k, l, bound, series)
 
@@ -480,23 +478,21 @@ def decode_hook_mult(m: HookMultSeries) -> HookExpansion:
 def utn_hook_mult_series(n: int, k: int, l: int, bound: int) -> HookMultSeries:
     """Split-encoded multiplicity series of the triangular algebra over E.
 
-    Signed binomial sum over (j, q, lam) of the j-th iterate of the hook
-    Grassmann step seeded at lam; seeds outside the hook contribute the zero
-    function and are skipped.  Final coefficients must be nonnegative
-    integers.
+    The hook expansion of sum_{j=1}^{n} C(n,j) G^j L^(j-1), where G is the
+    hook Grassmann step and L = hs_(1) - 1 with hs_(1) = sum t + sum y.  G
+    is multiplication in the hook quotient ring, so it commutes with L, and
+    the sum is taken in Horner form G(C(n,1) + L G(C(n,2) + ... + L G(C(n,n)))):
+    n Grassmann steps, and each L is the one-box Pieri step minus the
+    identity.  Final coefficients must be nonnegative integers.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    total = HookExpansion(k, l, bound)
-    for j in range(1, n + 1):
-        for q in range(j):
-            sign = (-1) ** (j - 1 - q)
-            for lam in partitions_of(q):
-                if not in_hook(lam, k, l):
-                    continue
-                c = sign * comb(n, j) * comb(j - 1, q) * char_degree(lam)
-                seed = HookExpansion(k, l, bound, {lam: 1})
-                total = total + hook_grassmann_derived_power(seed, j).scale(c)
+    unit = HookExpansion.unit(k, l, bound)
+    acc = unit
+    for j in range(n - 1, 0, -1):
+        b = hook_grassmann_derived(acc)
+        acc = hook_pieri_row(b, 1) + b.scale(-1) + unit.scale(comb(n, j))
+    total = hook_grassmann_derived(acc)
     for lam, c in total.coeffs.items():
         if not isinstance(c, int) or c < 0:
             raise ValueError(f"multiplicity of {lam} is {c}, not a nonnegative integer")

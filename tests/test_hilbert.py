@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -138,3 +139,16 @@ def test_utn_double_hilbert_two_blocks():
     h = grassmann_double_hilbert(1, 1, 8)
     lin = Series(vars_, 8, {(1, 0): 1, (0, 1): 1, (0, 0): -1})
     assert utn_double_hilbert(2, 1, 1, 8) == h.scale(2) + lin * (h * h)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("k, l", [(2, 0), (1, 1), (2, 1)])
+def test_horner_raw_route_matches_power_sum(n, k, l):
+    h = grassmann_double_hilbert(k, l, 7)
+    lin = Series(h.vars, 7, {tuple(int(i == j) for j in range(k + l)): 1
+                             for i in range(k + l)})
+    lin = lin + Series(h.vars, 7, {(0,) * (k + l): -1})
+    expected = Series.zero(h.vars, 7)
+    for j in range(1, n + 1):
+        expected = expected + (h ** j * lin ** (j - 1)).scale(comb(n, j))
+    assert utn_double_hilbert(n, k, l, 7) == expected

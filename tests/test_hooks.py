@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -21,7 +22,8 @@ from cochar.hooks import (
     HookExpansion,
     HookMultSeries,
 )
-from cochar.partitions import conjugate, hook_partitions_of, in_hook, partitions_upto, weight
+from cochar.partitions import (char_degree, conjugate, hook_partitions_of, in_hook,
+                               partitions_of, partitions_upto, weight)
 from cochar.series import expand_factor, Series, VarSet
 
 
@@ -329,9 +331,19 @@ def test_hook_mult_series_json_roundtrip():
     obj = json.loads(m.to_json())
     assert obj["hook"] == [2, 1]
     assert obj["terms"][0] == {"lambda0": [0, 0], "mu": [0, 0], "nu": [0], "coeff": "1"}
-    back = HookMultSeries.from_obj(obj)
-    assert back.series.terms == m.series.terms
-    assert decode_hook_mult(back).coeffs == e.coeffs
+    back = HookMultSeries.from_obj(obj, 8)
+    assert back == m
+    assert decode_hook_mult(back) == e
+    with pytest.raises(ValueError):
+        HookMultSeries.from_obj(obj, 5)  # (4, 2) weighs 6
+
+
+def test_hook_mult_series_unit_keeps_its_bound():
+    for k, l in ((2, 1), (3, 0)):
+        m = encode_hook_mult(HookExpansion.unit(k, l, 10))
+        back = HookMultSeries.from_obj(json.loads(m.to_json()), 10)
+        assert back == m
+        assert back.bound == 10
 
 
 # -- the full pipeline -------------------------------------------------------
@@ -350,6 +362,31 @@ def test_hook_mult_matches_decompose_route():
         direct = utn_hook_mult_series(n, k, l, bound)
         via = hs_decompose(utn_double_hilbert(n, k, l, bound), k, l)
         assert decode_hook_mult(direct) == via
+
+
+def seed_sum(n, k, l, bound):
+    """sum_j C(n,j) G^j L^(j-1) with L^(j-1) expanded in Schur functions.
+
+    L^(j-1) = sum_q C(j-1,q) (-1)^(j-1-q) hs_(1)^q and hs_(1)^q is the sum of
+    char_degree(lam) hs_lam over lam of weight q; every seed lam runs its own
+    chain of j Grassmann steps.
+    """
+    total = HookExpansion(k, l, bound)
+    for j in range(1, n + 1):
+        for q in range(j):
+            for lam in partitions_of(q):
+                if not in_hook(lam, k, l):
+                    continue
+                c = (-1) ** (j - 1 - q) * comb(n, j) * comb(j - 1, q) * char_degree(lam)
+                seed = HookExpansion(k, l, bound, {lam: 1})
+                total = total + hook_grassmann_derived_power(seed, j).scale(c)
+    return total
+
+
+@pytest.mark.parametrize("n, k, l, bound", [(3, 1, 1, 10), (4, 2, 3, 8),
+                                            (3, 2, 0, 10), (2, 3, 4, 9)])
+def test_horner_pipeline_matches_seed_sum(n, k, l, bound):
+    assert decode_hook_mult(utn_hook_mult_series(n, k, l, bound)) == seed_sum(n, k, l, bound)
 
 
 # multiplicities that the former ordinary-Schur pipeline gave for
