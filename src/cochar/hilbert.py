@@ -9,35 +9,79 @@ alphabet t_1..t_d is the case l = 0.
 
 The sum is evaluated in Horner form,
 B (C(n,1) + L B (C(n,2) + ... + L B C(n,n))), so it takes n multiplications
-by B, each a chain of shifts, and n - 1 by the (k+l+1)-term L.
+by B and n - 1 by L.  A multiplication by B walks each x-ray of exponent
+vectors (all entries but the x-exponent fixed) once per variable, in
+increasing x-degree, and then halves with an exact integer check; one by L
+is k + l one-variable shifts minus the series itself.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from cochar.hooks import decode_hook_mult, utn_hook_mult_series
 from cochar.schur import MultSeries, to_mult_series
-from cochar.series import Series, VarSet
+from cochar.series import Coeff, Exps, Series, VarSet
+
+
+def _ray_pass(terms: dict[Exps, Coeff], i: int, bound: int) -> dict[Exps, Coeff]:
+    """terms times (1+x_i)/(1-x_i), one walk along each x_i-ray.
+
+    The terms are grouped by their exponent vector with e_i set to 0; each
+    ray is walked once in increasing e_i with out[j] = s[j] + s[j-1] +
+    out[j-1], up to the truncation bound.  No zero coefficient is stored.
+    """
+    rays: dict[Exps, dict[int, Coeff]] = {}
+    for e, c in terms.items():
+        rays.setdefault(e[:i] + (0,) + e[i + 1:], {})[e[i]] = c
+    out: dict[Exps, Coeff] = {}
+    for base, ray in rays.items():
+        head, tail = base[:i], base[i + 1:]
+        prev = acc = 0
+        for j in range(min(ray), bound - sum(base) + 1):
+            s = ray.get(j, 0)
+            acc += s + prev
+            prev = s
+            if acc:
+                out[head + (j,) + tail] = acc
+    return out
 
 
 def _grassmann_step(s: Series) -> Series:
-    """s times B = (1 + prod (1+x)/(1-x))/2, by shift operations only."""
-    prod = s
+    """s times B = (1 + prod (1+x)/(1-x))/2, for integral s.
+
+    One ray pass per variable gives s prod (1+x)/(1-x); adding s and halving
+    each coefficient with divmod keeps the result integral.  On integral
+    input every sum is even, so an odd one is an arithmetic fault and raises.
+    """
+    prod = s.terms
     for i in range(s.vars.arity):
-        x = tuple(int(i == j) for j in range(s.vars.arity))
-        prod = prod.shift_mul_binomial(x, 1).shift_mul_geometric(x, -1)
-    return (s + prod).scale(Fraction(1, 2))
+        prod = _ray_pass(prod, i, s.bound)
+    for e, c in s.terms.items():
+        prod[e] = prod.get(e, 0) + c
+    out: dict[Exps, Coeff] = {}
+    for e, c in prod.items():
+        half, odd = divmod(c, 2)
+        if odd:
+            raise ArithmeticError(f"odd coefficient {c} at {e} in the Grassmann step")
+        if half:
+            out[e] = half
+    return Series(s.vars, s.bound, out, _raw=True)
 
 
-def _linear_minus_one(vars_: VarSet, bound: int) -> Series:
-    terms = {(0,) * vars_.arity: -1}
-    for i in range(vars_.arity):
-        e = [0] * vars_.arity
-        e[i] = 1
-        terms[tuple(e)] = 1
-    return Series(vars_, bound, terms, _raw=True)
+def _times_linear_minus_one(s: Series) -> Series:
+    """s times L = sum x - 1: one shift per variable, minus s."""
+    out = {e: -c for e, c in s.terms.items()}
+    for e, c in s.terms.items():
+        if sum(e) < s.bound:
+            for i in range(len(e)):
+                key = e[:i] + (e[i] + 1,) + e[i + 1:]
+                v = out.get(key, 0) + c
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
+    return Series(s.vars, s.bound, out, _raw=True)
 
 
 def grassmann_hilbert(d: int, bound: int) -> Series:
@@ -79,7 +123,6 @@ def utn_double_hilbert(n: int, k: int, l: int, bound: int) -> Series:
         raise ValueError("n must be positive")
     acc = grassmann_double_hilbert(k, l, bound)
     one = Series.one(acc.vars, bound)
-    lin = _linear_minus_one(acc.vars, bound)
     for j in range(n - 1, 0, -1):
-        acc = _grassmann_step(acc * lin + one.scale(comb(n, j)))
+        acc = _grassmann_step(_times_linear_minus_one(acc) + one.scale(comb(n, j)))
     return acc

@@ -271,9 +271,12 @@ def hs_decompose(g: Series, k: int, l: int) -> HookExpansion:
     """
     if g.vars.names != VarSet.ty(k, l).names:
         raise ValueError(f"series variables {g.vars.names} do not fit hook ({k},{l})")
+    by_degree: dict[int, dict[Exps, Coeff]] = {}
+    for e, c in g.terms.items():
+        by_degree.setdefault(sum(e), {})[e] = c
     coeffs: dict[tuple[int, ...], Coeff] = {}
     for n in range(g.bound + 1):
-        slice_ = _block_sorted_terms(g.degree_slice(n), k, n)
+        slice_ = _block_sorted_terms(by_degree.get(n, {}), k, n)
         while slice_:
             exps = max(slice_)
             top, below = exps[:k], conjugate(exps[k:])

@@ -4,6 +4,8 @@ from math import comb
 import pytest
 
 from cochar.hilbert import (
+    _grassmann_step,
+    _ray_pass,
     grassmann_double_hilbert,
     grassmann_hilbert,
     utn_double_hilbert,
@@ -152,3 +154,37 @@ def test_horner_raw_route_matches_power_sum(n, k, l):
     for j in range(1, n + 1):
         expected = expected + (h ** j * lin ** (j - 1)).scale(comb(n, j))
     assert utn_double_hilbert(n, k, l, 7) == expected
+
+
+@pytest.mark.parametrize("k, l", [(0, 2), (3, 0), (2, 1), (3, 2)])
+def test_double_hilbert_matches_product_form(k, l):
+    vars_ = VarSet.ty(k, l)
+    factors = [(x, 1, 1) for x in vars_.names] + [(x, -1, -1) for x in vars_.names]
+    expected = expand_factor(vars_, factors, 8) + Series.one(vars_, 8)
+    assert grassmann_double_hilbert(k, l, 8) == expected.scale(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("terms", [
+    # t1^3 - t1 t2^2 + 5 y1^4: every ray starts above exponent 0
+    {(3, 0, 0): 1, (1, 2, 0): -1, (0, 0, 4): 5},
+    # (1 - t1)(1 + 3 t2 y1): along t1 the product telescopes to 1 + t1
+    {(0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 1): 3, (1, 1, 1): -3},
+])
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_ray_pass_matches_shift_chain(terms, i):
+    s = Series(VarSet.ty(2, 1), 9, terms)
+    x = tuple(int(i == j) for j in range(3))
+    expected = s.shift_mul_binomial(x, 1).shift_mul_geometric(x, -1)
+    assert _ray_pass(s.terms, i, 9) == expected.terms
+
+
+def test_grassmann_step_rejects_odd_sums():
+    half = Series.one(VarSet.ty(1, 1), 4).scale(Fraction(1, 2))
+    with pytest.raises(ArithmeticError):
+        _grassmann_step(half)
+
+
+@pytest.mark.parametrize("n, k, l, bound", [(3, 2, 3, 9), (2, 4, 0, 10)])
+def test_double_hilbert_is_integral(n, k, l, bound):
+    coeffs = utn_double_hilbert(n, k, l, bound).terms.values()
+    assert all(type(c) is int and c != 0 for c in coeffs)
