@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from math import comb
 
-from cochar.hooks import decode_hook_mult, utn_hook_mult_series
+from cochar.hooks import _utn_hook_expansion
 from cochar.schur import MultSeries, to_mult_series
 from cochar.series import Coeff, Exps, Series, VarSet
 
@@ -98,10 +98,11 @@ def utn_mult_series(n: int, d: int, bound: int) -> MultSeries:
     """T-form multiplicity series of the n-by-n triangular algebra over E.
 
     Schur functions in d variables are the hook Schur functions of the (d, 0)
-    hook, so this is the operator route :func:`utn_hook_mult_series` with
-    ``l = 0``, packed into T-form.
+    hook, so this is the operator route of
+    :func:`cochar.hooks.utn_hook_mult_series` with ``l = 0``, packed straight
+    into T-form.
     """
-    return to_mult_series(decode_hook_mult(utn_hook_mult_series(n, d, 0, bound)))
+    return to_mult_series(_utn_hook_expansion(n, d, 0, bound))
 
 
 def grassmann_double_hilbert(k: int, l: int, bound: int) -> Series:

@@ -18,6 +18,12 @@ multiplicity-series encodings live in :mod:`cochar.schur`.
 Products of hook Schur functions expand by the ordinary Littlewood-Richardson
 rule with every summand outside the hook discarded, so the one-row and
 one-column Pieri steps below add the ordinary strips that stay in the hook.
+The derivations add strips of every size at once, walking each partition
+once.
+
+Internal paths pass canonical partition tuples: results are built with
+``_raw=True`` and the split encoding is computed from them directly.
+Validation happens at the public functions and constructors.
 """
 
 from __future__ import annotations
@@ -29,12 +35,13 @@ from math import comb, factorial
 from typing import Callable, Iterable, Mapping, Sequence
 
 from cochar.partitions import (
+    _horizontal_walk,
+    _vertical_walk,
     assemble_hook,
     conjugate,
     horizontal_strips,
     in_hook,
     partition,
-    split_hook,
     vertical_strips,
     weight,
     HookSplit,
@@ -317,9 +324,20 @@ def hook_pieri_col(e: HookExpansion, m: int) -> HookExpansion:
     return _pieri(e, m, vertical_strips)
 
 
-def _pieri_sum(e: HookExpansion, step: Callable, sizes: range) -> HookExpansion:
-    return _collect(e.k, e.l, e.bound,
-                    (step(e, size).coeffs.items() for size in sizes))
+def _derived(e: HookExpansion, walk: Callable, even: bool = False) -> HookExpansion:
+    """Multiply by the sum of the strips the walk adds, of every size or of even sizes.
+
+    Each partition is walked once, for every strip size up to the bound.
+    """
+    k, l, bound = e.k, e.l, e.bound
+    acc: dict[tuple[int, ...], Coeff] = {}
+    for lam, c in e.coeffs.items():
+        w = sum(lam)
+        for nu in walk(lam, k, l, bound - w):
+            if not even or (sum(nu) - w) % 2 == 0:
+                acc[nu] = acc.get(nu, 0) + c
+    return HookExpansion(k, l, bound,
+                         {nu: norm_coeff(c) for nu, c in acc.items() if c}, _raw=True)
 
 
 def hook_row_derived(e: HookExpansion) -> HookExpansion:
@@ -327,7 +345,7 @@ def hook_row_derived(e: HookExpansion) -> HookExpansion:
 
     R = prod_j (1+y_j) / prod_i (1-t_i); at l = 0 it is prod 1/(1-t_i).
     """
-    return _pieri_sum(e, hook_pieri_row, range(e.bound + 1))
+    return _derived(e, _horizontal_walk)
 
 
 def hook_col_derived(e: HookExpansion) -> HookExpansion:
@@ -335,7 +353,7 @@ def hook_col_derived(e: HookExpansion) -> HookExpansion:
 
     C = prod_i (1+t_i) / prod_j (1-y_j); at l = 0 it is e_0 + e_1 + ... + e_d.
     """
-    return _pieri_sum(e, hook_pieri_col, range(e.bound + 1))
+    return _derived(e, _vertical_walk)
 
 
 def hook_even_col_derived(e: HookExpansion) -> HookExpansion:
@@ -345,7 +363,7 @@ def hook_even_col_derived(e: HookExpansion) -> HookExpansion:
     is 1/R, so this factor is (1/R + C)/2; at l = 0 it is
     (prod (1-t_i) + prod (1+t_i))/2.
     """
-    return _pieri_sum(e, hook_pieri_col, range(0, e.bound + 1, 2))
+    return _derived(e, _vertical_walk, even=True)
 
 
 def hook_grassmann_derived(e: HookExpansion) -> HookExpansion:
@@ -368,25 +386,45 @@ def hook_grassmann_derived_power(e: HookExpansion, j: int) -> HookExpansion:
 # -- the split-variable encoding ---------------------------------------------
 
 
+def _split_exps(lam: tuple[int, ...], k: int, l: int) -> Exps:
+    """Exponents v^rectangle t^arm y^leg of a canonical partition in the (k, l) hook."""
+    head = lam[:k] + (0,) * (k - len(lam))
+    below = lam[k:]
+    return (tuple(min(p, l) for p in head) + tuple(max(p - l, 0) for p in head)
+            + tuple(sum(1 for p in below if p > j) for j in range(l)))
+
+
+def _assemble_exps(exps: Exps, k: int, l: int) -> tuple[int, ...]:
+    """The partition a well-formed split exponent vector encodes (inverse of _split_exps)."""
+    rows = tuple(a + b for a, b in zip(exps[:k], exps[k:2 * k]) if a + b)
+    nu = exps[2 * k:]
+    return rows + tuple(sum(1 for v in nu if v > i) for i in range(nu[0] if nu else 0))
+
+
 class HookMultSeries:
     """Series over v_1..v_k, t_1..t_k, y_1..y_l encoding a hook expansion.
 
     A partition lam splits into the part inside the (l^k) rectangle, the arm
     rows sticking out to the right, and the conjugated leg below; the encoded
-    monomial is v^rectangle t^arm y^leg.
+    monomial is v^rectangle t^arm y^leg.  The constructor checks every
+    monomial; :func:`encode_hook_mult` passes ``_raw=True`` instead, for a
+    series it split from a hook expansion itself.
     """
 
     __slots__ = ("k", "l", "bound", "series")
 
-    def __init__(self, k: int, l: int, bound: int, series: Series):
-        if series.vars.names != VarSet.vty(k, l).names:
-            raise ValueError("series variables do not match the split encoding")
-        for exps in series.terms:
-            self._decode_exps(exps, k, l)  # raises on malformed monomials
+    def __init__(self, k: int, l: int, bound: int, series: Series, *,
+                 _raw: bool = False):
+        if not _raw:
+            if series.vars.names != VarSet.vty(k, l).names:
+                raise ValueError("series variables do not match the split encoding")
+            for exps in series.terms:
+                self._decode_exps(exps, k, l)  # raises on malformed monomials
+            series = series.truncate(bound)
         self.k = k
         self.l = l
         self.bound = bound
-        self.series = series.truncate(bound)
+        self.series = series
 
     @staticmethod
     def _decode_exps(exps: Exps, k: int, l: int) -> tuple[int, ...]:
@@ -406,26 +444,21 @@ class HookMultSeries:
 
     def coefficient(self, lam: Sequence[int]) -> Coeff:
         lam = partition(lam)
-        if not in_hook(lam, self.k, self.l):
+        if len(lam) > self.k and lam[self.k] > self.l:
             return 0
-        s = split_hook(lam, self.k, self.l)
-        pad = lambda part, width: tuple(part) + (0,) * (width - len(part))
-        exps = pad(s.lambda0, self.k) + pad(s.mu, self.k) + pad(s.nu, self.l)
-        return self.series.coefficient(exps)
+        return self.series.coefficient(_split_exps(lam, self.k, self.l))
 
     def to_obj(self) -> dict:
-        rows = []
-        for exps, c in self.series.terms.items():
-            lam = self._decode_exps(exps, self.k, self.l)
-            rows.append((weight(lam), lam, exps, c))
-        rows.sort(key=lambda r: (r[0], r[1]))
+        k, l = self.k, self.l
+        rows = sorted((sum(exps), _assemble_exps(exps, k, l), exps, c)
+                      for exps, c in self.series.terms.items())
         return {
-            "hook": [self.k, self.l],
+            "hook": [k, l],
             "terms": [
                 {
-                    "lambda0": list(exps[: self.k]),
-                    "mu": list(exps[self.k : 2 * self.k]),
-                    "nu": list(exps[2 * self.k :]),
+                    "lambda0": list(exps[:k]),
+                    "mu": list(exps[k : 2 * k]),
+                    "nu": list(exps[2 * k :]),
                     "coeff": str(Fraction(c)),
                 }
                 for _, _, exps, c in rows
@@ -458,15 +491,9 @@ class HookMultSeries:
 
 def encode_hook_mult(e: HookExpansion) -> HookMultSeries:
     """Pack a hook expansion into the split-variable series."""
-    vars_ = VarSet.vty(e.k, e.l)
-    pad = lambda part, width: tuple(part) + (0,) * (width - len(part))
-    terms: dict[Exps, Coeff] = {}
-    for lam, c in e.coeffs.items():
-        s = split_hook(lam, e.k, e.l)
-        exps = pad(s.lambda0, e.k) + pad(s.mu, e.k) + pad(s.nu, e.l)
-        terms[exps] = c
+    terms = {_split_exps(lam, e.k, e.l): c for lam, c in e.coeffs.items()}
     return HookMultSeries(e.k, e.l, e.bound,
-                          Series(vars_, e.bound, terms, _raw=True))
+                          Series(VarSet.vty(e.k, e.l), e.bound, terms, _raw=True), _raw=True)
 
 
 def decode_hook_mult(m: HookMultSeries) -> HookExpansion:
@@ -476,6 +503,22 @@ def decode_hook_mult(m: HookMultSeries) -> HookExpansion:
         lam = HookMultSeries._decode_exps(exps, m.k, m.l)
         coeffs[lam] = c
     return HookExpansion(m.k, m.l, m.bound, coeffs)
+
+
+def _utn_hook_expansion(n: int, k: int, l: int, bound: int) -> HookExpansion:
+    """The hook expansion that :func:`utn_hook_mult_series` encodes."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    unit = HookExpansion.unit(k, l, bound)
+    acc = unit
+    for j in range(n - 1, 0, -1):
+        b = hook_grassmann_derived(acc)
+        acc = hook_pieri_row(b, 1) + b.scale(-1) + unit.scale(comb(n, j))
+    total = hook_grassmann_derived(acc)
+    for lam, c in total.coeffs.items():
+        if not isinstance(c, int) or c < 0:
+            raise ValueError(f"multiplicity of {lam} is {c}, not a nonnegative integer")
+    return total
 
 
 def utn_hook_mult_series(n: int, k: int, l: int, bound: int) -> HookMultSeries:
@@ -488,15 +531,4 @@ def utn_hook_mult_series(n: int, k: int, l: int, bound: int) -> HookMultSeries:
     n Grassmann steps, and each L is the one-box Pieri step minus the
     identity.  Final coefficients must be nonnegative integers.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    unit = HookExpansion.unit(k, l, bound)
-    acc = unit
-    for j in range(n - 1, 0, -1):
-        b = hook_grassmann_derived(acc)
-        acc = hook_pieri_row(b, 1) + b.scale(-1) + unit.scale(comb(n, j))
-    total = hook_grassmann_derived(acc)
-    for lam, c in total.coeffs.items():
-        if not isinstance(c, int) or c < 0:
-            raise ValueError(f"multiplicity of {lam} is {c}, not a nonnegative integer")
-    return encode_hook_mult(total)
+    return encode_hook_mult(_utn_hook_expansion(n, k, l, bound))

@@ -1,14 +1,17 @@
 """Integer partitions, Young-diagram predicates, and hook coordinates.
 
 Partitions are plain tuples of weakly decreasing positive integers; the empty
-partition is ``()``.  All functions normalize their input through
-:func:`partition`, which strips trailing zeros.
+partition is ``()``.  The public functions validate and normalize their input
+through :func:`partition`, which strips trailing zeros.  Internal paths pass
+canonical tuples: the private strip walks, one per strip kind, trust theirs
+and call no :func:`partition`, and the public strip generators validate once
+and filter a walk to one size.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 
 def partition(parts: Sequence[int]) -> tuple[int, ...]:
@@ -189,18 +192,88 @@ def hook_partitions_of(n: int, k: int, l: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _strip_rows(lam: tuple[int, ...], nrows: int,
-                hook: tuple[int, int] | None) -> int | None:
-    """Rows a strip on ``lam`` may fill, or ``None`` when ``lam`` leaves the hook.
+def _horizontal_walk(lam: tuple[int, ...], k: int, l: int,
+                     budget: int) -> list[tuple[int, ...]]:
+    """Every nu in the (k, l) hook with nu/lam a horizontal strip of at most
+    ``budget`` boxes, in increasing lexicographic order of the rows.
 
-    A (k, 0) hook holds at most k rows.
+    ``lam`` is a canonical partition inside the hook.  Row i of nu lies
+    between lam[i] and lam[i-1], so nu has at most one row more than lam, and
+    rows from index k on stay at most l.
     """
-    if hook is None:
-        return nrows
-    k, l = hook
+    out: list[tuple[int, ...]] = []
+    rows = lam + (0,)
+    last = len(lam)
+
+    def rec(i: int, budget: int, acc: list[int]) -> None:
+        if budget == 0:
+            out.append(tuple(acc) + lam[i:])
+            return
+        low = rows[i]
+        cap = low + budget if i == 0 else min(lam[i - 1], low + budget)
+        if i >= k:
+            cap = min(cap, l)
+        if i == last:
+            out.append(tuple(acc))
+            out.extend(tuple(acc) + (v,) for v in range(1, cap + 1))
+            return
+        for v in range(low, cap + 1):
+            acc.append(v)
+            rec(i + 1, budget - (v - low), acc)
+            acc.pop()
+
+    rec(0, budget, [])
+    return out
+
+
+def _vertical_walk(lam: tuple[int, ...], k: int, l: int,
+                   budget: int) -> list[tuple[int, ...]]:
+    """Every nu in the (k, l) hook with nu/lam a vertical strip of at most
+    ``budget`` boxes, in increasing lexicographic order of the rows.
+
+    ``lam`` is a canonical partition inside the hook.  Each row of lam grows
+    by at most one box and new rows hold one box each; rows from index k on
+    stay at most l, so a (k, 0) hook allows no row past the k-th.
+    """
+    out: list[tuple[int, ...]] = []
+    last = len(lam)
+    extra = max(0, k - last) if l == 0 else budget  # new rows that fit the hook
+
+    def rec(i: int, budget: int, prev: int, acc: list[int]) -> None:
+        if budget == 0:
+            out.append(tuple(acc) + lam[i:])
+            return
+        if i == last:
+            out.append(tuple(acc))
+            out.extend(tuple(acc) + (1,) * m for m in range(1, min(budget, extra) + 1))
+            return
+        base = lam[i]
+        acc.append(base)
+        rec(i + 1, budget, base, acc)
+        acc.pop()
+        if base < prev and (i < k or base < l):
+            acc.append(base + 1)
+            rec(i + 1, budget - 1, base + 1, acc)
+            acc.pop()
+
+    rec(0, budget, (lam[0] if lam else 0) + 1, [])
+    return out
+
+
+def _strips(walk: Callable, lam: Sequence[int], size: int,
+            hook: tuple[int, int] | None) -> Iterator[tuple[int, ...]]:
+    """The walk's results of exactly ``size`` boxes.
+
+    Without a hook, a (k, 0) hook with more rows than any result stands in.
+    """
+    lam = partition(lam)
+    if size < 0:
+        return
+    k, l = hook if hook is not None else (len(lam) + size + 1, 0)
     if len(lam) > k and lam[k] > l:
-        return None
-    return min(nrows, k) if l == 0 else nrows
+        return
+    target = sum(lam) + size
+    yield from (nu for nu in walk(lam, k, l, size) if sum(nu) == target)
 
 
 def horizontal_strips(lam: Sequence[int], size: int,
@@ -209,33 +282,10 @@ def horizontal_strips(lam: Sequence[int], size: int,
 
     No two added boxes share a column.  With ``hook=(k, l)`` only results
     inside the (k, l) hook are made, i.e. with row k+1 at most l: ``(d, 0)``
-    allows at most d rows and ``(0, m)`` parts at most m.  The recursion
-    never builds a row outside the hook.
+    allows at most d rows and ``(0, m)`` parts at most m.  The walk never
+    builds a row outside the hook.
     """
-    lam = partition(lam)
-    if size < 0:
-        return
-    nrows = _strip_rows(lam, len(lam) + 1, hook)
-    if nrows is None:
-        return
-    padded = lam + (0,) * (nrows - len(lam))
-    k, l = hook if hook is not None else (nrows, 0)  # no row reaches index nrows
-
-    def rec(i: int, budget: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if i == nrows:
-            if budget == 0:
-                yield tuple(v for v in acc if v)
-            return
-        low = padded[i]
-        cap = padded[i - 1] if i > 0 else low + budget
-        if i >= k:
-            cap = min(cap, l)
-        for v in range(low, min(cap, low + budget) + 1):
-            acc.append(v)
-            yield from rec(i + 1, budget - (v - low), acc)
-            acc.pop()
-
-    yield from rec(0, size, [])
+    return _strips(_horizontal_walk, lam, size, hook)
 
 
 def vertical_strips(lam: Sequence[int], size: int,
@@ -245,34 +295,7 @@ def vertical_strips(lam: Sequence[int], size: int,
     No two added boxes share a row, i.e. each row grows by at most one box.
     ``hook`` restricts the results as in :func:`horizontal_strips`.
     """
-    lam = partition(lam)
-    if size < 0:
-        return
-    nrows = _strip_rows(lam, len(lam) + size, hook)
-    if nrows is None:
-        return
-    padded = lam + (0,) * (nrows - len(lam))
-    k, l = hook if hook is not None else (nrows, 0)  # no row reaches index nrows
-
-    def rec(i: int, budget: int, prev: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if i >= len(lam) and budget == 0:
-            yield tuple(acc)  # remaining rows stay empty
-            return
-        if budget > nrows - i:  # each remaining row takes at most one box
-            return
-        base = padded[i]
-        for eps in (0, 1):
-            v = base + eps
-            if eps > budget or v > prev or v == 0:
-                continue
-            if i >= k and v > l:
-                continue
-            acc.append(v)
-            yield from rec(i + 1, budget - eps, v, acc)
-            acc.pop()
-
-    big = sum(lam) + size + 1
-    yield from rec(0, size, big, [])
+    return _strips(_vertical_walk, lam, size, hook)
 
 
 def parse_partition(text: str) -> tuple[int, ...]:

@@ -9,7 +9,6 @@ are always correct, and nothing above the bound is stored.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -25,18 +24,41 @@ def norm_coeff(c: Coeff | str) -> Coeff:
     return int(f) if f.denominator == 1 else f
 
 
-@dataclass(frozen=True)
 class VarSet:
-    """Ordered variable names, optionally split into labeled blocks."""
+    """Ordered variable names, optionally split into labeled blocks; immutable."""
 
+    __slots__ = ("names", "blocks")
     names: tuple[str, ...]
-    blocks: tuple[tuple[str, int], ...] | None = None
+    blocks: tuple[tuple[str, int], ...] | None
 
-    def __post_init__(self) -> None:
-        if len(set(self.names)) != len(self.names):
-            raise ValueError(f"duplicate variable names in {self.names}")
-        if self.blocks is not None and sum(n for _, n in self.blocks) != len(self.names):
+    def __init__(self, names: tuple[str, ...],
+                 blocks: tuple[tuple[str, int], ...] | None = None) -> None:
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate variable names in {names}")
+        if blocks is not None and sum(n for _, n in blocks) != len(names):
             raise ValueError("block sizes do not cover the variable list")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "blocks", blocks)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable VarSet")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable VarSet")
+
+    def __reduce__(self):
+        return (VarSet, (self.names, self.blocks))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not VarSet:
+            return NotImplemented
+        return (self.names, self.blocks) == (other.names, other.blocks)
+
+    def __hash__(self) -> int:
+        return hash((self.names, self.blocks))
+
+    def __repr__(self) -> str:
+        return f"VarSet(names={self.names!r}, blocks={self.blocks!r})"
 
     @property
     def arity(self) -> int:

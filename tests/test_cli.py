@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -191,3 +195,14 @@ def test_table_needs_exactly_one_alphabet(capsys):
     code, out, err = run(["table", "--algebra", "E", "--vars", "2",
                           "--hook", "1,1", "--trunc", "4"], capsys)
     assert code == 2
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # every CLI job pays its import; these two cost about 9 ms of it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import cochar.cli, sys; "
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -5,12 +5,14 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from cochar.hilbert import grassmann_double_hilbert, utn_double_hilbert
+from cochar.hilbert import grassmann_double_hilbert, utn_double_hilbert, utn_mult_series
 from cochar.hooks import (
     decode_hook_mult,
     encode_hook_mult,
     hook_col_derived,
+    hook_even_col_derived,
     hook_grassmann_derived,
     hook_grassmann_derived_power,
     hook_pieri_col,
@@ -22,8 +24,10 @@ from cochar.hooks import (
     HookExpansion,
     HookMultSeries,
 )
-from cochar.partitions import (char_degree, conjugate, hook_partitions_of, in_hook,
-                               partitions_of, partitions_upto, weight)
+from cochar.partitions import (char_degree, conjugate, hook_partitions_of,
+                               horizontal_strips, in_hook, partitions_of, partitions_upto,
+                               vertical_strips, weight)
+from cochar.schur import to_mult_series
 from cochar.series import expand_factor, Series, VarSet
 
 
@@ -300,6 +304,57 @@ def test_grassmann_derived_unit_is_hook_indicator():
     assert got.coeffs == expected
 
 
+# -- derivations against their former one-size-at-a-time definition ----------
+
+
+def pieri_sum(e, step, sizes):
+    """Sum of one Pieri step per strip size: how the derivations were defined."""
+    total = HookExpansion(e.k, e.l, e.bound)
+    for size in sizes:
+        total = total + step(e, size)
+    return total
+
+
+HOOKS = st.sampled_from([(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (1, 1), (2, 1),
+                         (1, 2), (2, 2)])
+
+
+@st.composite
+def hook_expansions(draw):
+    k, l = draw(HOOKS)
+    bound = draw(st.integers(0, 10))
+    pool = [lam for lam in partitions_upto(min(bound, 7)) if in_hook(lam, k, l)]
+    chosen = draw(st.lists(st.sampled_from(pool), max_size=6))
+    coeffs = {lam: draw(st.integers(-3, 3)) for lam in chosen}
+    return HookExpansion(k, l, bound, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hook_expansions())
+@example(HookExpansion(2, 1, 7, {(2, 2, 1): 2, (1,): -1, (): 1}))
+def test_derivations_match_pieri_sums(e):
+    sizes = range(e.bound + 1)
+    assert hook_row_derived(e) == pieri_sum(e, hook_pieri_row, sizes)
+    assert hook_col_derived(e) == pieri_sum(e, hook_pieri_col, sizes)
+    assert hook_even_col_derived(e) == pieri_sum(e, hook_pieri_col, sizes[::2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(hook_expansions(), st.integers(0, 4))
+@example(HookExpansion(1, 0, 4, {(3,): 1}), 1)  # a (k, 0) hook takes no row past k
+@example(HookExpansion(2, 1, 8, {(2, 2, 1): 2, (1,): 1}), 2)  # row 3 stays at most l
+def test_pieri_steps_keep_the_hook_part(e, size):
+    # the product with no hook at all, cut down to the hook afterwards
+    for step, strips in ((hook_pieri_row, horizontal_strips),
+                         (hook_pieri_col, vertical_strips)):
+        coeffs = {}
+        for lam, c in e.coeffs.items():
+            for nu in strips(lam, size):
+                if in_hook(nu, e.k, e.l):
+                    coeffs[nu] = coeffs.get(nu, 0) + c
+        assert step(e, size) == HookExpansion(e.k, e.l, e.bound, coeffs)
+
+
 # -- the split encoding ------------------------------------------------------
 
 
@@ -336,6 +391,52 @@ def test_hook_mult_series_json_roundtrip():
     assert decode_hook_mult(back) == e
     with pytest.raises(ValueError):
         HookMultSeries.from_obj(obj, 5)  # (4, 2) weighs 6
+
+
+def test_encode_matches_validating_constructor():
+    for k, l in ((1, 1), (2, 1), (1, 2), (2, 3), (3, 0), (0, 2)):
+        for e in random_hook_expansions(k, l, 8, 3, seed=70 * k + l):
+            m = encode_hook_mult(e)
+            checked = HookMultSeries(k, l, e.bound, Series(m.series.vars, e.bound,
+                                                           m.series.terms))
+            assert m == checked
+            assert m.series.vars == checked.series.vars
+
+
+def json_digest(m):
+    return hashlib.sha256(json.dumps(m.to_obj()).encode()).hexdigest()
+
+
+# sha256 of json.dumps(to_obj()) as the split-and-validate encoding gave it
+TO_OBJ_PINS = [
+    ((3, 1, 1, 10), "e876afbbbe58aaafbde84cc1ab46b608fa3fb79163f0acbf813d3ce790223bf2"),
+    ((2, 2, 3, 9), "13c35027854c5b12e49f5950681fa017dc125c3bad1d2eb3ba8ddaf182f77542"),
+    ((4, 2, 3, 8), "c930a9d55c9506cd66e540f1bf0c56cb5d2b1c104cb3e61d7f61c858e3153306"),
+]
+
+
+@pytest.mark.parametrize("job, digest", TO_OBJ_PINS, ids=[str(p[0]) for p in TO_OBJ_PINS])
+def test_pipeline_to_obj_is_unchanged(job, digest):
+    assert json_digest(utn_hook_mult_series(*job)) == digest
+
+
+def test_to_obj_of_unit_and_zero():
+    unit = encode_hook_mult(HookExpansion.unit(2, 3, 10)).to_obj()
+    assert unit == {"hook": [2, 3], "terms": [
+        {"lambda0": [0, 0], "mu": [0, 0], "nu": [0, 0, 0], "coeff": "1"}]}
+    assert encode_hook_mult(HookExpansion(2, 3, 10)).to_obj() == {"hook": [2, 3], "terms": []}
+
+
+def test_hook_mult_series_coefficient_checks_its_argument():
+    m = utn_hook_mult_series(2, 2, 3, 8)
+    with pytest.raises(ValueError):
+        m.coefficient([1, 2])
+    assert m.coefficient((4, 4, 4)) == 0  # row 3 has 4 > 3 boxes: outside the hook
+    assert m.coefficient((2, 2, 1, 1)) == 8
+    assert m.coefficient([2, 2, 1, 1, 0]) == 8
+    edge = utn_hook_mult_series(2, 2, 1, 8)
+    assert edge.coefficient((2, 2, 1, 1)) == 8  # row 3 has exactly l = 1 box
+    assert edge.coefficient((2, 2, 2)) == 0
 
 
 def test_hook_mult_series_unit_keeps_its_bound():
@@ -421,3 +522,9 @@ def test_hook_mult_two_blocks_frozen():
     for extra in range(4):
         lam = (2, 2) + (1,) * extra
         assert m.coefficient(lam) == 3 * extra + 2
+
+
+@pytest.mark.parametrize("n, d, b", [(2, 2, 12), (3, 2, 14), (2, 5, 11), (3, 3, 9)])
+def test_mult_series_is_the_l0_pipeline(n, d, b):
+    assert utn_mult_series(n, d, b) == \
+        to_mult_series(decode_hook_mult(utn_hook_mult_series(n, d, 0, b)))

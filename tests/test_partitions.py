@@ -365,6 +365,33 @@ def test_strips_with_hook():
                                             if in_hook(m, k, l)}
 
 
+def test_strip_order_is_frozen():
+    # sequences as the generators yielded them before the all-size walk
+    assert list(horizontal_strips((2, 1), 2)) == [(2, 2, 1), (3, 1, 1), (3, 2), (4, 1)]
+    assert list(horizontal_strips((2, 2), 1)) == [(2, 2, 1), (3, 2)]
+    assert list(horizontal_strips((3, 1), 3, hook=(3, 0))) == \
+        [(3, 3, 1), (4, 2, 1), (4, 3), (5, 1, 1), (5, 2), (6, 1)]
+    assert list(horizontal_strips((2, 2, 1), 2, hook=(0, 3))) == \
+        [(2, 2, 2, 1), (3, 2, 1, 1), (3, 2, 2)]
+    assert list(vertical_strips((2, 1), 2)) == [(2, 1, 1, 1), (2, 2, 1), (3, 1, 1), (3, 2)]
+    assert list(vertical_strips((2,), 1)) == [(2, 1), (3,)]
+    assert list(vertical_strips((3, 1), 3, hook=(3, 0))) == [(4, 2, 1)]
+    assert list(vertical_strips((2, 2, 1), 2, hook=(0, 3))) == \
+        [(2, 2, 1, 1, 1), (2, 2, 2, 1), (3, 2, 1, 1), (3, 2, 2), (3, 3, 1)]
+
+
+def test_strips_come_in_lexicographic_order():
+    # with the set checks above this fixes every sequence, order included
+    hooks = (None, (3, 0), (0, 3), (1, 0), (2, 0), (1, 1), (2, 1), (1, 2), (0, 2))
+    for w in range(6):
+        for lam in partitions_of(w):
+            for size in range(5):
+                for hook in hooks:
+                    for strips in (horizontal_strips, vertical_strips):
+                        got = list(strips(lam, size, hook=hook))
+                        assert got == sorted(set(got)), (strips.__name__, lam, size, hook)
+
+
 @given(partitions_strategy(max_weight=6, max_parts=4), st.integers(0, 3))
 def test_strip_conjugate_duality(lam, size):
     vert = set(vertical_strips(lam, size))
