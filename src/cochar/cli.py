@@ -27,11 +27,12 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 from typing import Callable, Sequence
 
 from .closed_forms import closed_multiplicity
-from .hilbert import utn_double_hilbert, utn_mult_series
-from .hooks import hs_decompose, utn_hook_mult_series
+from .hilbert import _sorted_coefficients, utn_double_hilbert, utn_mult_series
+from .hooks import _peel, utn_hook_mult_series, HookExpansion
 from .partitions import format_partition, hook_partitions_of
 from .verify import run_suite
 
@@ -113,6 +114,21 @@ def _closed_tag(n: int, k: int, l: int) -> str | None:
     return {(3, 2, 0): "UT3E_parts2", (3, 1, 1): "UT3E_hook11"}.get((n, k, l))
 
 
+def _raw_expansion(n: int, k: int, l: int, trunc: int) -> HookExpansion:
+    """The decompose route, peeling the raw series at its block-sorted monomials.
+
+    The series is symmetric in all k + l variables, so every split of a sorted
+    vector into k t- and l y-exponents carries the coefficient of the vector.
+    """
+    slices: dict[int, dict[tuple[int, ...], int]] = {}
+    for a, c in _sorted_coefficients(n, k + l, trunc).items():
+        padded = a + (0,) * (k + l - len(a))
+        for pick in combinations(range(k + l), k):
+            rest = tuple(i for i in range(k + l) if i not in pick)
+            slices.setdefault(sum(a), {})[tuple(padded[i] for i in pick + rest)] = c
+    return _peel(slices.items(), k, l, trunc)
+
+
 def _routes(n: int, k: int, l: int, trunc: int, domain: list[tuple[int, ...]],
             series: Callable) -> dict[str, Callable]:
     def pipeline():
@@ -120,7 +136,7 @@ def _routes(n: int, k: int, l: int, trunc: int, domain: list[tuple[int, ...]],
         return {lam: ms.coefficient(lam) for lam in domain}
 
     def decompose():
-        exp = hs_decompose(utn_double_hilbert(n, k, l, trunc), k, l)
+        exp = _raw_expansion(n, k, l, trunc)
         return {lam: exp.coefficient(lam) for lam in domain}
 
     routes = {"pipeline": pipeline, "decompose": decompose}

@@ -1,87 +1,70 @@
 """Hilbert series of the Grassmann algebra and of upper triangular algebras.
 
-The generic-element algebra of the Grassmann algebra E has the rational
-Hilbert series B = 1/2 + (1/2) prod (1+x)/(1-x) over the variables x;
-products of ideals give the series of the n-by-n upper triangular algebra
-over E as the binomial sum  sum_{j=1}^{n} C(n,j) B^j L^(j-1)  with
-L = sum x - 1.  The two-alphabet variants run over t_1..t_k, y_1..y_l; one
-alphabet t_1..t_d is the case l = 0.
+The Grassmann algebra E has the Hilbert series B = (1 + P)/2 with
+P = prod (1+x)/(1-x) over the variables x, and the n-by-n upper triangular
+algebra over E has H = sum_{j=1}^{n} C(n,j) B^j L^(j-1) with L = S - 1 and
+S = sum x.  The variables are t_1..t_k, y_1..y_l; one alphabet is l = 0.
 
-The sum is evaluated in Horner form,
-B (C(n,1) + L B (C(n,2) + ... + L B C(n,n))), so it takes n multiplications
-by B and n - 1 by L.  A multiplication by B walks each x-ray of exponent
-vectors (all entries but the x-exponent fixed) once per variable, in
-increasing x-degree, and then halves with an exact integer check; one by L
-is k + l one-variable shifts minus the series itself.
+B and L treat all k + l variables alike, so H is fixed by its coefficients
+at sorted exponent vectors, one per partition with at most k + l parts, and
+each is evaluated on its own from the product form: expanding B^j and
+L^(j-1) binomially, 2^n H = sum_{m <= n, r < n} w(m, r) P^m S^r, and
+[x^a] P^m S^r is one integer recursion over the parts of a.  The division by
+2^n is exact; a remainder raises.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, combinations
 from math import comb
+from operator import add, mul
 
 from cochar.hooks import _utn_hook_expansion
+from cochar.partitions import partitions_of
 from cochar.schur import MultSeries, to_mult_series
-from cochar.series import Coeff, Exps, Series, VarSet
+from cochar.series import Series, VarSet
 
 
-def _ray_pass(terms: dict[Exps, Coeff], i: int, bound: int) -> dict[Exps, Coeff]:
-    """terms times (1+x_i)/(1-x_i), one walk along each x_i-ray.
+def _weights(n: int) -> list[list[int]]:
+    """w(m, r) for m <= n and r < n, the integer weights of 2^n H on P^m S^r."""
+    return [[sum(comb(n, j) * comb(j, m) * comb(j - 1, r) * (-1) ** (j - 1 - r) * 2 ** (n - j)
+                 for j in range(max(m, r + 1), n + 1))
+             for r in range(n)]
+            for m in range(n + 1)]
 
-    The terms are grouped by their exponent vector with e_i set to 0; each
-    ray is walked once in increasing e_i with out[j] = s[j] + s[j-1] +
-    out[j-1], up to the truncation bound.  No zero coefficient is stored.
+
+def _sorted_coefficients(n: int, width: int, bound: int) -> dict[tuple[int, ...], int]:
+    """Nonzero coefficients of H at the partitions of at most ``width`` parts.
+
+    Row m of c is c_m(e) = [x^e] ((1+x)/(1-x))^m, row m - 1 times (1 + x)
+    and summed.  For each m, v[D] is the coefficient of P^m S^D at the parts
+    walked so far: a part p takes d of the D + d boxes of S^(D+d), C(D+d, d)
+    ways, and c_m(p - d) for the rest.  D stops at n - 1, the top power of S;
+    a zero part takes no box and multiplies by c_m(0) = 1.
     """
-    rays: dict[Exps, dict[int, Coeff]] = {}
-    for e, c in terms.items():
-        rays.setdefault(e[:i] + (0,) + e[i + 1:], {})[e[i]] = c
-    out: dict[Exps, Coeff] = {}
-    for base, ray in rays.items():
-        head, tail = base[:i], base[i + 1:]
-        prev = acc = 0
-        for j in range(min(ray), bound - sum(base) + 1):
-            s = ray.get(j, 0)
-            acc += s + prev
-            prev = s
-            if acc:
-                out[head + (j,) + tail] = acc
+    w, c = _weights(n), [[1] + [0] * bound]
+    for _ in range(n):
+        c.append(list(accumulate(map(add, c[-1], [0] + c[-1]))))
+    out: dict[tuple[int, ...], int] = {}
+    for size in range(bound + 1):
+        for a in partitions_of(size, max_parts=width):
+            total = 0
+            for cm, wm in zip(c, w):
+                v = [1] + [0] * (n - 1)
+                for p in a:
+                    nv = [0] * n
+                    for D, x in enumerate(v):
+                        if x:
+                            for d in range(min(p, n - 1 - D) + 1):
+                                nv[D + d] += x * comb(D + d, d) * cm[p - d]
+                    v = nv
+                total += sum(map(mul, wm, v))
+            q, rem = divmod(total, 1 << n)
+            if rem:
+                raise ArithmeticError(f"product-form sum {total} at {a} is not divisible by 2^{n}")
+            if q:
+                out[a] = q
     return out
-
-
-def _grassmann_step(s: Series) -> Series:
-    """s times B = (1 + prod (1+x)/(1-x))/2, for integral s.
-
-    One ray pass per variable gives s prod (1+x)/(1-x); adding s and halving
-    each coefficient with divmod keeps the result integral.  On integral
-    input every sum is even, so an odd one is an arithmetic fault and raises.
-    """
-    prod = s.terms
-    for i in range(s.vars.arity):
-        prod = _ray_pass(prod, i, s.bound)
-    for e, c in s.terms.items():
-        prod[e] = prod.get(e, 0) + c
-    out: dict[Exps, Coeff] = {}
-    for e, c in prod.items():
-        half, odd = divmod(c, 2)
-        if odd:
-            raise ArithmeticError(f"odd coefficient {c} at {e} in the Grassmann step")
-        if half:
-            out[e] = half
-    return Series(s.vars, s.bound, out, _raw=True)
-
-
-def _times_linear_minus_one(s: Series) -> Series:
-    """s times L = sum x - 1: one shift per variable, minus s."""
-    out = {e: -c for e, c in s.terms.items()}
-    for e, c in s.terms.items():
-        if sum(e) < s.bound:
-            for i in range(len(e)):
-                key = e[:i] + (e[i] + 1,) + e[i + 1:]
-                v = out.get(key, 0) + c
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
-    return Series(s.vars, s.bound, out, _raw=True)
 
 
 def grassmann_hilbert(d: int, bound: int) -> Series:
@@ -106,24 +89,25 @@ def utn_mult_series(n: int, d: int, bound: int) -> MultSeries:
 
 
 def grassmann_double_hilbert(k: int, l: int, bound: int) -> Series:
-    """Two-alphabet Grassmann series over t_1..t_k, y_1..y_l.
-
-    (1/2)(1 + prod_i (1+t_i)/(1-t_i) * prod_j (1+y_j)/(1-y_j)).
-    """
-    if k < 0 or l < 0 or k + l < 1:
-        raise ValueError("need a nonempty combined alphabet")
-    return _grassmann_step(Series.one(VarSet.ty(k, l), bound))
+    """(1/2)(1 + prod (1+x)/(1-x)) over t_1..t_k, y_1..y_l: the case n = 1."""
+    return utn_double_hilbert(1, k, l, bound)
 
 
 def utn_double_hilbert(n: int, k: int, l: int, bound: int) -> Series:
     """Two-alphabet Hilbert series of the triangular algebra over E.
 
-    sum_{j=1}^{n} C(n,j) B^j L^(j-1), in Horner form from the inside out.
+    Every exponent vector, walked as k + l cut points among bound + k + l
+    slots, takes the coefficient of its sorted vector.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    acc = grassmann_double_hilbert(k, l, bound)
-    one = Series.one(acc.vars, bound)
-    for j in range(n - 1, 0, -1):
-        acc = _grassmann_step(_times_linear_minus_one(acc) + one.scale(comb(n, j)))
-    return acc
+    if k < 0 or l < 0 or k + l < 1:
+        raise ValueError("need a nonempty combined alphabet")
+    coeffs = _sorted_coefficients(n, k + l, bound)
+    terms: dict[tuple[int, ...], int] = {}
+    for cuts in combinations(range(bound + k + l), k + l):
+        e = tuple(b - a - 1 for a, b in zip((-1,) + cuts, cuts))
+        c = coeffs.get(tuple(sorted((x for x in e if x), reverse=True)))
+        if c:
+            terms[e] = c
+    return Series(VarSet.ty(k, l), bound, terms, _raw=True)

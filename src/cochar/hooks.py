@@ -116,7 +116,7 @@ def _hs_terms(lam: tuple[int, ...], k: int, l: int,
     With ``dominant`` only the monomials whose t- and y-exponents both weakly
     decrease are kept, as in :func:`_schur_terms`.
     """
-    if not in_hook(lam, k, l):
+    if len(lam) > k and lam[k] > l:  # outside the hook
         return ()
     if l == 0:
         return _schur_terms(lam, k, dominant)
@@ -281,9 +281,16 @@ def hs_decompose(g: Series, k: int, l: int) -> HookExpansion:
     by_degree: dict[int, dict[Exps, Coeff]] = {}
     for e, c in g.terms.items():
         by_degree.setdefault(sum(e), {})[e] = c
+    return _peel(((n, _block_sorted_terms(by_degree.get(n, {}), k, n))
+                  for n in range(g.bound + 1)), k, l, g.bound)
+
+
+def _peel(slices: Iterable[tuple[int, dict[Exps, Coeff]]], k: int, l: int,
+          bound: int) -> HookExpansion:
+    """The forward substitution of :func:`hs_decompose` on (degree, slice)
+    pairs; it consumes each slice of block-sorted terms."""
     coeffs: dict[tuple[int, ...], Coeff] = {}
-    for n in range(g.bound + 1):
-        slice_ = _block_sorted_terms(by_degree.get(n, {}), k, n)
+    for n, slice_ in slices:
         while slice_:
             exps = max(slice_)
             top, below = exps[:k], conjugate(exps[k:])
@@ -301,7 +308,7 @@ def hs_decompose(g: Series, k: int, l: int) -> HookExpansion:
                     slice_[e] = t
                 else:
                     slice_.pop(e, None)
-    return HookExpansion(k, l, g.bound, coeffs, _raw=True)
+    return HookExpansion(k, l, bound, coeffs, _raw=True)
 
 
 # -- Pieri steps and derived operators ---------------------------------------
@@ -418,19 +425,14 @@ class HookMultSeries:
         if not _raw:
             if series.vars.names != VarSet.vty(k, l).names:
                 raise ValueError("series variables do not match the split encoding")
-            for exps in series.terms:
-                self._decode_exps(exps, k, l)  # raises on malformed monomials
+            for e in series.terms:  # assemble_hook raises on a malformed monomial
+                assemble_hook(HookSplit(k, l, partition(e[:k]), partition(e[k:2 * k]),
+                                        partition(e[2 * k:])))
             series = series.truncate(bound)
         self.k = k
         self.l = l
         self.bound = bound
         self.series = series
-
-    @staticmethod
-    def _decode_exps(exps: Exps, k: int, l: int) -> tuple[int, ...]:
-        split = HookSplit(k, l, partition(exps[:k]), partition(exps[k : 2 * k]),
-                          partition(exps[2 * k :]))
-        return assemble_hook(split)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HookMultSeries):
@@ -497,12 +499,11 @@ def encode_hook_mult(e: HookExpansion) -> HookMultSeries:
 
 
 def decode_hook_mult(m: HookMultSeries) -> HookExpansion:
-    """Unpack the split-variable series back to the hook basis (inverse)."""
-    coeffs: dict[tuple[int, ...], Coeff] = {}
-    for exps, c in m.series.terms.items():
-        lam = HookMultSeries._decode_exps(exps, m.k, m.l)
-        coeffs[lam] = c
-    return HookExpansion(m.k, m.l, m.bound, coeffs)
+    """Unpack the split-variable series back to the hook basis (inverse); the
+    constructor or :func:`encode_hook_mult` checked every monomial."""
+    return HookExpansion(m.k, m.l, m.bound,
+                         {_assemble_exps(exps, m.k, m.l): c
+                          for exps, c in m.series.terms.items()}, _raw=True)
 
 
 def _utn_hook_expansion(n: int, k: int, l: int, bound: int) -> HookExpansion:

@@ -185,11 +185,9 @@ def partitions_upto(n: int, max_parts: int | None = None,
 
 def hook_partitions_of(n: int, k: int, l: int) -> list[tuple[int, ...]]:
     """Partitions of ``n`` inside the (k, l) hook."""
-    out = []
-    for lam in partitions_of(n):
-        if in_hook(lam, k, l):
-            out.append(lam)
-    return out
+    if k < 0 or l < 0:
+        raise ValueError("hook parameters must be nonnegative")
+    return [lam for lam in partitions_of(n) if len(lam) <= k or lam[k] <= l]
 
 
 def _horizontal_walk(lam: tuple[int, ...], k: int, l: int,

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -88,6 +89,27 @@ def test_hilbert_json_matches_module(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["series"] == utn_hilbert(2, 2, 6).to_obj()
+
+
+# sha256 of the hilbert output as the Horner loop of ray passes gave it
+HILBERT_PINS = [
+    (["--algebra", "UT3E", "--hook", "2,3", "--trunc", "9"], "text",
+     "54ed98681394aef5b5d57211e0ddd4ce101ddd064eab4020b71b886250a02d00"),
+    (["--algebra", "UT2E", "--vars", "4", "--trunc", "8"], "text",
+     "80aa6052b46aa7d5081431abb143a7279045bd0e2dd7a37b09951811726a730c"),
+    (["--algebra", "UT3E", "--hook", "2,3", "--trunc", "9"], "json",
+     "020a02831b39b22a3b7de32327468ad33a69abba3263752271d51357feabcbd8"),
+    (["--algebra", "UT2E", "--vars", "4", "--trunc", "8"], "json",
+     "fad19b2ad90fb01558d50e65dab1340f8199a4608036ee4c3318924a23129a29"),
+]
+
+
+@pytest.mark.parametrize("job, fmt, digest", HILBERT_PINS,
+                         ids=[f"{p[0][1]}-{p[0][3]}-{p[1]}" for p in HILBERT_PINS])
+def test_hilbert_output_is_unchanged(capsys, job, fmt, digest):
+    code, out, err = run(["hilbert"] + job + ["--format", fmt], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_hilbert_text_constant_term(capsys):

@@ -1,11 +1,12 @@
+import hashlib
+import json
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from cochar import hilbert
 from cochar.hilbert import (
-    _grassmann_step,
-    _ray_pass,
     grassmann_double_hilbert,
     grassmann_hilbert,
     utn_double_hilbert,
@@ -164,24 +165,38 @@ def test_double_hilbert_matches_product_form(k, l):
     assert grassmann_double_hilbert(k, l, 8) == expected.scale(Fraction(1, 2))
 
 
-@pytest.mark.parametrize("terms", [
-    # t1^3 - t1 t2^2 + 5 y1^4: every ray starts above exponent 0
-    {(3, 0, 0): 1, (1, 2, 0): -1, (0, 0, 4): 5},
-    # (1 - t1)(1 + 3 t2 y1): along t1 the product telescopes to 1 + t1
-    {(0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 1): 3, (1, 1, 1): -3},
-])
-@pytest.mark.parametrize("i", [0, 1, 2])
-def test_ray_pass_matches_shift_chain(terms, i):
-    s = Series(VarSet.ty(2, 1), 9, terms)
-    x = tuple(int(i == j) for j in range(3))
-    expected = s.shift_mul_binomial(x, 1).shift_mul_geometric(x, -1)
-    assert _ray_pass(s.terms, i, 9) == expected.terms
+def test_grassmann_step_rejects_odd_sums(monkeypatch):
+    # one more unit on the weight of P^0 S^0 leaves 2^n H one above a
+    # multiple of 2^n at the constant term, so the exact division must raise
+    weights = hilbert._weights
 
+    def off_by_one(n):
+        w = weights(n)
+        w[0][0] += 1
+        return w
 
-def test_grassmann_step_rejects_odd_sums():
-    half = Series.one(VarSet.ty(1, 1), 4).scale(Fraction(1, 2))
+    monkeypatch.setattr(hilbert, "_weights", off_by_one)
     with pytest.raises(ArithmeticError):
-        _grassmann_step(half)
+        grassmann_double_hilbert(1, 1, 4)
+    with pytest.raises(ArithmeticError):
+        utn_double_hilbert(3, 2, 1, 4)
+
+
+# sha256 of json.dumps(to_obj()) as the Horner loop of ray passes gave it
+DOUBLE_HILBERT_PINS = [
+    ((2, 2, 3, 14), 11628, "45d628c96e7364bca5e0518558bb05f386f1dd0a9e7df540ba3f40b17fa8b3dd"),
+    ((3, 7, 0, 8), 6435, "f9d75a18e8e4d290da2efbb72c90f2114076d1e330898abf84723cee82429194"),
+    ((4, 1, 1, 10), 66, "b51e3efb7a5d339c1a7003664fd3de579ecd0711cc3dfab715bab28a4536121d"),
+    ((1, 2, 3, 10), 3003, "2acd10b7e9ffe5d8a5e94060442a7d75f6bc02115e410eda94e360cb9aba3162"),
+]
+
+
+@pytest.mark.parametrize("job, size, digest", DOUBLE_HILBERT_PINS,
+                         ids=[str(p[0]) for p in DOUBLE_HILBERT_PINS])
+def test_double_hilbert_to_obj_is_unchanged(job, size, digest):
+    obj = utn_double_hilbert(*job).to_obj()
+    assert len(obj) == size
+    assert hashlib.sha256(json.dumps(obj).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("n, k, l, bound", [(3, 2, 3, 9), (2, 4, 0, 10)])

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cochar.cli import _raw_expansion
 from cochar.hilbert import grassmann_double_hilbert, utn_double_hilbert, utn_mult_series
 from cochar.hooks import (
     decode_hook_mult,
@@ -24,7 +25,8 @@ from cochar.hooks import (
     HookExpansion,
     HookMultSeries,
 )
-from cochar.partitions import (char_degree, conjugate, hook_partitions_of,
+from cochar.partitions import (assemble_hook, char_degree, conjugate, hook_partitions_of,
+                               partition, HookSplit,
                                horizontal_strips, in_hook, partitions_of, partitions_upto,
                                vertical_strips, weight)
 from cochar.schur import to_mult_series
@@ -403,6 +405,29 @@ def test_encode_matches_validating_constructor():
             assert m.series.vars == checked.series.vars
 
 
+def validating_decode(m):
+    """decode_hook_mult as it was before it trusted its input."""
+    k, l = m.k, m.l
+    return HookExpansion(k, l, m.bound, {
+        assemble_hook(HookSplit(k, l, partition(e[:k]), partition(e[k:2 * k]),
+                                partition(e[2 * k:]))): c
+        for e, c in m.series.terms.items()})
+
+
+def test_trusted_decode_matches_validating_decode():
+    for job in ((3, 1, 1, 10), (2, 2, 3, 9), (3, 3, 0, 9), (2, 0, 2, 8)):
+        m = utn_hook_mult_series(*job)
+        assert decode_hook_mult(m) == validating_decode(m)
+    # a series from the public constructor, with a term above its bound
+    vars_ = VarSet.vty(2, 1)
+    m = HookMultSeries(2, 1, 6, Series(vars_, 8, {
+        (0, 0, 0, 0, 0): 1, (1, 1, 2, 0, 2): Fraction(6, 3), (1, 1, 0, 0, 2): -4,
+        (1, 1, 1, 1, 1): Fraction(1, 2), (1, 1, 3, 2, 1): 7}))
+    got = decode_hook_mult(m)
+    assert got == validating_decode(m)
+    assert got.coeffs == {(): 1, (3, 1, 1, 1): 2, (1, 1, 1, 1): -4, (2, 2, 1): Fraction(1, 2)}
+
+
 def json_digest(m):
     return hashlib.sha256(json.dumps(m.to_obj()).encode()).hexdigest()
 
@@ -463,6 +488,15 @@ def test_hook_mult_matches_decompose_route():
         direct = utn_hook_mult_series(n, k, l, bound)
         via = hs_decompose(utn_double_hilbert(n, k, l, bound), k, l)
         assert decode_hook_mult(direct) == via
+
+
+@pytest.mark.parametrize("n, k, l, bound", [(3, 1, 1, 12), (2, 2, 3, 12),
+                                            (4, 3, 0, 10), (3, 1, 3, 10)])
+def test_cli_raw_route_matches_hs_decompose(n, k, l, bound):
+    # the CLI peels only the block-sorted monomials of the sorted vectors;
+    # hs_decompose checks the symmetry of the full series first
+    assert _raw_expansion(n, k, l, bound) == \
+        hs_decompose(utn_double_hilbert(n, k, l, bound), k, l)
 
 
 def seed_sum(n, k, l, bound):

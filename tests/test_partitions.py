@@ -307,8 +307,12 @@ def test_partitions_upto():
 def test_hook_partitions_of():
     assert hook_partitions_of(5, 1, 1) == [(5,), (4, 1), (3, 1, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1)]
     assert len(hook_partitions_of(6, 2, 0)) == 4  # two-row partitions of 6
-    for lam in hook_partitions_of(9, 2, 3):
-        assert in_hook(lam, 2, 3)
+    for k, l in ((1, 1), (2, 3), (3, 0), (0, 2)):
+        for n in range(13):
+            assert hook_partitions_of(n, k, l) == \
+                [lam for lam in partitions_of(n) if in_hook(lam, k, l)]
+    with pytest.raises(ValueError):
+        hook_partitions_of(4, -1, 2)
 
 
 # -- strip generators ----------------------------------------------------
