@@ -137,7 +137,7 @@ def _routes(n: int, k: int, l: int, trunc: int, domain: list[tuple[int, ...]],
 
     def decompose():
         exp = _raw_expansion(n, k, l, trunc)
-        return {lam: exp.coefficient(lam) for lam in domain}
+        return {lam: exp.coeffs.get(lam, 0) for lam in domain}
 
     routes = {"pipeline": pipeline, "decompose": decompose}
     tag = _closed_tag(n, k, l)

@@ -7,12 +7,16 @@ columns, and all first-alphabet entries precede second-alphabet entries.
 Their weight generating function hs_poly(lam) is nonzero exactly when lam
 lies in the (k,l) hook, and distinct hook partitions give linearly
 independent polynomials, so finite symmetric data can be decomposed exactly
-in this basis.
+in this basis.  By Berele-Regev, hs_lam = sum_alpha s_alpha(t) s_(lam'/alpha')(y)
+and hs_lam(t; y) = hs_lam'(y; t).  :func:`hs_decompose` therefore works in
+the basis s_alpha(t) y^beta of the larger alphabet, swapping the two when
+l > k: the t-block of its input goes to Schur coefficients through the
+Vandermonde alternant, and its tables walk vertical strips in y only.
 
 With an empty second alphabet the hook Schur functions are the ordinary
-Schur functions (Berele-Regev): hs_poly(lam, d, 0, bound) is s_lam(t_1..t_d),
-and ``HookExpansion(d, 0, ...)`` is an ordinary Schur expansion in d
-variables.  Every function below serves that case too; the one-alphabet
+Schur functions: hs_poly(lam, d, 0, bound) is s_lam(t_1..t_d), and
+``HookExpansion(d, 0, ...)`` is an ordinary Schur expansion in d variables.
+Every function below serves that case too; the one-alphabet
 multiplicity-series encodings live in :mod:`cochar.schur`.
 
 Products of hook Schur functions expand by the ordinary Littlewood-Richardson
@@ -35,13 +39,14 @@ from math import comb, factorial
 from typing import Callable, Iterable, Mapping, Sequence
 
 from cochar.partitions import (
+    _conjugate,
     _horizontal_walk,
     _vertical_walk,
     assemble_hook,
-    conjugate,
     horizontal_strips,
     in_hook,
     partition,
+    partitions_of,
     vertical_strips,
     weight,
     HookSplit,
@@ -49,46 +54,11 @@ from cochar.partitions import (
 from cochar.series import norm_coeff, Coeff, Exps, Series, VarSet
 
 
-def _peels(lam: tuple[int, ...]):
-    """All mu obtained by removing a horizontal strip from lam."""
-
-    def rec(i: int, acc: list[int]):
-        if i == len(lam):
-            yield tuple(v for v in acc if v)
-            return
-        lo = lam[i + 1] if i + 1 < len(lam) else 0
-        for v in range(lo, lam[i] + 1):
-            acc.append(v)
-            yield from rec(i + 1, acc)
-            acc.pop()
-
-    yield from rec(0, [])
-
-
 @lru_cache(maxsize=None)
-def _schur_terms(lam: tuple[int, ...], d: int,
-                 dominant: bool) -> tuple[tuple[Exps, int], ...]:
-    """Monomials of s_lam(t_1..t_d), tabulated by weight of the last variable.
-
-    Peeling the horizontal strip filled with the letter d enumerates exactly
-    the semistandard tableaux with entries in {1,...,d}, grouped by content.
-    With ``dominant`` only weakly decreasing exponent vectors are kept; they
-    fix a symmetric polynomial, and they stay decreasing when the last
-    variable is peeled.
-    """
-    if len(lam) > d:
-        return ()
-    if not lam:
-        return (((0,) * d, 1),)
-    out: dict[Exps, int] = {}
-    for mu in _peels(lam):
-        power = sum(lam) - sum(mu)
-        for exps, c in _schur_terms(mu, d - 1, dominant):
-            if dominant and exps and exps[-1] < power:
-                continue
-            key = exps + (power,)
-            out[key] = out.get(key, 0) + c
-    return tuple(sorted(out.items()))
+def _schur_terms(lam: tuple[int, ...], d: int) -> tuple[tuple[Exps, int], ...]:
+    """Monomials of s_lam(t_1..t_d): those of hs_lam' with the t as the second
+    alphabet and the first one empty (Berele-Regev)."""
+    return _hs_terms(_conjugate(lam), 0, d, False) if lam else (((0,) * d, 1),)
 
 
 def _vertical_peels(lam: tuple[int, ...]):
@@ -110,21 +80,23 @@ def _vertical_peels(lam: tuple[int, ...]):
 
 @lru_cache(maxsize=None)
 def _hs_terms(lam: tuple[int, ...], k: int, l: int,
-              dominant: bool) -> tuple[tuple[Exps, int], ...]:
-    """Monomials of the hook Schur polynomial, peeling the last y variable.
+              schur_t: bool) -> tuple[tuple[Exps, int], ...]:
+    """Terms of the hook Schur polynomial, peeling the last y variable.
 
-    With ``dominant`` only the monomials whose t- and y-exponents both weakly
-    decrease are kept, as in :func:`_schur_terms`.
+    Without ``schur_t`` the terms are monomials.  With it they are in the
+    basis s_alpha(t) y^beta, keyed by alpha padded to k parts and weakly
+    decreasing beta: hs_lam = sum_alpha s_alpha(t) s_(lam'/alpha')(y), so at
+    l = 0 the table is the single entry s_lam(t).
     """
     if len(lam) > k and lam[k] > l:  # outside the hook
         return ()
     if l == 0:
-        return _schur_terms(lam, k, dominant)
+        return ((lam + (0,) * (k - len(lam)), 1),) if schur_t else _schur_terms(lam, k)
     acc: dict[Exps, int] = {}
-    for mu in set(_vertical_peels(lam)):
+    for mu in _vertical_peels(lam):
         stripped = sum(lam) - sum(mu)
-        for e, c in _hs_terms(mu, k, l - 1, dominant):
-            if dominant and l > 1 and e[-1] < stripped:
+        for e, c in _hs_terms(mu, k, l - 1, schur_t):
+            if schur_t and l > 1 and e[-1] < stripped:
                 continue
             key = e + (stripped,)
             acc[key] = acc.get(key, 0) + c
@@ -269,12 +241,15 @@ def hs_decompose(g: Series, k: int, l: int) -> HookExpansion:
 
     Hook Schur polynomials are symmetric in the t and in the y variables, so
     g must be too, and then its monomials with weakly decreasing t- and
-    y-exponents fix it.  Within each total degree the basis is triangular on
-    those for the block lexicographic order: the largest monomial of
-    hs_poly(lam) is t^(top k rows) y^(conjugate of the rest), with coefficient
-    1, and distinct partitions give distinct leading monomials.  Forward
+    y-exponents fix it.  :func:`_peel` rewrites them in the basis
+    s_alpha(t) y^beta (in s_alpha(y) t^beta with the hook conjugated when
+    l > k) and substitutes forward: within each total degree the basis is
+    triangular on (alpha, beta) in lexicographic order, since the largest
+    term of hs_poly(lam) is s_(top k rows)(t) y^(conjugate of the rest), with
+    coefficient 1, and distinct partitions lead with distinct terms.  The
     substitution therefore either terminates with a zero residual or exposes
-    a monomial no basis element can lead with.
+    a term no basis element can lead with, on the same inputs as one in
+    monomials would, since the alternant is a unitriangular change of basis.
     """
     if g.vars.names != VarSet.ty(k, l).names:
         raise ValueError(f"series variables {g.vars.names} do not fit hook ({k},{l})")
@@ -285,29 +260,84 @@ def hs_decompose(g: Series, k: int, l: int) -> HookExpansion:
                   for n in range(g.bound + 1)), k, l, g.bound)
 
 
+@lru_cache(maxsize=None)
+def _alternant(alpha: tuple[int, ...], k: int) -> tuple[tuple[int, Exps], ...]:
+    """The signed exponents sort(alpha + delta - w(delta)), w in S_k, merged.
+
+    With delta = (k-1, ..., 0), the coefficient of s_alpha in a g symmetric in
+    t_1..t_k is that of t^(alpha + delta) in g times the Vandermonde
+    alternant, sum_w sgn(w) g[sort(alpha + delta - w(delta))] (Macdonald
+    I.3), where only nonnegative exponents count.  Rows take unused values
+    from the last one up, row i one of at most alpha_i + k-1-i, so no partial
+    choice dead-ends: the zero rows keep their own, the first row the last.
+    """
+    r = len(alpha)
+    if not r:
+        return ((1, (0,) * k),)
+    rows = [((1 << k - r) - 1, (0,) * (k - r), 1)]  # (values used, exponents, sign)
+    for i in range(r - 1, 0, -1):
+        room = alpha[i] + k - 1 - i
+        rows = [(used | 1 << v, (room - v,) + exps, -s if (used >> v).bit_count() & 1 else s)
+                for used, exps, s in rows for v in range(k - r, min(room, k - 1) + 1)
+                if not used >> v & 1]  # each used value above v is an inversion
+    acc: dict[Exps, int] = {}
+    for used, exps, s in rows:
+        v = (~used & (1 << k) - 1).bit_length() - 1
+        key = tuple(sorted((alpha[0] + k - 1 - v,) + exps, reverse=True))
+        acc[key] = acc.get(key, 0) + (-s if (used >> v).bit_count() & 1 else s)
+    return tuple((c, e) for e, c in acc.items() if c)
+
+
 def _peel(slices: Iterable[tuple[int, dict[Exps, Coeff]]], k: int, l: int,
           bound: int) -> HookExpansion:
     """The forward substitution of :func:`hs_decompose` on (degree, slice)
-    pairs; it consumes each slice of block-sorted terms."""
+    pairs of block-sorted terms, in the basis s_alpha(t) y^beta.
+
+    Each y-block beta of a slice is paired with every alpha of the remaining
+    degree, also where the monomial t^alpha y^beta is absent, for the
+    alternant can be nonzero there.  With l > k the blocks swap and the
+    result is conjugated, so the alternant takes the larger alphabet.
+    """
+    swap, cut = l > k, k
+    if swap:
+        k, l = l, k
+    alphas: dict[int, list[tuple[Exps, Exps]]] = {}
     coeffs: dict[tuple[int, ...], Coeff] = {}
     for n, slice_ in slices:
-        while slice_:
-            exps = max(slice_)
-            top, below = exps[:k], conjugate(exps[k:])
-            if below and k > 0 and top[k - 1] < below[0]:
-                raise ValueError(f"degree {n}: residual monomial {exps} "
-                                 f"is not led by any hook basis element")
-            lam = partition(top + below)  # in the hook: below[0] <= l
-            c = slice_[exps]
+        by_y: dict[Exps, dict[Exps, Coeff]] = {}
+        for e, c in slice_.items():
+            t, y = (e[cut:], e[:cut]) if swap else (e[:cut], e[cut:])
+            by_y.setdefault(y, {})[t] = c
+        terms: dict[Exps, Coeff] = {}
+        for y, g in by_y.items():
+            m = n - sum(y)
+            if m not in alphas:
+                alphas[m] = [(a, a + (0,) * (k - len(a))) for a in partitions_of(m, k)]
+            for alpha, padded in alphas[m]:
+                d = sum(c * g.get(e, 0) for c, e in _alternant(alpha, k))
+                if d:
+                    terms[padded + y] = d
+        while terms:
+            key = max(terms)
+            top, below = key[:k], _conjugate(key[k:])
+            if below and top[k - 1] < below[0]:
+                first, second = "yt" if swap else "ty"
+                raise ValueError(f"degree {n}: residual term s_{top}({first}) "
+                                 f"{second}^{key[k:]} is not led by any hook basis element")
+            lam = tuple(p for p in top if p) + below  # in the hook: below[0] <= l
+            c = terms[key]
             coeffs[lam] = norm_coeff(coeffs.get(lam, 0) + c)
             if not coeffs[lam]:
                 del coeffs[lam]
             for e, v in _hs_terms(lam, k, l, True):
-                t = slice_.get(e, 0) - c * v
+                t = terms.get(e, 0) - c * v
                 if t:
-                    slice_[e] = t
+                    terms[e] = t
                 else:
-                    slice_.pop(e, None)
+                    terms.pop(e, None)
+    if swap:
+        k, l = l, k
+        coeffs = {_conjugate(lam): c for lam, c in coeffs.items()}
     return HookExpansion(k, l, bound, coeffs, _raw=True)
 
 

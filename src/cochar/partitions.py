@@ -40,7 +40,11 @@ def part_at(lam: Sequence[int], i: int) -> int:
 
 def conjugate(lam: Sequence[int]) -> tuple[int, ...]:
     """Transpose of the Young diagram (column lengths)."""
-    lam = partition(lam)
+    return _conjugate(partition(lam))
+
+
+def _conjugate(lam: tuple[int, ...]) -> tuple[int, ...]:
+    """:func:`conjugate` of a weakly decreasing tuple, trailing zeros allowed."""
     if not lam:
         return ()
     return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))

@@ -1,7 +1,10 @@
 import hashlib
 import json
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -10,6 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 from cochar.cli import _raw_expansion
 from cochar.hilbert import grassmann_double_hilbert, utn_double_hilbert, utn_mult_series
 from cochar.hooks import (
+    _alternant,
+    _schur_terms,
     decode_hook_mult,
     encode_hook_mult,
     hook_col_derived,
@@ -181,9 +186,25 @@ def test_powers_stay_in_growing_hooks():
             assert in_hook(lam, j, j), (j, lam)
 
 
+@contextmanager
+def time_limit(seconds):
+    """Fail instead of hanging: a forward substitution that peels a residual
+    term no basis element leads with never empties its slice."""
+    def stop(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_hs_decompose_rejects_off_span():
     tv = VarSet.ty(1, 1)
-    with pytest.raises(ValueError, match="degree 1"):
+    with time_limit(10), pytest.raises(ValueError, match="degree 1"):
         hs_decompose(Series(tv, 4, {(1, 0): 1}), 1, 1)
     with pytest.raises(ValueError, match="do not fit"):
         hs_decompose(Series(VarSet.t(2), 4, {}), 1, 1)
@@ -322,13 +343,12 @@ HOOKS = st.sampled_from([(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (1, 1), (2, 1),
 
 
 @st.composite
-def hook_expansions(draw):
-    k, l = draw(HOOKS)
+def hook_expansions(draw, hooks=HOOKS, coeffs=st.integers(-3, 3)):
+    k, l = draw(hooks)
     bound = draw(st.integers(0, 10))
     pool = [lam for lam in partitions_upto(min(bound, 7)) if in_hook(lam, k, l)]
     chosen = draw(st.lists(st.sampled_from(pool), max_size=6))
-    coeffs = {lam: draw(st.integers(-3, 3)) for lam in chosen}
-    return HookExpansion(k, l, bound, coeffs)
+    return HookExpansion(k, l, bound, {lam: draw(coeffs) for lam in chosen})
 
 
 @settings(max_examples=60, deadline=None)
@@ -355,6 +375,52 @@ def test_pieri_steps_keep_the_hook_part(e, size):
                 if in_hook(nu, e.k, e.l):
                     coeffs[nu] = coeffs.get(nu, 0) + c
         assert step(e, size) == HookExpansion(e.k, e.l, e.bound, coeffs)
+
+
+# -- decomposition in the basis s_alpha(t) y^beta ------------------------------
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_alternant_matches_the_permutation_sum(k):
+    # every w in S_k, signed by its inversions, with no pruning
+    for alpha in partitions_upto(8, max_parts=k):
+        padded = alpha + (0,) * (k - len(alpha))
+        expected = {}
+        for w in permutations(range(k)):
+            exps = [padded[i] - i + w[i] for i in range(k)]  # alpha + delta - w(delta)
+            if min(exps) >= 0:
+                key = tuple(sorted(exps, reverse=True))
+                sign = (-1) ** sum(w[i] > w[j] for i in range(k) for j in range(i + 1, k))
+                expected[key] = expected.get(key, 0) + sign
+        got = {e: c for c, e in _alternant(alpha, k)}
+        assert got == {e: c for e, c in expected.items() if c}, alpha
+
+
+@settings(max_examples=80, deadline=None)
+@given(hook_expansions(st.sampled_from([(1, 1), (2, 2), (3, 1), (1, 3), (0, 3), (3, 0), (2, 3)]),
+                       st.sampled_from([-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3)])))
+# t1 t2 y1^3 cancels to 0, but s_(1,1)(t) y1^3 has coefficient 3: the alternant
+# is evaluated at every alpha of the remaining degree, not at present keys only
+@example(HookExpansion(2, 2, 5, {(1, 1, 1, 1, 1): 3, (3, 1, 1): -3}))
+def test_hs_decompose_roundtrip_signed(e):
+    assert hs_decompose(e.to_series(), e.k, e.l) == e
+
+
+def test_hs_decompose_rejects_off_span_in_both_orientations():
+    # y1 + y2 lacks the t1 of hs_(1) at (1, 2), peeled with the blocks swapped
+    with time_limit(10), pytest.raises(ValueError, match="degree 1: residual"):
+        hs_decompose(Series(VarSet.ty(1, 2), 4, {(0, 1, 0): 1, (0, 0, 1): 1}), 1, 2)
+    # e_2(t) alone lacks the rest of hs_(1,1) at (2, 1), peeled as it stands
+    with time_limit(10), pytest.raises(ValueError, match="degree 2: residual"):
+        hs_decompose(Series(VarSet.ty(2, 1), 4, {(1, 1, 0): 1}), 2, 1)
+
+
+def test_decompose_builds_no_monomial_tables():
+    _schur_terms.cache_clear()
+    _raw_expansion(2, 4, 0, 10)
+    _raw_expansion(2, 2, 3, 8)
+    hs_decompose(utn_double_hilbert(2, 1, 3, 8), 1, 3)
+    assert _schur_terms.cache_info().misses == 0
 
 
 # -- the split encoding ------------------------------------------------------
