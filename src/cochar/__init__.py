@@ -60,7 +60,21 @@ from cochar.hilbert import (
     utn_mult_series,
 )
 from cochar.closed_forms import closed_multiplicity, reference_series
-from cochar.verify import check_acceptance, check_invariants, CheckResult, run_suite
 from cochar import operators  # noqa: F401  (stubs resolved by bench/tracer.py)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The check suites load on first use, so that a job that runs none of them
+# does not import them: ``cochar.verify`` and these names resolve lazily.
+_VERIFY_NAMES = ("CheckResult", "check_acceptance", "check_invariants", "run_suite")
+
+
+def __getattr__(name: str):
+    if name == "verify" or name in _VERIFY_NAMES:
+        from importlib import import_module
+
+        verify = import_module("cochar.verify")
+        return verify if name == "verify" else getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")]
+                 + ["verify", *_VERIFY_NAMES])

@@ -20,21 +20,19 @@ repeated runs produce identical bytes.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import re
 import sys
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .closed_forms import closed_multiplicity
 from .hilbert import _sorted_coefficients, utn_double_hilbert, utn_mult_series
 from .hooks import _peel, utn_hook_mult_series, HookExpansion
 from .partitions import format_partition, hook_partitions_of
-from .verify import run_suite
 
 # Soft limits.  Past these the computations still work, they just get slow;
 # the tool refuses unless --force is given, and then proceeds exactly as
@@ -114,19 +112,44 @@ def _closed_tag(n: int, k: int, l: int) -> str | None:
     return {(3, 2, 0): "UT3E_parts2", (3, 1, 1): "UT3E_hook11"}.get((n, k, l))
 
 
+@cache
+def _split_getters(runs: tuple[int, ...], k: int, l: int) -> tuple[Callable, ...]:
+    """One getter per distinct arrangement t + y of a sorted vector of k + l
+    entries with these run lengths into a weakly decreasing t-block of k and
+    y-block of l entries: a run of r equal entries sends j of them to t and
+    r - j to y."""
+    splits = [((), ())]
+    top = 0
+    for r in runs:
+        splits = [(t + tuple(range(top, top + j)), y + tuple(range(top + j, top + r)))
+                  for t, y in splits
+                  for j in range(max(0, r - l + len(y)), min(r, k - len(t)) + 1)]
+        top += r
+    # itemgetter of a single index returns the entry itself, so with one
+    # variable (k + l = 1) the vector is its only arrangement, kept as it is
+    return tuple(itemgetter(*t, *y) if k + l > 1 else tuple for t, y in splits)
+
+
+def _block_splits(a: tuple[int, ...], k: int, l: int) -> list[tuple[int, ...]]:
+    """Each distinct block-sorted arrangement of the sorted vector ``a``, padded
+    to k + l entries, once."""
+    padded = a + (0,) * (k + l - len(a))
+    runs = tuple(len(list(run)) for _, run in groupby(padded))
+    return [get(padded) for get in _split_getters(runs, k, l)]
+
+
 def _raw_expansion(n: int, k: int, l: int, trunc: int) -> HookExpansion:
     """The decompose route, peeling the raw series at its block-sorted monomials.
 
-    The series is symmetric in all k + l variables, so every split of a sorted
-    vector into k t- and l y-exponents carries the coefficient of the vector.
+    The series is symmetric in all k + l variables, so every block-sorted
+    arrangement of a sorted vector carries the coefficient of the vector.
     """
     slices: dict[int, dict[tuple[int, ...], int]] = {}
     for a, c in _sorted_coefficients(n, k + l, trunc).items():
-        padded = a + (0,) * (k + l - len(a))
-        for pick in combinations(range(k + l), k):
-            rest = tuple(i for i in range(k + l) if i not in pick)
-            slices.setdefault(sum(a), {})[tuple(padded[i] for i in pick + rest)] = c
-    return _peel(slices.items(), k, l, trunc)
+        slice_ = slices.setdefault(sum(a), {})
+        for key in _block_splits(a, k, l):
+            slice_[key] = c
+    return _peel(sorted(slices.items()), k, l, trunc)
 
 
 def _routes(n: int, k: int, l: int, trunc: int, domain: list[tuple[int, ...]],
@@ -195,6 +218,8 @@ def _format_monomial(names: Sequence[str], exps: Sequence[int]) -> str:
 
 def _render_rows(rows, fmt: str, job: dict, extra: dict | None = None) -> str:
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["partition", "weight", "multiplicity", "routes"])
@@ -202,6 +227,8 @@ def _render_rows(rows, fmt: str, job: dict, extra: dict | None = None) -> str:
             writer.writerow([format_partition(lam), w, m, ";".join(names)])
         return buf.getvalue()
     if fmt == "json":
+        import json
+
         obj = dict(job)
         obj["rows"] = [{"partition": list(lam), "weight": w, "multiplicity": m,
                         "routes": list(names)} for lam, w, m, names in rows]
@@ -216,6 +243,8 @@ def _render_rows(rows, fmt: str, job: dict, extra: dict | None = None) -> str:
 
 def _render_series(series, fmt: str, job: dict) -> str:
     if fmt == "json":
+        import json
+
         obj = dict(job)
         obj["series"] = series.to_obj()
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -315,8 +344,12 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suite
+
     results = run_suite(args.suite)
     if args.format == "json":
+        import json
+
         obj = [{"suite": r.suite, "name": r.name, "passed": r.passed,
                 "detail": r.detail} for r in results]
         text = json.dumps(obj, sort_keys=True, indent=2) + "\n"

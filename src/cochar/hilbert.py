@@ -7,10 +7,11 @@ S = sum x.  The variables are t_1..t_k, y_1..y_l; one alphabet is l = 0.
 
 B and L treat all k + l variables alike, so H is fixed by its coefficients
 at sorted exponent vectors, one per partition with at most k + l parts, and
-each is evaluated on its own from the product form: expanding B^j and
-L^(j-1) binomially, 2^n H = sum_{m <= n, r < n} w(m, r) P^m S^r, and
-[x^a] P^m S^r is one integer recursion over the parts of a.  The division by
-2^n is exact; a remainder raises.
+each is evaluated from the product form: expanding B^j and L^(j-1)
+binomially, 2^n H = sum_{m <= n, r < n} w(m, r) P^m S^r, and [x^a] P^m S^r
+is one integer recursion over the parts of a, shared by every partition
+with the same leading parts.  The division by 2^n is exact; a remainder
+raises.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from math import comb
 from operator import add, mul
 
 from cochar.hooks import _utn_hook_expansion
-from cochar.partitions import partitions_of
 from cochar.schur import MultSeries, to_mult_series
 from cochar.series import Series, VarSet
 
@@ -38,32 +38,33 @@ def _sorted_coefficients(n: int, width: int, bound: int) -> dict[tuple[int, ...]
 
     Row m of c is c_m(e) = [x^e] ((1+x)/(1-x))^m, row m - 1 times (1 + x)
     and summed.  For each m, v[D] is the coefficient of P^m S^D at the parts
-    walked so far: a part p takes d of the D + d boxes of S^(D+d), C(D+d, d)
+    of a partition: a part p takes d of the D + d boxes of S^(D+d), C(D+d, d)
     ways, and c_m(p - d) for the rest.  D stops at n - 1, the top power of S;
-    a zero part takes no box and multiplies by c_m(0) = 1.
+    a zero part takes no box and multiplies by c_m(0) = 1.  The partitions
+    are walked depth first, each one a prefix of its children, so every
+    partition costs one part step on its prefix's vectors.
     """
     w, c = _weights(n), [[1] + [0] * bound]
     for _ in range(n):
         c.append(list(accumulate(map(add, c[-1], [0] + c[-1]))))
+    # step[p][m][E][D] = C(E, d) c_m(p - d) with d = E - D: the factor of v[D] in the new v[E]
+    step = [[[[comb(E, E - D) * cm[p - E + D] if E - D <= p else 0 for D in range(E + 1)]
+              for E in range(n)] for cm in c] for p in range(bound + 1)]
     out: dict[tuple[int, ...], int] = {}
-    for size in range(bound + 1):
-        for a in partitions_of(size, max_parts=width):
-            total = 0
-            for cm, wm in zip(c, w):
-                v = [1] + [0] * (n - 1)
-                for p in a:
-                    nv = [0] * n
-                    for D, x in enumerate(v):
-                        if x:
-                            for d in range(min(p, n - 1 - D) + 1):
-                                nv[D + d] += x * comb(D + d, d) * cm[p - d]
-                    v = nv
-                total += sum(map(mul, wm, v))
-            q, rem = divmod(total, 1 << n)
-            if rem:
-                raise ArithmeticError(f"product-form sum {total} at {a} is not divisible by 2^{n}")
-            if q:
-                out[a] = q
+    stack = [((), bound, [[1] + [0] * (n - 1)] * (n + 1))]  # (partition, room, v per m)
+    while stack:
+        a, room, vs = stack.pop()
+        total = sum(sum(map(mul, wm, v)) for wm, v in zip(w, vs))
+        q, rem = divmod(total, 1 << n)
+        if rem:
+            raise ArithmeticError(f"product-form sum {total} at {a} is not divisible by 2^{n}")
+        if q:
+            out[a] = q
+        if len(a) < width:
+            for p in range(1, min(a[-1] if a else room, room) + 1):
+                stack.append((a + (p,), room - p,
+                              [[sum(map(mul, v, row)) for row in rows]
+                               for v, rows in zip(vs, step[p])]))
     return out
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from math import comb, factorial
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -58,49 +59,72 @@ from cochar.series import norm_coeff, Coeff, Exps, Series, VarSet
 def _schur_terms(lam: tuple[int, ...], d: int) -> tuple[tuple[Exps, int], ...]:
     """Monomials of s_lam(t_1..t_d): those of hs_lam' with the t as the second
     alphabet and the first one empty (Berele-Regev)."""
-    return _hs_terms(_conjugate(lam), 0, d, False) if lam else (((0,) * d, 1),)
+    return _hs_terms(_conjugate(lam), 0, d, False)[0] if lam else (((0,) * d, 1),)
 
 
-def _vertical_peels(lam: tuple[int, ...]):
-    """All mu contained in lam with lam/mu a vertical strip (<=1 box per row)."""
-    out = [()]
-    for v in reversed(tuple(lam)):
-        nxt = []
-        for choice in (v, v - 1):
-            if choice < 0:
-                continue
-            for tail in out:
-                if tail and choice < tail[0]:
-                    continue
-                nxt.append((choice,) + tail)
-        out = nxt
-    for mu in out:
-        yield tuple(v for v in mu if v)
+def _vertical_peels(lam: tuple[int, ...], k: int, l: int) -> list[tuple[tuple[int, ...], int]]:
+    """Each mu in the (k, l-1) hook with lam/mu a vertical strip, for lam in
+    the (k, l) hook, with the number of boxes stripped.
+
+    Within a run of equal parts only the bottom rows can lose their box, and
+    a row below row k of length l must.
+    """
+    peels = [((), 0)]
+    top = 0
+    for v, run in groupby(lam):
+        r = len(list(run))
+        forced = max(0, top + r - max(top, k)) if v == l else 0
+        top += r
+        rows = [((v,) * (r - j) + (v - 1,) * j if v > 1 else (1,) * (r - j), j)
+                for j in range(forced, r + 1)]
+        peels = [(mu + tail, s + j) for mu, s in peels for tail, j in rows]
+    return peels
 
 
 @lru_cache(maxsize=None)
 def _hs_terms(lam: tuple[int, ...], k: int, l: int,
-              schur_t: bool) -> tuple[tuple[Exps, int], ...]:
-    """Terms of the hook Schur polynomial, peeling the last y variable.
+              schur_t: bool) -> tuple[tuple[tuple[Exps, int], ...], tuple[int, ...]]:
+    """Terms of the hook Schur polynomial, peeling the last y variable, and
+    their start offsets.
 
     Without ``schur_t`` the terms are monomials.  With it they are in the
     basis s_alpha(t) y^beta, keyed by alpha padded to k parts and weakly
     decreasing beta: hs_lam = sum_alpha s_alpha(t) s_(lam'/alpha')(y), so at
     l = 0 the table is the single entry s_lam(t).
+
+    Only the mu of the (k, l-1) hook are peeled, since the other tables are
+    empty.  The terms come in increasing last y-exponent, and
+    ``starts[min(s, len(starts) - 1)]`` is the offset of the first one whose
+    last y-exponent is at least s; at l = 0 ``starts`` is (0,), every term.
+    A peel of s boxes thus reads the terms that keep beta weakly decreasing
+    off one slice.
     """
     if len(lam) > k and lam[k] > l:  # outside the hook
-        return ()
+        return (), (0,)
     if l == 0:
-        return ((lam + (0,) * (k - len(lam)), 1),) if schur_t else _schur_terms(lam, k)
-    acc: dict[Exps, int] = {}
-    for mu in _vertical_peels(lam):
-        stripped = sum(lam) - sum(mu)
-        for e, c in _hs_terms(mu, k, l - 1, schur_t):
-            if schur_t and l > 1 and e[-1] < stripped:
+        return (((lam + (0,) * (k - len(lam)), 1),) if schur_t else _schur_terms(lam, k)), (0,)
+    by_strip: dict[int, list[tuple[int, ...]]] = {}
+    for mu, stripped in _vertical_peels(lam, k, l):
+        by_strip.setdefault(stripped, []).append(mu)
+    terms: list[tuple[Exps, int]] = []
+    starts: list[int] = []
+    for stripped in range(max(by_strip) + 1):
+        starts.append(len(terms))
+        suffix = (stripped,)
+        acc: dict[Exps, int] = {}
+        for mu in by_strip.get(stripped, ()):
+            sub, sub_starts = _hs_terms(mu, k, l - 1, schur_t)
+            if schur_t:
+                sub = sub[sub_starts[min(stripped, len(sub_starts) - 1)]:]
+            if not acc:  # nothing to add to yet
+                acc = {e + suffix: c for e, c in sub}
                 continue
-            key = e + (stripped,)
-            acc[key] = acc.get(key, 0) + c
-    return tuple(sorted(acc.items()))
+            for e, c in sub:
+                key = e + suffix
+                acc[key] = acc.get(key, 0) + c
+        terms.extend(acc.items())
+    starts.append(len(terms))
+    return tuple(terms), tuple(starts)
 
 
 def hs_poly(lam: Sequence[int], k: int, l: int, bound: int) -> Series:
@@ -109,7 +133,7 @@ def hs_poly(lam: Sequence[int], k: int, l: int, bound: int) -> Series:
     vars_ = VarSet.ty(k, l)
     if weight(lam) > bound:
         return Series.zero(vars_, bound)
-    return Series(vars_, bound, dict(_hs_terms(lam, k, l, False)), _raw=True)
+    return Series(vars_, bound, dict(_hs_terms(lam, k, l, False)[0]), _raw=True)
 
 
 class HookExpansion:
@@ -329,7 +353,7 @@ def _peel(slices: Iterable[tuple[int, dict[Exps, Coeff]]], k: int, l: int,
             coeffs[lam] = norm_coeff(coeffs.get(lam, 0) + c)
             if not coeffs[lam]:
                 del coeffs[lam]
-            for e, v in _hs_terms(lam, k, l, True):
+            for e, v in _hs_terms(lam, k, l, True)[0]:
                 t = terms.get(e, 0) - c * v
                 if t:
                     terms[e] = t

@@ -8,7 +8,6 @@ are always correct, and nothing above the bound is stored.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -304,6 +303,8 @@ class Series:
         return out
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_obj(), separators=(",", ":"))
 
     @classmethod

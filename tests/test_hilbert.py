@@ -14,7 +14,7 @@ from cochar.hilbert import (
     utn_mult_series,
 )
 from cochar.hooks import hs_decompose
-from cochar.partitions import part_at
+from cochar.partitions import part_at, partitions_of
 from cochar.schur import convert_mult_series, to_mult_series, MultSeries
 from cochar.series import expand_factor, Series, VarSet
 
@@ -180,6 +180,41 @@ def test_grassmann_step_rejects_odd_sums(monkeypatch):
         grassmann_double_hilbert(1, 1, 4)
     with pytest.raises(ArithmeticError):
         utn_double_hilbert(3, 2, 1, 4)
+
+
+def per_partition_coefficients(n, width, bound):
+    """Oracle: the product-form evaluator run from the first part of every partition."""
+    w, c = hilbert._weights(n), [[1] + [0] * bound]
+    for _ in range(n):
+        # times (1 + x)/(1 - x) = 1 + 2x + 2x^2 + ...
+        c.append([sum(c[-1][:i + 1]) + sum(c[-1][:i]) for i in range(bound + 1)])
+    out = {}
+    for size in range(bound + 1):
+        for a in partitions_of(size, max_parts=width):
+            total = 0
+            for cm, wm in zip(c, w):
+                v = [1] + [0] * (n - 1)
+                for p in a:
+                    nv = [0] * n
+                    for D, x in enumerate(v):
+                        for d in range(min(p, n - 1 - D) + 1):
+                            nv[D + d] += x * comb(D + d, d) * cm[p - d]
+                    v = nv
+                total += sum(x * y for x, y in zip(wm, v))
+            q, rem = divmod(total, 1 << n)
+            assert rem == 0
+            if q:
+                out[a] = q
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("width, bound", [(1, 12), (2, 12), (4, 10), (6, 9)])
+def test_prefix_shared_coefficients_match_per_partition_oracle(n, width, bound):
+    # a part step applied to the wrong prefix, or a partition skipped or met
+    # twice by the depth-first walk, changes the dict
+    assert hilbert._sorted_coefficients(n, width, bound) == \
+        per_partition_coefficients(n, width, bound)
 
 
 # sha256 of json.dumps(to_obj()) as the Horner loop of ray passes gave it

@@ -4,17 +4,21 @@ import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import permutations
+from functools import lru_cache
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cochar.cli import _raw_expansion
-from cochar.hilbert import grassmann_double_hilbert, utn_double_hilbert, utn_mult_series
+from cochar.cli import _block_splits, _raw_expansion
+from cochar.hilbert import (_sorted_coefficients, grassmann_double_hilbert, utn_double_hilbert,
+                            utn_mult_series)
 from cochar.hooks import (
     _alternant,
+    _hs_terms,
     _schur_terms,
+    _vertical_peels,
     decode_hook_mult,
     encode_hook_mult,
     hook_col_derived,
@@ -413,6 +417,87 @@ def test_hs_decompose_rejects_off_span_in_both_orientations():
     # e_2(t) alone lacks the rest of hs_(1,1) at (2, 1), peeled as it stands
     with time_limit(10), pytest.raises(ValueError, match="degree 2: residual"):
         hs_decompose(Series(VarSet.ty(2, 1), 4, {(1, 1, 0): 1}), 2, 1)
+
+
+# -- the y-strip tables -------------------------------------------------------
+
+
+def brute_vertical_peels(lam):
+    """Every mu contained in lam with lam/mu a vertical strip, with the boxes stripped."""
+    out = []
+    for drop in product((0, 1), repeat=len(lam)):
+        mu = tuple(p - d for p, d in zip(lam, drop))
+        if all(mu[i] >= mu[i + 1] for i in range(len(mu) - 1)):
+            out.append((tuple(p for p in mu if p), sum(drop)))
+    return out
+
+
+@pytest.mark.parametrize("k, l", [(3, 0), (0, 2), (2, 1), (3, 2)])
+def test_vertical_peels_are_the_strips_that_stay_in_the_smaller_hook(k, l):
+    for lam in partitions_upto(10):
+        if in_hook(lam, k, l):
+            want = [(mu, s) for mu, s in brute_vertical_peels(lam)
+                    if len(mu) <= k or mu[k] <= l - 1]
+            assert sorted(_vertical_peels(lam, k, l)) == sorted(want), lam
+
+
+@lru_cache(maxsize=None)
+def unpruned_hs_terms(lam, k, l, schur_t):
+    """Oracle: the y-strip recursion over every vertical peel, filtering each term."""
+    if len(lam) > k and lam[k] > l:
+        return {}
+    if l == 0:
+        if schur_t:
+            return {lam + (0,) * (k - len(lam)): 1}
+        return dict(brute_hs(lam, k, 0, sum(lam)).terms)
+    acc = {}
+    for mu, stripped in brute_vertical_peels(lam):
+        for e, c in unpruned_hs_terms(mu, k, l - 1, schur_t).items():
+            if schur_t and l > 1 and e[-1] < stripped:
+                continue
+            acc[e + (stripped,)] = acc.get(e + (stripped,), 0) + c
+    return acc
+
+
+@pytest.mark.parametrize("schur_t", [False, True])
+@pytest.mark.parametrize("k, l", [(1, 1), (2, 2), (3, 1), (3, 2), (4, 4)])
+def test_hs_terms_match_the_unpruned_recursion(k, l, schur_t):
+    for lam in partitions_upto(9 if schur_t else 7):
+        terms, starts = _hs_terms(lam, k, l, schur_t)
+        assert dict(terms) == unpruned_hs_terms(lam, k, l, schur_t), lam
+        assert len(dict(terms)) == len(terms)
+        if l:
+            # a peel of s boxes reads terms[starts[min(s, len(starts) - 1)]:],
+            # which must be exactly the terms whose last y-exponent is >= s
+            lasts = [e[-1] for e, _ in terms]
+            assert lasts == sorted(lasts)
+            assert all(starts[min(s, len(starts) - 1)] == sum(1 for x in lasts if x < s)
+                       for s in range(sum(lam) + 2))
+
+
+# -- the CLI raw route ---------------------------------------------------------
+
+
+def all_combination_slices(n, k, l, bound):
+    """Oracle: every choice of k positions of each padded sorted vector as the t-block."""
+    slices = {}
+    for a, c in _sorted_coefficients(n, k + l, bound).items():
+        padded = a + (0,) * (k + l - len(a))
+        for pick in combinations(range(k + l), k):
+            rest = tuple(i for i in range(k + l) if i not in pick)
+            slices.setdefault(sum(a), {})[tuple(padded[i] for i in pick + rest)] = c
+    return slices
+
+
+@pytest.mark.parametrize("n, k, l, bound", [(2, 2, 3, 10), (3, 3, 2, 9), (2, 4, 0, 10),
+                                            (1, 1, 4, 10), (2, 4, 4, 8), (2, 1, 0, 8)])
+def test_block_splits_give_the_all_combination_slices(n, k, l, bound):
+    slices = {}
+    for a, c in _sorted_coefficients(n, k + l, bound).items():
+        keys = _block_splits(a, k, l)
+        assert len(set(keys)) == len(keys), a  # each arrangement once
+        slices.setdefault(sum(a), {}).update(dict.fromkeys(keys, c))
+    assert slices == all_combination_slices(n, k, l, bound)
 
 
 def test_decompose_builds_no_monomial_tables():
