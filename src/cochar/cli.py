@@ -23,7 +23,6 @@ import argparse
 import io
 import re
 import sys
-from fractions import Fraction
 from functools import cache
 from itertools import groupby
 from operator import itemgetter
@@ -32,7 +31,7 @@ from typing import Callable, Sequence
 from .closed_forms import closed_multiplicity
 from .hilbert import _sorted_coefficients, utn_double_hilbert, utn_mult_series
 from .hooks import _peel, utn_hook_mult_series, HookExpansion
-from .partitions import format_partition, hook_partitions_of
+from .partitions import _format_partition, hook_partitions_of
 
 # Soft limits.  Past these the computations still work, they just get slow;
 # the tool refuses unless --force is given, and then proceeds exactly as
@@ -138,8 +137,9 @@ def _block_splits(a: tuple[int, ...], k: int, l: int) -> list[tuple[int, ...]]:
     return [get(padded) for get in _split_getters(runs, k, l)]
 
 
-def _raw_expansion(n: int, k: int, l: int, trunc: int) -> HookExpansion:
-    """The decompose route, peeling the raw series at its block-sorted monomials.
+def _raw_slices(n: int, k: int, l: int, trunc: int) -> list[tuple[int, dict[tuple[int, ...], int]]]:
+    """The block-sorted monomials of the raw series, as (degree, slice) pairs
+    in increasing degree.
 
     The series is symmetric in all k + l variables, so every block-sorted
     arrangement of a sorted vector carries the coefficient of the vector.
@@ -149,7 +149,12 @@ def _raw_expansion(n: int, k: int, l: int, trunc: int) -> HookExpansion:
         slice_ = slices.setdefault(sum(a), {})
         for key in _block_splits(a, k, l):
             slice_[key] = c
-    return _peel(sorted(slices.items()), k, l, trunc)
+    return sorted(slices.items())
+
+
+def _raw_expansion(n: int, k: int, l: int, trunc: int) -> HookExpansion:
+    """The decompose route, peeling the raw series at its block-sorted monomials."""
+    return _peel(_raw_slices(n, k, l, trunc), k, l, trunc)
 
 
 def _routes(n: int, k: int, l: int, trunc: int, domain: list[tuple[int, ...]],
@@ -186,7 +191,7 @@ def _compare_routes(results: dict[str, dict],
         vals = {name: results[name][lam] for name in names}
         if len(set(vals.values())) > 1:
             parts = ", ".join(f"{name}={vals[name]}" for name in names)
-            diffs.append(f"{format_partition(lam)}: {parts}")
+            diffs.append(f"{_format_partition(lam)}: {parts}")
     return diffs
 
 
@@ -224,7 +229,7 @@ def _render_rows(rows, fmt: str, job: dict, extra: dict | None = None) -> str:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["partition", "weight", "multiplicity", "routes"])
         for lam, w, m, names in rows:
-            writer.writerow([format_partition(lam), w, m, ";".join(names)])
+            writer.writerow([_format_partition(lam), w, m, ";".join(names)])
         return buf.getvalue()
     if fmt == "json":
         import json
@@ -237,7 +242,7 @@ def _render_rows(rows, fmt: str, job: dict, extra: dict | None = None) -> str:
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
     lines = [f"{'partition':<18} {'weight':>6} {'multiplicity':>12}  routes"]
     for lam, w, m, names in rows:
-        lines.append(f"{format_partition(lam):<18} {w:>6} {m:>12}  {';'.join(names)}")
+        lines.append(f"{_format_partition(lam):<18} {w:>6} {m:>12}  {';'.join(names)}")
     return "\n".join(lines) + "\n"
 
 
@@ -252,8 +257,7 @@ def _render_series(series, fmt: str, job: dict) -> str:
         raise SpecError("csv output is defined for multiplicity tables, not raw series")
     lines = []
     for exps, c in series.sorted_terms():
-        coeff = c if isinstance(c, int) else Fraction(c)
-        lines.append(f"{_format_monomial(series.vars.names, exps)}: {coeff}")
+        lines.append(f"{_format_monomial(series.vars.names, exps)}: {c}")
     return "\n".join(lines) + "\n"
 
 

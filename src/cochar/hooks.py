@@ -11,7 +11,10 @@ in this basis.  By Berele-Regev, hs_lam = sum_alpha s_alpha(t) s_(lam'/alpha')(y
 and hs_lam(t; y) = hs_lam'(y; t).  :func:`hs_decompose` therefore works in
 the basis s_alpha(t) y^beta of the larger alphabet, swapping the two when
 l > k: the t-block of its input goes to Schur coefficients through the
-Vandermonde alternant, and its tables walk vertical strips in y only.
+Vandermonde alternant, and its tables walk vertical strips in y only.  The
+peel subtracts each hs_lam straight from the cached (k, l-1) tables of the
+vertical strips of its last y variable, walking the basis keys of a degree
+once in decreasing order, so only tables shared between partitions are kept.
 
 With an empty second alphabet the hook Schur functions are the ordinary
 Schur functions: hs_poly(lam, d, 0, bound) is s_lam(t_1..t_d), and
@@ -33,11 +36,10 @@ Validation happens at the public functions and constructors.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from math import comb, factorial
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from cochar.partitions import (
     _conjugate,
@@ -98,6 +100,10 @@ def _hs_terms(lam: tuple[int, ...], k: int, l: int,
     last y-exponent is at least s; at l = 0 ``starts`` is (0,), every term.
     A peel of s boxes thus reads the terms that keep beta weakly decreasing
     off one slice.
+
+    :func:`_peel` reads the (k, l-1) tables of its hook this way and never
+    asks for a (k, l) one, so the cache holds the tables that partitions
+    share; :func:`hs_poly` asks for whole monomial tables.
     """
     if len(lam) > k and lam[k] > l:  # outside the hook
         return (), (0,)
@@ -274,6 +280,10 @@ def hs_decompose(g: Series, k: int, l: int) -> HookExpansion:
     substitution therefore either terminates with a zero residual or exposes
     a term no basis element can lead with, on the same inputs as one in
     monomials would, since the alternant is a unitriangular change of basis.
+    A peel only changes terms below its lead, so one walk over the basis
+    terms of a degree in decreasing order visits each lead in turn.  Besides
+    the off-span error, a table that does not cancel its lead or leaves a
+    term off the basis raises ``ValueError`` rather than looping.
     """
     if g.vars.names != VarSet.ty(k, l).names:
         raise ValueError(f"series variables {g.vars.names} do not fit hook ({k},{l})")
@@ -312,6 +322,31 @@ def _alternant(alpha: tuple[int, ...], k: int) -> tuple[tuple[int, Exps], ...]:
     return tuple((c, e) for e, c in acc.items() if c)
 
 
+def _padded_partitions(n: int, k: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """Every partition of weight at most n with at most k parts, each at most
+    ``cap``, padded to k entries, in decreasing lexicographic order."""
+    top = min(cap, n)
+    if k == 1:
+        for a in range(top, -1, -1):
+            yield (a,)
+        return
+    for a in range(top, -1, -1):
+        for rest in _padded_partitions(n - a, k - 1, a):
+            yield (a,) + rest
+
+
+def _basis_keys(n: int, k: int, l: int,
+                betas: dict[int, list[Exps]]) -> Iterator[tuple[Exps, Exps]]:
+    """The pairs (alpha, beta) of total weight n, alpha padded to k parts and
+    beta to l, in decreasing lexicographic order of alpha + beta; ``betas``
+    caches the beta of each weight."""
+    for alpha in _padded_partitions(n, k, n):
+        rest = n - sum(alpha)
+        if rest not in betas:
+            betas[rest] = [b + (0,) * (l - len(b)) for b in partitions_of(rest, l)]
+        yield from ((alpha, beta) for beta in betas[rest])
+
+
 def _peel(slices: Iterable[tuple[int, dict[Exps, Coeff]]], k: int, l: int,
           bound: int) -> HookExpansion:
     """The forward substitution of :func:`hs_decompose` on (degree, slice)
@@ -321,11 +356,23 @@ def _peel(slices: Iterable[tuple[int, dict[Exps, Coeff]]], k: int, l: int,
     degree, also where the monomial t^alpha y^beta is absent, for the
     alternant can be nonzero there.  With l > k the blocks swap and the
     result is conjugated, so the alternant takes the larger alphabet.
+
+    At l = 0 each s_alpha(t) is its own basis element, so the alternants are
+    the answer.  Otherwise one walk visits the basis keys alpha + beta of the
+    degree in decreasing lexicographic order (alpha padded to k parts, beta
+    to l), and a nonzero residual c there leads hs_lam.  For each vertical
+    peel (mu, s) of lam, c times the slice of the (k, l-1) table of mu that
+    keeps beta weakly decreasing is subtracted, with s appended to each key;
+    together these are the terms of hs_lam, all at or below the lead, so no
+    key needs a second visit.  The walk stops once the residual is empty and
+    skips empty degrees.  A peel that leaves its lead, or a key that
+    outlives the walk, means a table fault and raises ``ValueError``.
     """
     swap, cut = l > k, k
     if swap:
         k, l = l, k
     alphas: dict[int, list[tuple[Exps, Exps]]] = {}
+    betas: dict[int, list[Exps]] = {}
     coeffs: dict[tuple[int, ...], Coeff] = {}
     for n, slice_ in slices:
         by_y: dict[Exps, dict[Exps, Coeff]] = {}
@@ -341,24 +388,42 @@ def _peel(slices: Iterable[tuple[int, dict[Exps, Coeff]]], k: int, l: int,
                 d = sum(c * g.get(e, 0) for c, e in _alternant(alpha, k))
                 if d:
                     terms[padded + y] = d
-        while terms:
-            key = max(terms)
-            top, below = key[:k], _conjugate(key[k:])
+        if not terms:
+            continue
+        if not l:
+            coeffs.update((tuple(p for p in key if p), norm_coeff(c))
+                          for key, c in terms.items())
+            continue
+        for top, beta in _basis_keys(n, k, l, betas):
+            key = top + beta
+            c = terms.get(key)
+            if c is None:
+                continue
+            below = _conjugate(beta)
             if below and top[k - 1] < below[0]:
                 first, second = "yt" if swap else "ty"
                 raise ValueError(f"degree {n}: residual term s_{top}({first}) "
-                                 f"{second}^{key[k:]} is not led by any hook basis element")
+                                 f"{second}^{beta} is not led by any hook basis element")
             lam = tuple(p for p in top if p) + below  # in the hook: below[0] <= l
-            c = terms[key]
-            coeffs[lam] = norm_coeff(coeffs.get(lam, 0) + c)
-            if not coeffs[lam]:
-                del coeffs[lam]
-            for e, v in _hs_terms(lam, k, l, True)[0]:
-                t = terms.get(e, 0) - c * v
-                if t:
-                    terms[e] = t
-                else:
-                    terms.pop(e, None)
+            coeffs[lam] = norm_coeff(c)
+            for mu, s in _vertical_peels(lam, k, l):
+                sub, starts = _hs_terms(mu, k, l - 1, True)
+                suffix = (s,)
+                for e, v in sub[starts[min(s, len(starts) - 1)]:]:
+                    e += suffix
+                    t = terms.get(e, 0) - c * v
+                    if t:
+                        terms[e] = t
+                    else:
+                        terms.pop(e, None)
+            if key in terms:
+                raise ValueError(f"degree {n}: the peel of {lam} leaves its lead {key} "
+                                 f"in the residual")
+            if not terms:
+                break
+        else:
+            raise ValueError(f"degree {n}: residual key {next(iter(terms))} "
+                             f"outlives the walk over the basis keys")
     if swap:
         k, l = l, k
         coeffs = {_conjugate(lam): c for lam, c in coeffs.items()}
@@ -515,7 +580,7 @@ class HookMultSeries:
                     "lambda0": list(exps[:k]),
                     "mu": list(exps[k : 2 * k]),
                     "nu": list(exps[2 * k :]),
-                    "coeff": str(Fraction(c)),
+                    "coeff": str(c),
                 }
                 for _, _, exps, c in rows
             ],
@@ -540,7 +605,7 @@ class HookMultSeries:
             exps = tuple(lam0) + tuple(mu) + tuple(nu)
             if sum(exps) > bound:
                 raise ValueError(f"term {exps} is heavier than the bound {bound}")
-            terms[exps] = norm_coeff(Fraction(row["coeff"]))
+            terms[exps] = norm_coeff(row["coeff"])
         series = Series(VarSet.vty(k, l), bound, terms)
         return cls(k, l, bound, series)
 

@@ -188,10 +188,29 @@ def partitions_upto(n: int, max_parts: int | None = None,
 
 
 def hook_partitions_of(n: int, k: int, l: int) -> list[tuple[int, ...]]:
-    """Partitions of ``n`` inside the (k, l) hook."""
+    """Partitions of ``n`` inside the (k, l) hook, in descending lex order.
+
+    They are generated directly, every part below row k at most l, from the
+    tails of each remaining weight, largest part and row (capped at k).
+    """
     if k < 0 or l < 0:
         raise ValueError("hook parameters must be nonnegative")
-    return [lam for lam in partitions_of(n) if len(lam) <= k or lam[k] <= l]
+    memo: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
+
+    def tails(rem: int, cap: int, row: int) -> list[tuple[int, ...]]:
+        if rem == 0:
+            return [()]
+        if row == k:
+            cap = min(cap, l)
+        key = (rem, cap, row)
+        out = memo.get(key)
+        if out is None:
+            below = min(row + 1, k)
+            out = memo[key] = [(p,) + t for p in range(min(cap, rem), 0, -1)
+                               for t in tails(rem - p, p, below)]
+        return out
+
+    return tails(n, n, 0)
 
 
 def _horizontal_walk(lam: tuple[int, ...], k: int, l: int,
@@ -315,4 +334,9 @@ def parse_partition(text: str) -> tuple[int, ...]:
 
 
 def format_partition(lam: Sequence[int]) -> str:
-    return "[" + ",".join(str(p) for p in partition(lam)) + "]"
+    return _format_partition(partition(lam))
+
+
+def _format_partition(lam: tuple[int, ...]) -> str:
+    """:func:`format_partition` of a canonical partition tuple."""
+    return "[" + ",".join(map(str, lam)) + "]"

@@ -4,21 +4,28 @@ A :class:`Series` is a finite dict mapping exponent vectors to nonzero
 ``Fraction``/``int`` coefficients, together with a total-degree truncation
 ``bound``.  Every operation is exact: terms of total degree at most ``bound``
 are always correct, and nothing above the bound is stored.
+
+``fractions`` is imported only where a ``Fraction`` is built or parsed, so
+that integer-only work does not load it (nor ``decimal`` through it).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, Union
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Exps = tuple[int, ...]
-Coeff = int | Fraction
+Coeff = Union[int, "Fraction"]
 
 
 def norm_coeff(c: Coeff | str) -> Coeff:
     """Normalize to int when integral, Fraction otherwise."""
     if type(c) is int:
         return c
+    from fractions import Fraction
+
     f = Fraction(c)
     return int(f) if f.denominator == 1 else f
 
@@ -214,8 +221,11 @@ class Series:
                       {e: norm_coeff(v * c) for e, v in self.terms.items()}, _raw=True)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+        if not isinstance(other, Series):
+            from fractions import Fraction
+
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
         self._check_compatible(other)
         bound = min(self.bound, other.bound)
         # grade by total degree so high-degree pairs are pruned early
@@ -296,6 +306,8 @@ class Series:
                       key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0])))
 
     def to_obj(self) -> list[dict]:
+        from fractions import Fraction
+
         out = []
         for e, c in self.sorted_terms():
             f = Fraction(c)
@@ -309,6 +321,8 @@ class Series:
 
     @classmethod
     def from_obj(cls, vars_: VarSet, bound: int, obj: Iterable[Mapping]) -> "Series":
+        from fractions import Fraction
+
         terms: dict[Exps, Coeff] = {}
         for row in obj:
             c = Fraction(int(row["num"]), int(row["den"]))

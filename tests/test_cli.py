@@ -221,12 +221,13 @@ def test_table_needs_exactly_one_alphabet(capsys):
 
 def test_cli_import_skips_dataclasses_and_inspect():
     # every CLI job pays its import; dataclasses and inspect cost about 9 ms
-    # of it, and json, csv and the check suites load only where they are used
+    # of it, fractions (with decimal) about 5 ms, and json, csv, fractions and
+    # the check suites load only where they are used
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import cochar.cli, sys; "
             "print(sorted(m for m in ('dataclasses', 'inspect', 'json', 'csv', "
-            "'cochar.verify') if m in sys.modules))")
+            "'fractions', 'decimal', 'cochar.verify') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import signal
+from bisect import bisect_left
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
@@ -11,12 +12,15 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cochar.cli import _block_splits, _raw_expansion
+from cochar import hooks
+from cochar.cli import _block_splits, _raw_expansion, _raw_slices
 from cochar.hilbert import (_sorted_coefficients, grassmann_double_hilbert, utn_double_hilbert,
                             utn_mult_series)
 from cochar.hooks import (
     _alternant,
+    _conjugate,
     _hs_terms,
+    _peel,
     _schur_terms,
     _vertical_peels,
     decode_hook_mult,
@@ -39,7 +43,7 @@ from cochar.partitions import (assemble_hook, char_degree, conjugate, hook_parti
                                horizontal_strips, in_hook, partitions_of, partitions_upto,
                                vertical_strips, weight)
 from cochar.schur import to_mult_series
-from cochar.series import expand_factor, Series, VarSet
+from cochar.series import expand_factor, norm_coeff, Series, VarSet
 
 
 # -- brute-force tableau oracle ----------------------------------------------
@@ -192,8 +196,8 @@ def test_powers_stay_in_growing_hooks():
 
 @contextmanager
 def time_limit(seconds):
-    """Fail instead of hanging: a forward substitution that peels a residual
-    term no basis element leads with never empties its slice."""
+    """Fail instead of hanging, should a forward substitution keep peeling a
+    residual that it cannot empty."""
     def stop(signum, frame):
         raise TimeoutError(f"no result within {seconds} s")
 
@@ -473,6 +477,120 @@ def test_hs_terms_match_the_unpruned_recursion(k, l, schur_t):
             assert lasts == sorted(lasts)
             assert all(starts[min(s, len(starts) - 1)] == sum(1 for x in lasts if x < s)
                        for s in range(sum(lam) + 2))
+
+
+# -- the peel ------------------------------------------------------------------
+
+
+def max_peel(slices, k, l, bound):
+    """Oracle: the forward substitution that peels the largest residual key
+    with the whole (k, l) table of its partition, until the slice is empty."""
+    swap, cut = l > k, k
+    if swap:
+        k, l = l, k
+    coeffs = {}
+    for n, slice_ in slices:
+        by_y = {}
+        for e, c in slice_.items():
+            t, y = (e[cut:], e[:cut]) if swap else (e[:cut], e[cut:])
+            by_y.setdefault(y, {})[t] = c
+        terms = {}
+        for y, g in by_y.items():
+            for alpha in partitions_of(n - sum(y), k):
+                d = sum(c * g.get(e, 0) for c, e in _alternant(alpha, k))
+                if d:
+                    terms[alpha + (0,) * (k - len(alpha)) + y] = d
+        while terms:
+            key = max(terms)
+            top, below = key[:k], _conjugate(key[k:])
+            if below and top[k - 1] < below[0]:
+                raise ValueError(f"degree {n}: residual term {key} is not led by any hook "
+                                 f"basis element")
+            lam = tuple(p for p in top if p) + below
+            c = terms[key]
+            coeffs[lam] = norm_coeff(coeffs.get(lam, 0) + c)
+            if not coeffs[lam]:
+                del coeffs[lam]
+            for e, v in _hs_terms(lam, k, l, True)[0]:
+                t = terms.get(e, 0) - c * v
+                if t:
+                    terms[e] = t
+                else:
+                    terms.pop(e, None)
+    if swap:
+        k, l = l, k
+        coeffs = {_conjugate(lam): c for lam, c in coeffs.items()}
+    return HookExpansion(k, l, bound, coeffs, _raw=True)
+
+
+@pytest.mark.parametrize("n, k, l, bound", [(2, 2, 3, 12), (3, 3, 2, 9), (2, 1, 2, 12),
+                                            (2, 4, 0, 10), (1, 1, 4, 10)])
+def test_peel_matches_the_max_driven_oracle(n, k, l, bound):
+    slices = _raw_slices(n, k, l, bound)
+    got = _peel(slices, k, l, bound)
+    assert got.coeffs and got == max_peel(slices, k, l, bound)
+
+
+@pytest.fixture
+def corrupt_tables(monkeypatch):
+    """Install a corruption of the schur_t tables of one y-level; the true
+    tables are computed and cached as before, and the cache is emptied after."""
+    true_tables = hooks._hs_terms
+
+    def install(level, change):
+        def corrupted(lam, k, l, schur_t):
+            terms, starts = true_tables(lam, k, l, schur_t)
+            if schur_t and l == level and terms:
+                return change(terms, starts)
+            return terms, starts
+
+        monkeypatch.setattr(hooks, "_hs_terms", corrupted)
+
+    yield install
+    true_tables.cache_clear()
+
+
+def drop_lead(terms, starts):
+    """The table without its largest key, with its start offsets recounted."""
+    lead = max(e for e, _ in terms)
+    kept = [t for t in terms if t[0] != lead]
+    lasts = [e[-1] for e, _ in kept]
+    return tuple(kept), tuple(bisect_left(lasts, s) for s in range(len(starts) - 1)) + (len(kept),)
+
+
+def add_stray(terms, starts):
+    """The table with one more entry, at a key that is no basis key."""
+    return terms + ((tuple(range(len(terms[0][0]))), 1),), starts
+
+
+def test_peel_raises_when_a_table_misses_its_lead(corrupt_tables):
+    g = utn_double_hilbert(2, 2, 2, 6)
+    corrupt_tables(1, drop_lead)
+    with time_limit(10), pytest.raises(ValueError, match="leaves its lead"):
+        hs_decompose(g, 2, 2)
+
+
+def test_peel_raises_on_a_stray_table_key(corrupt_tables):
+    g = utn_double_hilbert(2, 2, 2, 6)
+    corrupt_tables(1, add_stray)
+    with time_limit(10), pytest.raises(ValueError, match="outlives the walk"):
+        hs_decompose(g, 2, 2)
+
+
+def test_sparse_input_walks_one_key(monkeypatch):
+    # the walk starts at the degree's largest key, so hs_(4) at bound 24 is
+    # peeled at its first key, and the empty degrees build no key at all
+    walked = []
+    basis_keys = hooks._basis_keys
+
+    def counted(n, k, l, betas):
+        for pair in basis_keys(n, k, l, betas):
+            walked.append(n)
+            yield pair
+
+    monkeypatch.setattr(hooks, "_basis_keys", counted)
+    got = hs_decompose(hs_poly((4,), 4, 4, 24), 4, 4)
+    assert got.coeffs == {(4,): 1} and walked == [4]
 
 
 # -- the CLI raw route ---------------------------------------------------------
