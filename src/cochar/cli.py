@@ -160,8 +160,8 @@ def _raw_expansion(n: int, k: int, l: int, trunc: int) -> HookExpansion:
 def _routes(n: int, k: int, l: int, trunc: int, domain: list[tuple[int, ...]],
             series: Callable) -> dict[str, Callable]:
     def pipeline():
-        ms = series()
-        return {lam: ms.coefficient(lam) for lam in domain}
+        get = series()._coefficient  # the domain is canonical and in the hook
+        return {lam: get(lam) for lam in domain}
 
     def decompose():
         exp = _raw_expansion(n, k, l, trunc)
@@ -221,6 +221,60 @@ def _format_monomial(names: Sequence[str], exps: Sequence[int]) -> str:
     return " ".join(pieces) if pieces else "1"
 
 
+def _json(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, for dicts
+    with str keys, lists, str, int, bool and None; any other type raises
+    ``TypeError``.  Str and int members are written in line, without a call."""
+    from json.encoder import encode_basestring_ascii as quote
+
+    chunks: list[str] = []
+    put = chunks.append
+
+    def member(sep: str, v, inner: str) -> None:
+        if type(v) is str:
+            put(sep + quote(v))
+        elif type(v) is int:
+            put(sep + int.__repr__(v))
+        else:
+            put(sep)
+            write(v, inner)
+
+    def write(o, pad: str) -> None:
+        if isinstance(o, dict) and o:
+            inner = pad + "  "
+            sep = "{\n" + inner
+            for key in sorted(o):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                member(sep + quote(key) + ": ", o[key], inner)
+                sep = ",\n" + inner
+            put("\n" + pad + "}")
+        elif isinstance(o, list) and o:
+            inner = pad + "  "
+            sep = "[\n" + inner
+            for v in o:
+                member(sep, v, inner)
+                sep = ",\n" + inner
+            put("\n" + pad + "]")
+        elif isinstance(o, str):
+            put(quote(o))
+        elif o is None:
+            put("null")
+        elif o is True:
+            put("true")
+        elif o is False:
+            put("false")
+        elif isinstance(o, int):
+            put(int.__repr__(o))
+        elif isinstance(o, (dict, list)):
+            put("{}" if isinstance(o, dict) else "[]")
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    write(obj, "")
+    return "".join(chunks)
+
+
 def _render_rows(rows, fmt: str, job: dict, extra: dict | None = None) -> str:
     if fmt == "csv":
         import csv
@@ -232,14 +286,12 @@ def _render_rows(rows, fmt: str, job: dict, extra: dict | None = None) -> str:
             writer.writerow([_format_partition(lam), w, m, ";".join(names)])
         return buf.getvalue()
     if fmt == "json":
-        import json
-
         obj = dict(job)
         obj["rows"] = [{"partition": list(lam), "weight": w, "multiplicity": m,
                         "routes": list(names)} for lam, w, m, names in rows]
         if extra:
             obj.update(extra)
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        return _json(obj) + "\n"
     lines = [f"{'partition':<18} {'weight':>6} {'multiplicity':>12}  routes"]
     for lam, w, m, names in rows:
         lines.append(f"{_format_partition(lam):<18} {w:>6} {m:>12}  {';'.join(names)}")
@@ -248,11 +300,9 @@ def _render_rows(rows, fmt: str, job: dict, extra: dict | None = None) -> str:
 
 def _render_series(series, fmt: str, job: dict) -> str:
     if fmt == "json":
-        import json
-
         obj = dict(job)
         obj["series"] = series.to_obj()
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        return _json(obj) + "\n"
     if fmt == "csv":
         raise SpecError("csv output is defined for multiplicity tables, not raw series")
     lines = []
@@ -352,11 +402,9 @@ def _cmd_verify(args) -> int:
 
     results = run_suite(args.suite)
     if args.format == "json":
-        import json
-
         obj = [{"suite": r.suite, "name": r.name, "passed": r.passed,
                 "detail": r.detail} for r in results]
-        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        text = _json(obj) + "\n"
     else:
         lines = [f"{'PASS' if r.passed else 'FAIL'}  {r.suite}: {r.name} -- {r.detail}"
                  for r in results]

@@ -26,7 +26,7 @@ Products of hook Schur functions expand by the ordinary Littlewood-Richardson
 rule with every summand outside the hook discarded, so the one-row and
 one-column Pieri steps below add the ordinary strips that stay in the hook.
 The derivations add strips of every size at once, walking each partition
-once.
+once, run of equal parts by run, into one dict.
 
 Internal paths pass canonical partition tuples: results are built with
 ``_raw=True`` and the split encoding is computed from them directly.
@@ -335,16 +335,17 @@ def _padded_partitions(n: int, k: int, cap: int) -> Iterator[tuple[int, ...]]:
             yield (a,) + rest
 
 
-def _basis_keys(n: int, k: int, l: int,
-                betas: dict[int, list[Exps]]) -> Iterator[tuple[Exps, Exps]]:
-    """The pairs (alpha, beta) of total weight n, alpha padded to k parts and
-    beta to l, in decreasing lexicographic order of alpha + beta; ``betas``
-    caches the beta of each weight."""
+def _basis_keys(n: int, k: int, l: int, betas: dict[int, list[tuple[Exps, Exps]]]
+                ) -> Iterator[tuple[Exps, Exps, Exps]]:
+    """The triples (alpha, beta, beta') of total weight n, alpha padded to k
+    parts and beta to l, in decreasing lexicographic order of alpha + beta;
+    ``betas`` caches each beta of a weight with its conjugate."""
     for alpha in _padded_partitions(n, k, n):
         rest = n - sum(alpha)
         if rest not in betas:
-            betas[rest] = [b + (0,) * (l - len(b)) for b in partitions_of(rest, l)]
-        yield from ((alpha, beta) for beta in betas[rest])
+            betas[rest] = [(b + (0,) * (l - len(b)), _conjugate(b))
+                           for b in partitions_of(rest, l)]
+        yield from ((alpha, beta, below) for beta, below in betas[rest])
 
 
 def _peel(slices: Iterable[tuple[int, dict[Exps, Coeff]]], k: int, l: int,
@@ -372,7 +373,7 @@ def _peel(slices: Iterable[tuple[int, dict[Exps, Coeff]]], k: int, l: int,
     if swap:
         k, l = l, k
     alphas: dict[int, list[tuple[Exps, Exps]]] = {}
-    betas: dict[int, list[Exps]] = {}
+    betas: dict[int, list[tuple[Exps, Exps]]] = {}
     coeffs: dict[tuple[int, ...], Coeff] = {}
     for n, slice_ in slices:
         by_y: dict[Exps, dict[Exps, Coeff]] = {}
@@ -394,12 +395,11 @@ def _peel(slices: Iterable[tuple[int, dict[Exps, Coeff]]], k: int, l: int,
             coeffs.update((tuple(p for p in key if p), norm_coeff(c))
                           for key, c in terms.items())
             continue
-        for top, beta in _basis_keys(n, k, l, betas):
+        for top, beta, below in _basis_keys(n, k, l, betas):
             key = top + beta
             c = terms.get(key)
             if c is None:
                 continue
-            below = _conjugate(beta)
             if below and top[k - 1] < below[0]:
                 first, second = "yt" if swap else "ty"
                 raise ValueError(f"degree {n}: residual term s_{top}({first}) "
@@ -453,15 +453,16 @@ def hook_pieri_col(e: HookExpansion, m: int) -> HookExpansion:
 def _derived(e: HookExpansion, walk: Callable, even: bool = False) -> HookExpansion:
     """Multiply by the sum of the strips the walk adds, of every size or of even sizes.
 
-    Each partition is walked once, for every strip size up to the bound.
+    Each partition is walked once, run of equal parts by run, for every strip
+    size up to the bound; the walk adds the partition's coefficient at each
+    strip straight into one dict, and with ``even`` it skips the odd sizes
+    itself.  The walks reach the strips in increasing lexicographic order, so
+    the dict's order depends only on the input's.
     """
     k, l, bound = e.k, e.l, e.bound
     acc: dict[tuple[int, ...], Coeff] = {}
     for lam, c in e.coeffs.items():
-        w = sum(lam)
-        for nu in walk(lam, k, l, bound - w):
-            if not even or (sum(nu) - w) % 2 == 0:
-                acc[nu] = acc.get(nu, 0) + c
+        walk(lam, k, l, bound - sum(lam), c, acc, even)
     return HookExpansion(k, l, bound,
                          {nu: norm_coeff(c) for nu, c in acc.items() if c}, _raw=True)
 
@@ -567,7 +568,11 @@ class HookMultSeries:
         lam = partition(lam)
         if len(lam) > self.k and lam[self.k] > self.l:
             return 0
-        return self.series.coefficient(_split_exps(lam, self.k, self.l))
+        return self._coefficient(lam)
+
+    def _coefficient(self, lam: tuple[int, ...]) -> Coeff:
+        """:meth:`coefficient` of a canonical partition in the hook, unchecked."""
+        return self.series.terms.get(_split_exps(lam, self.k, self.l), 0)
 
     def to_obj(self) -> dict:
         k, l = self.k, self.l

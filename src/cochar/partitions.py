@@ -3,14 +3,18 @@
 Partitions are plain tuples of weakly decreasing positive integers; the empty
 partition is ``()``.  The public functions validate and normalize their input
 through :func:`partition`, which strips trailing zeros.  Internal paths pass
-canonical tuples: the private strip walks, one per strip kind, trust theirs
-and call no :func:`partition`, and the public strip generators validate once
-and filter a walk to one size.
+canonical tuples: the private strip walks trust theirs and call no
+:func:`partition`.  A walk steps over the runs of equal parts of a partition,
+not its rows, and adds a coefficient at each strip it reaches straight into
+the caller's dict, in increasing lexicographic order, of every size up to a
+budget or of the even sizes only.  The public strip generators validate
+once and keep a walk's results of one size.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 
@@ -44,10 +48,19 @@ def conjugate(lam: Sequence[int]) -> tuple[int, ...]:
 
 
 def _conjugate(lam: tuple[int, ...]) -> tuple[int, ...]:
-    """:func:`conjugate` of a weakly decreasing tuple, trailing zeros allowed."""
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
+    """:func:`conjugate` of a weakly decreasing tuple, trailing zeros allowed.
+
+    One pass from the last row up: the columns past the part below row i
+    and up to the part of row i have length i.
+    """
+    out: list[int] = []
+    width = 0
+    for i in range(len(lam), 0, -1):
+        p = lam[i - 1]
+        if p > width:
+            out += [i] * (p - width)
+            width = p
+    return tuple(out)
 
 
 def contains(outer: Sequence[int], inner: Sequence[int]) -> bool:
@@ -213,72 +226,91 @@ def hook_partitions_of(n: int, k: int, l: int) -> list[tuple[int, ...]]:
     return tails(n, n, 0)
 
 
-def _horizontal_walk(lam: tuple[int, ...], k: int, l: int,
-                     budget: int) -> list[tuple[int, ...]]:
-    """Every nu in the (k, l) hook with nu/lam a horizontal strip of at most
-    ``budget`` boxes, in increasing lexicographic order of the rows.
+@cache
+def _growths(v: int, r: int, top: int, vertical: bool) -> tuple[tuple[int, ...], ...]:
+    """A run of r parts v with x = 0..top boxes added, in increasing order:
+    on its first row for a horizontal strip, one on each of its top x rows
+    for a vertical one."""
+    if vertical:
+        return tuple((v + 1,) * x + (v,) * (r - x) for x in range(top + 1))
+    return tuple((v + x,) + (v,) * (r - 1) for x in range(top + 1))
 
-    ``lam`` is a canonical partition inside the hook.  Row i of nu lies
-    between lam[i] and lam[i-1], so nu has at most one row more than lam, and
-    rows from index k on stay at most l.
+
+@cache
+def _new_rows(top: int, vertical: bool) -> tuple[tuple[int, ...], ...]:
+    """x = 0..top boxes in new rows: x rows of one box, or one row of x."""
+    return tuple((1,) * x if vertical else (x,) if x else () for x in range(top + 1))
+
+
+def _walk(lam: tuple[int, ...], k: int, l: int, budget: int, c, acc: dict,
+          even: bool, vertical: bool) -> None:
+    """Add ``c`` at ``acc[nu]`` for every nu in the (k, l) hook with nu/lam a
+    strip of at most ``budget`` boxes (of an even number with ``even``), in
+    increasing lexicographic order of the rows.
+
+    The walk steps over the runs of equal parts of ``lam``, a canonical
+    partition inside the hook, and then over the new rows below it; each
+    run's choices grow lexicographically with the boxes they add.  Rows from
+    index k on stay at most l.  A horizontal strip keeps row i of nu between
+    lam[i] and lam[i-1], so of a run only the first row can grow, and it adds
+    at most one row.  A vertical strip grows each row by at most one box, so
+    a run grows its top rows, and a run of parts l only its rows above index
+    k; its new rows hold one box each, and a (k, 0) hook allows no row past
+    the k-th.
     """
-    out: list[tuple[int, ...]] = []
-    rows = lam + (0,)
-    last = len(lam)
+    steps: list[tuple[tuple[int, ...], ...]] = []
+    tails: list[tuple[int, ...]] = []
+    i, n = 0, len(lam)
+    while i < n:
+        v, j = lam[i], i + 1
+        while j < n and lam[j] == v:
+            j += 1
+        if vertical:
+            top = min(j - i if v < l else max(0, k - i), j - i, budget)
+        else:
+            top = min(lam[i - 1] - v, budget) if i else budget
+            if i >= k:
+                top = min(top, l - v)
+        steps.append(_growths(v, j - i, top, vertical))
+        tails.append(lam[i:])
+        i = j
+    tails.append(())
+    if vertical:
+        top = min(budget, max(0, k - n)) if l == 0 else budget
+    else:
+        top = min(lam[-1], budget) if lam else budget
+        if n >= k:
+            top = min(top, l)
+    below = _new_rows(top, vertical)
+    last = len(steps)
+    full = not (even and budget & 1)  # whether a nu that spends the budget counts
 
-    def rec(i: int, budget: int, acc: list[int]) -> None:
-        if budget == 0:
-            out.append(tuple(acc) + lam[i:])
+    def rec(j: int, rem: int, head: tuple[int, ...]) -> None:
+        if j == last:
+            for rows in below[(budget - rem) & 1:rem + 1:2] if even else below[:rem + 1]:
+                nu = head + rows
+                acc[nu] = acc.get(nu, 0) + c
             return
-        low = rows[i]
-        cap = low + budget if i == 0 else min(lam[i - 1], low + budget)
-        if i >= k:
-            cap = min(cap, l)
-        if i == last:
-            out.append(tuple(acc))
-            out.extend(tuple(acc) + (v,) for v in range(1, cap + 1))
-            return
-        for v in range(low, cap + 1):
-            acc.append(v)
-            rec(i + 1, budget - (v - low), acc)
-            acc.pop()
+        run = steps[j]
+        for x, rows in enumerate(run[:rem]):
+            rec(j + 1, rem - x, head + rows)
+        if len(run) > rem and full:  # run j spends the budget
+            nu = head + run[rem] + tails[j + 1]
+            acc[nu] = acc.get(nu, 0) + c
 
-    rec(0, budget, [])
-    return out
+    rec(0, budget, ())
 
 
-def _vertical_walk(lam: tuple[int, ...], k: int, l: int,
-                   budget: int) -> list[tuple[int, ...]]:
-    """Every nu in the (k, l) hook with nu/lam a vertical strip of at most
-    ``budget`` boxes, in increasing lexicographic order of the rows.
+def _horizontal_walk(lam: tuple[int, ...], k: int, l: int, budget: int, c,
+                     acc: dict, even: bool = False) -> None:
+    """:func:`_walk` over horizontal strips."""
+    _walk(lam, k, l, budget, c, acc, even, False)
 
-    ``lam`` is a canonical partition inside the hook.  Each row of lam grows
-    by at most one box and new rows hold one box each; rows from index k on
-    stay at most l, so a (k, 0) hook allows no row past the k-th.
-    """
-    out: list[tuple[int, ...]] = []
-    last = len(lam)
-    extra = max(0, k - last) if l == 0 else budget  # new rows that fit the hook
 
-    def rec(i: int, budget: int, prev: int, acc: list[int]) -> None:
-        if budget == 0:
-            out.append(tuple(acc) + lam[i:])
-            return
-        if i == last:
-            out.append(tuple(acc))
-            out.extend(tuple(acc) + (1,) * m for m in range(1, min(budget, extra) + 1))
-            return
-        base = lam[i]
-        acc.append(base)
-        rec(i + 1, budget, base, acc)
-        acc.pop()
-        if base < prev and (i < k or base < l):
-            acc.append(base + 1)
-            rec(i + 1, budget - 1, base + 1, acc)
-            acc.pop()
-
-    rec(0, budget, (lam[0] if lam else 0) + 1, [])
-    return out
+def _vertical_walk(lam: tuple[int, ...], k: int, l: int, budget: int, c,
+                   acc: dict, even: bool = False) -> None:
+    """:func:`_walk` over vertical strips."""
+    _walk(lam, k, l, budget, c, acc, even, True)
 
 
 def _strips(walk: Callable, lam: Sequence[int], size: int,
@@ -293,8 +325,10 @@ def _strips(walk: Callable, lam: Sequence[int], size: int,
     k, l = hook if hook is not None else (len(lam) + size + 1, 0)
     if len(lam) > k and lam[k] > l:
         return
+    acc: dict[tuple[int, ...], int] = {}
+    walk(lam, k, l, size, 1, acc)
     target = sum(lam) + size
-    yield from (nu for nu in walk(lam, k, l, size) if sum(nu) == target)
+    yield from (nu for nu in acc if sum(nu) == target)
 
 
 def horizontal_strips(lam: Sequence[int], size: int,

@@ -70,12 +70,16 @@ class MultSeries:
         lam = partition(lam)
         if len(lam) > self.d:
             return 0
+        return self._coefficient(lam)
+
+    def _coefficient(self, lam: tuple[int, ...]) -> Coeff:
+        """:meth:`coefficient` of a canonical partition of at most d parts, unchecked."""
         if self.form == "T":
             exps = lam + (0,) * (self.d - len(lam))
         else:
             full = lam + (0,) * (self.d - len(lam) + 1)
             exps = tuple(full[i] - full[i + 1] for i in range(self.d))
-        return self.series.coefficient(exps)
+        return self.series.terms.get(exps, 0)
 
 
 def to_mult_series(e: HookExpansion, form: str = "T") -> MultSeries:

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cochar import cli
 from cochar.hilbert import utn_hilbert
@@ -81,6 +82,28 @@ def test_json_embed_runs_the_pipeline_once(capsys, monkeypatch, argv, pipeline):
     code, alone, _ = run(argv + ["--method", "decompose"], capsys)
     assert code == 0 and len(calls) == 2
     assert json.loads(alone)["series"] == json.loads(full)["series"]
+
+
+# strings mix arbitrary characters with quotes, backslashes, control and
+# non-ASCII ones; ints reach past 64 bits
+json_text = st.text(st.characters() | st.sampled_from('"\\/\n\t\x00\x1f\x7fé€\u2028😀'), max_size=8)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 100, 2 ** 100) | json_text,
+    lambda inner: st.lists(inner) | st.dictionaries(json_text, inner),
+    max_leaves=20)
+
+
+@settings(max_examples=50, deadline=None)
+@given(json_values)
+@example({"b": [], "a": {}, "c": [{}, [[]], -1, 2 ** 70, True, False, None, 'q"\\\x01ü']})
+def test_json_writer_matches_json_dumps(obj):
+    assert cli._json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("obj", [1.5, {"a": [0.0]}, [(1, 2)], {1: "int key"}])
+def test_json_writer_rejects_other_types(obj):
+    with pytest.raises(TypeError):
+        cli._json(obj)
 
 
 def test_hilbert_json_matches_module(capsys):

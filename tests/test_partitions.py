@@ -4,7 +4,10 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
+from cochar.hooks import _derived, HookExpansion
 from cochar.partitions import (
+    _horizontal_walk,
+    _vertical_walk,
     assemble_hook,
     char_degree,
     conjugate,
@@ -394,6 +397,104 @@ def test_strips_come_in_lexicographic_order():
                     for strips in (horizontal_strips, vertical_strips):
                         got = list(strips(lam, size, hook=hook))
                         assert got == sorted(set(got)), (strips.__name__, lam, size, hook)
+
+
+def row_walk(lam, k, l, budget):
+    """Oracle: the row-by-row horizontal walk, a list in increasing lex order."""
+    out = []
+    rows = lam + (0,)
+    last = len(lam)
+
+    def rec(i, budget, acc):
+        if budget == 0:
+            out.append(tuple(acc) + lam[i:])
+            return
+        low = rows[i]
+        cap = low + budget if i == 0 else min(lam[i - 1], low + budget)
+        if i >= k:
+            cap = min(cap, l)
+        if i == last:
+            out.append(tuple(acc))
+            out.extend(tuple(acc) + (v,) for v in range(1, cap + 1))
+            return
+        for v in range(low, cap + 1):
+            acc.append(v)
+            rec(i + 1, budget - (v - low), acc)
+            acc.pop()
+
+    rec(0, budget, [])
+    return out
+
+
+def column_walk(lam, k, l, budget):
+    """Oracle: the row-by-row vertical walk, a list in increasing lex order."""
+    out = []
+    last = len(lam)
+    extra = max(0, k - last) if l == 0 else budget
+
+    def rec(i, budget, prev, acc):
+        if budget == 0:
+            out.append(tuple(acc) + lam[i:])
+            return
+        if i == last:
+            out.append(tuple(acc))
+            out.extend(tuple(acc) + (1,) * m for m in range(1, min(budget, extra) + 1))
+            return
+        base = lam[i]
+        acc.append(base)
+        rec(i + 1, budget, base, acc)
+        acc.pop()
+        if base < prev and (i < k or base < l):
+            acc.append(base + 1)
+            rec(i + 1, budget - 1, base + 1, acc)
+            acc.pop()
+
+    rec(0, budget, (lam[0] if lam else 0) + 1, [])
+    return out
+
+
+def oracle_derived(e, oracle, even):
+    """Oracle: multiply by the strips of the oracle walk, filtering even sizes."""
+    acc = {}
+    for lam, c in e.coeffs.items():
+        w = sum(lam)
+        for nu in oracle(lam, e.k, e.l, e.bound - w):
+            if not even or (sum(nu) - w) % 2 == 0:
+                acc[nu] = acc.get(nu, 0) + c
+    return [(nu, c) for nu, c in acc.items() if c]
+
+
+WALK_HOOKS = [(k, l) for k in range(5) for l in range(4) if k + l]
+WALKS = ((_horizontal_walk, row_walk), (_vertical_walk, column_walk))
+
+
+def test_walks_match_row_by_row_oracles():
+    # every in-hook lam of weight <= 12 and budget <= 6, (k, 0) and (0, l)
+    # included; a smaller budget keeps the strips of budget 6 that fit it
+    for k, l in WALK_HOOKS:
+        for lam in (lam for w in range(13) for lam in hook_partitions_of(w, k, l)):
+            for walk, oracle in WALKS:
+                sizes = [(nu, sum(nu) - sum(lam)) for nu in oracle(lam, k, l, 6)]
+                for budget in range(7):
+                    acc = {}
+                    walk(lam, k, l, budget, 1, acc)
+                    assert list(acc) == [nu for nu, s in sizes if s <= budget], \
+                        (walk.__name__, lam, k, l, budget)
+                    assert set(acc.values()) <= {1}
+
+
+def test_derived_matches_oracle():
+    # signed coefficients that cancel in places; dict order is the output order
+    for k, l in WALK_HOOKS:
+        for low, bound in ((0, 6), (6, 12)):
+            domain = [lam for w in range(low, bound + 1) for lam in hook_partitions_of(w, k, l)]
+            e = HookExpansion(k, l, bound, {lam: (-1) ** i * (i % 3 + 1)
+                                            for i, lam in enumerate(domain)})
+            for walk, oracle in WALKS:
+                for even in (False, True):
+                    got = _derived(e, walk, even)
+                    assert list(got.coeffs.items()) == oracle_derived(e, oracle, even), \
+                        (walk.__name__, k, l, bound, even)
 
 
 @given(partitions_strategy(max_weight=6, max_parts=4), st.integers(0, 3))
