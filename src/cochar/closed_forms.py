@@ -15,19 +15,20 @@ and the test suite holds them to that.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .partitions import in_hook, partition
+from .partitions import partition
 from .series import Series, VarSet, expand_factor
 
 # ---------------------------------------------------------------------------
 # piecewise multiplicity tables
 # ---------------------------------------------------------------------------
+# Each table reads a canonical partition tuple.
 
 
 def _grassmann_value(lam: tuple[int, ...]) -> int | None:
     # every hook shape occurs exactly once; nothing else occurs
-    return 1 if in_hook(lam, 1, 1) else None
+    return 1 if len(lam) < 2 or lam[1] <= 1 else None
 
 
 def _ut2_value(lam: tuple[int, ...]) -> int | None:
@@ -106,7 +107,7 @@ def _ut3_two_part_value(lam: tuple[int, ...]) -> int | None:
 
 def _ut3_hook_value(lam: tuple[int, ...]) -> int | None:
     """Hook-shape table for UT_3 over the Grassmann algebra (arm and one-column leg)."""
-    if not in_hook(lam, 1, 1):
+    if len(lam) > 1 and lam[1] > 1:  # outside the (1,1) hook
         return None
     if len(lam) <= 1:
         return 1                                        # (n), n >= 0
@@ -135,17 +136,22 @@ _TABLES = {
 }
 
 
+def closed_table(algebra: str) -> Callable[[tuple[int, ...]], int | None]:
+    """The table of :func:`closed_multiplicity` for ``algebra``; it reads
+    canonical partition tuples and validates nothing."""
+    try:
+        return _TABLES[algebra]
+    except KeyError:
+        raise ValueError(f"unknown algebra tag {algebra!r}") from None
+
+
 def closed_multiplicity(algebra: str, lam: Sequence[int]) -> int | None:
     """Tabulated multiplicity of the shape ``lam``, or None outside the table.
 
     None means the table makes no claim beyond "0 for all other shapes", so
     callers treat it as zero inside the table's declared domain.
     """
-    try:
-        table = _TABLES[algebra]
-    except KeyError:
-        raise ValueError(f"unknown algebra tag {algebra!r}") from None
-    return table(partition(lam))
+    return closed_table(algebra)(partition(lam))
 
 
 # ---------------------------------------------------------------------------

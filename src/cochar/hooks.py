@@ -568,10 +568,6 @@ class HookMultSeries:
         lam = partition(lam)
         if len(lam) > self.k and lam[self.k] > self.l:
             return 0
-        return self._coefficient(lam)
-
-    def _coefficient(self, lam: tuple[int, ...]) -> Coeff:
-        """:meth:`coefficient` of a canonical partition in the hook, unchecked."""
         return self.series.terms.get(_split_exps(lam, self.k, self.l), 0)
 
     def to_obj(self) -> dict:

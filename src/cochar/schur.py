@@ -70,10 +70,6 @@ class MultSeries:
         lam = partition(lam)
         if len(lam) > self.d:
             return 0
-        return self._coefficient(lam)
-
-    def _coefficient(self, lam: tuple[int, ...]) -> Coeff:
-        """:meth:`coefficient` of a canonical partition of at most d parts, unchecked."""
         if self.form == "T":
             exps = lam + (0,) * (self.d - len(lam))
         else:

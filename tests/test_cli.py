@@ -11,13 +11,22 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cochar import cli
-from cochar.hilbert import utn_hilbert
+from cochar.hilbert import utn_hilbert, utn_mult_series
+from cochar.hooks import utn_hook_mult_series
 
 
 def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _subprocess(argv, cwd):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *argv], env=env, cwd=cwd, capture_output=True)
 
 
 def test_mult_all_routes(capsys):
@@ -67,14 +76,16 @@ def test_hookmult_json_embeds_series(capsys):
     (["hookmult", "--algebra", "UT2E", "--hook", "1,1"], "utn_hook_mult_series"),
 ])
 def test_json_embed_runs_the_pipeline_once(capsys, monkeypatch, argv, pipeline):
+    # the CLI reads the expansion of the pipeline and encodes it once, for
+    # the embed, as the library's pipeline function does
     calls = []
-    real = getattr(cli, pipeline)
+    real = cli._utn_hook_expansion
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(cli, pipeline, counted)
+    monkeypatch.setattr(cli, "_utn_hook_expansion", counted)
     argv = argv + ["--trunc", "5", "--format", "json"]
     code, full, _ = run(argv, capsys)
     assert code == 0 and len(calls) == 1
@@ -82,6 +93,12 @@ def test_json_embed_runs_the_pipeline_once(capsys, monkeypatch, argv, pipeline):
     code, alone, _ = run(argv + ["--method", "decompose"], capsys)
     assert code == 0 and len(calls) == 2
     assert json.loads(alone)["series"] == json.loads(full)["series"]
+    if pipeline == "utn_mult_series":
+        ms = utn_mult_series(2, 2, 5)
+        want = {"form": ms.form, "d": ms.d, "bound": ms.bound, "terms": ms.series.to_obj()}
+    else:
+        want = utn_hook_mult_series(2, 1, 1, 5).to_obj()
+    assert json.loads(full)["series"] == want
 
 
 # strings mix arbitrary characters with quotes, backslashes, control and
@@ -204,9 +221,9 @@ def test_out_writes_file(tmp_path, capsys):
 
 
 def test_route_disagreement_exits_nonzero(capsys, monkeypatch):
-    def wrong(tag, lam):
-        return 99
-    monkeypatch.setattr(cli, "closed_multiplicity", wrong)
+    def wrong(tag):
+        return lambda lam: 99
+    monkeypatch.setattr(cli, "closed_table", wrong)
     code, out, err = run(["mult", "--algebra", "E", "--vars", "2",
                           "--trunc", "3", "--method", "all"], capsys)
     assert code == 1
@@ -246,11 +263,72 @@ def test_cli_import_skips_dataclasses_and_inspect():
     # every CLI job pays its import; dataclasses and inspect cost about 9 ms
     # of it, fractions (with decimal) about 5 ms, and json, csv, fractions and
     # the check suites load only where they are used
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
     code = ("import cochar.cli, sys; "
             "print(sorted(m for m in ('dataclasses', 'inspect', 'json', 'csv', "
             "'fractions', 'decimal', 'cochar.verify') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    proc = _subprocess(["-c", code], None)
+    assert proc.returncode == 0 and proc.stdout.strip() == b"[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["hookmult", "--algebra", "UT3E", "--hook", "1,1", "--trunc", "6", "--format", "json"],
+    ["mult", "--algebra", "UT2E", "--vars", "2", "--trunc", "6", "--format", "csv",
+     "--out", "table.csv"],
+    ["hookmult", "--algebra", "UT9E", "--hook", "1,1", "--trunc", "6"],  # SpecError
+    ["hookmult", "--algebra", "UT2E", "--hook", "1", "--trunc", "6"],  # argparse error
+])
+def test_module_entry_point_matches_main(tmp_path, monkeypatch, capsysbinary, argv):
+    # python -m cochar.cli goes through run(), which freezes the heap on the
+    # way out; bytes, files and exit codes are those of main() in-process
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "here").mkdir()
+    proc = _subprocess(["-m", "cochar.cli", *argv], tmp_path / "sub")
+    monkeypatch.chdir(tmp_path / "here")
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsysbinary.readouterr()
+    assert proc.returncode == code
+    assert proc.stdout == captured.out
+    assert proc.stderr == captured.err
+    written = sorted(p.name for p in (tmp_path / "here").iterdir())
+    assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == written
+    for name in written:
+        assert (tmp_path / "sub" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+
+
+def test_only_the_entry_point_freezes(tmp_path):
+    # import and main() leave the heap alone; run() freezes it, also when
+    # argparse exits
+    code = """if True:
+        import gc, sys
+        import cochar.cli as cli
+        counts = [gc.get_freeze_count()]
+        argv = ["hookmult", "--algebra", "UT2E", "--hook", "1,1", "--trunc", "5"]
+        cli.main(argv)
+        counts.append(gc.get_freeze_count())
+        sys.argv = ["cochar", *argv]
+        cli.run()
+        counts.append(gc.get_freeze_count())
+        gc.unfreeze()
+        sys.argv = ["cochar", "hookmult", "--hook", "1"]
+        try:
+            cli.run()
+        except SystemExit:
+            counts.append(gc.get_freeze_count())
+        print(*counts)
+    """
+    proc = _subprocess(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    a, b, c, d = map(int, proc.stdout.decode().splitlines()[-1].split())
+    assert (a, b) == (0, 0) and c > 0 and d > 0
+
+
+def test_json_job_skips_json_package(tmp_path):
+    # plain ASCII strings are quoted in line; importing json costs about 2 ms
+    code = ("import sys, cochar.cli; cochar.cli.main(['hookmult', '--algebra', 'UT3E', "
+            "'--hook', '1,1', '--trunc', '6', '--format', 'json']); "
+            "print('json' in sys.modules, file=sys.stderr)")
+    proc = _subprocess(["-c", code], tmp_path)
+    assert proc.returncode == 0 and proc.stderr == b"False\n"
