@@ -312,8 +312,6 @@ def _render_series(series, fmt: str, job: dict) -> str:
         obj = dict(job)
         obj["series"] = series.to_obj()
         return _json(obj) + "\n"
-    if fmt == "csv":
-        raise SpecError("csv output is defined for multiplicity tables, not raw series")
     lines = []
     for exps, c in series.sorted_terms():
         lines.append(f"{_format_monomial(series.vars.names, exps)}: {c}")
@@ -355,6 +353,8 @@ def _cmd_hilbert(args) -> int:
     _check_guardrails(args, n)
     if (args.vars is None) == (args.hook is None):
         raise SpecError("hilbert needs exactly one of --vars or --hook")
+    if args.format == "csv":
+        raise SpecError("csv output is defined for multiplicity tables, not raw series")
     series = utn_double_hilbert(n, *_alphabets(args), args.trunc)
     _emit(_render_series(series, args.format, _job_fields(args)), args.out)
     return 0

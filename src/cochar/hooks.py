@@ -8,13 +8,12 @@ Their weight generating function hs_poly(lam) is nonzero exactly when lam
 lies in the (k,l) hook, and distinct hook partitions give linearly
 independent polynomials, so finite symmetric data can be decomposed exactly
 in this basis.  By Berele-Regev, hs_lam = sum_alpha s_alpha(t) s_(lam'/alpha')(y)
-and hs_lam(t; y) = hs_lam'(y; t).  :func:`hs_decompose` therefore works in
-the basis s_alpha(t) y^beta of the larger alphabet, swapping the two when
-l > k: the t-block of its input goes to Schur coefficients through the
-Vandermonde alternant, and its tables walk vertical strips in y only.  The
-peel subtracts each hs_lam straight from the cached (k, l-1) tables of the
-vertical strips of its last y variable, walking the basis keys of a degree
-once in decreasing order, so only tables shared between partitions are kept.
+and hs_lam(t; y) = hs_lam'(y; t).  :func:`hs_decompose` therefore takes the
+t-block of its input to Schur coefficients through the Vandermonde
+alternant, in the larger alphabet, swapping the two when l > k.  It then
+adds the y variables one at a time by the branching rule, over vertical
+strips lam/mu: hs_lam(t; y_1..y_j) = sum hs_mu(t; y_1..y_(j-1)) y_j^|lam/mu|.
+So it builds no table of any hook Schur polynomial.
 
 With an empty second alphabet the hook Schur functions are the ordinary
 Schur functions: hs_poly(lam, d, 0, bound) is s_lam(t_1..t_d), and
@@ -37,9 +36,8 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import groupby
 from math import comb, factorial
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from cochar.partitions import (
     _conjugate,
@@ -61,7 +59,7 @@ from cochar.series import norm_coeff, Coeff, Exps, Series, VarSet
 def _schur_terms(lam: tuple[int, ...], d: int) -> tuple[tuple[Exps, int], ...]:
     """Monomials of s_lam(t_1..t_d): those of hs_lam' with the t as the second
     alphabet and the first one empty (Berele-Regev)."""
-    return _hs_terms(_conjugate(lam), 0, d, False)[0] if lam else (((0,) * d, 1),)
+    return _hs_terms(_conjugate(lam), 0, d) if lam else (((0,) * d, 1),)
 
 
 def _vertical_peels(lam: tuple[int, ...], k: int, l: int) -> list[tuple[tuple[int, ...], int]]:
@@ -72,65 +70,43 @@ def _vertical_peels(lam: tuple[int, ...], k: int, l: int) -> list[tuple[tuple[in
     a row below row k of length l must.
     """
     peels = [((), 0)]
-    top = 0
-    for v, run in groupby(lam):
-        r = len(list(run))
-        forced = max(0, top + r - max(top, k)) if v == l else 0
-        top += r
-        rows = [((v,) * (r - j) + (v - 1,) * j if v > 1 else (1,) * (r - j), j)
-                for j in range(forced, r + 1)]
-        peels = [(mu + tail, s + j) for mu, s in peels for tail, j in rows]
+    start, size = 0, len(lam)
+    while start < size:  # rows start..end-1 are a run of parts v
+        v, end = lam[start], start + 1
+        while end < size and lam[end] == v:
+            end += 1
+        r = end - start
+        forced = min(r, end - k) if v == l and end > k else 0
+        if v > 1:
+            rows = [((v,) * (r - j) + (v - 1,) * j, j) for j in range(forced, r + 1)]
+        else:
+            rows = [((1,) * (r - j), j) for j in range(forced, r + 1)]
+        peels = rows if not start else [(mu + tail, s + j) for mu, s in peels for tail, j in rows]
+        start = end
     return peels
 
 
 @lru_cache(maxsize=None)
-def _hs_terms(lam: tuple[int, ...], k: int, l: int,
-              schur_t: bool) -> tuple[tuple[tuple[Exps, int], ...], tuple[int, ...]]:
-    """Terms of the hook Schur polynomial, peeling the last y variable, and
-    their start offsets.
-
-    Without ``schur_t`` the terms are monomials.  With it they are in the
-    basis s_alpha(t) y^beta, keyed by alpha padded to k parts and weakly
-    decreasing beta: hs_lam = sum_alpha s_alpha(t) s_(lam'/alpha')(y), so at
-    l = 0 the table is the single entry s_lam(t).
+def _hs_terms(lam: tuple[int, ...], k: int, l: int) -> tuple[tuple[Exps, int], ...]:
+    """Monomials of the hook Schur polynomial, by the branching rule
+    hs_lam(t; y_1..y_l) = sum over vertical strips lam/mu of
+    hs_mu(t; y_1..y_(l-1)) y_l^|lam/mu|.
 
     Only the mu of the (k, l-1) hook are peeled, since the other tables are
-    empty.  The terms come in increasing last y-exponent, and
-    ``starts[min(s, len(starts) - 1)]`` is the offset of the first one whose
-    last y-exponent is at least s; at l = 0 ``starts`` is (0,), every term.
-    A peel of s boxes thus reads the terms that keep beta weakly decreasing
-    off one slice.
-
-    :func:`_peel` reads the (k, l-1) tables of its hook this way and never
-    asks for a (k, l) one, so the cache holds the tables that partitions
-    share; :func:`hs_poly` asks for whole monomial tables.
+    empty; at l = 0 the table is that of s_lam(t).  Only :func:`hs_poly`
+    asks for these tables.
     """
     if len(lam) > k and lam[k] > l:  # outside the hook
-        return (), (0,)
+        return ()
     if l == 0:
-        return (((lam + (0,) * (k - len(lam)), 1),) if schur_t else _schur_terms(lam, k)), (0,)
-    by_strip: dict[int, list[tuple[int, ...]]] = {}
+        return _schur_terms(lam, k)
+    acc: dict[Exps, int] = {}
     for mu, stripped in _vertical_peels(lam, k, l):
-        by_strip.setdefault(stripped, []).append(mu)
-    terms: list[tuple[Exps, int]] = []
-    starts: list[int] = []
-    for stripped in range(max(by_strip) + 1):
-        starts.append(len(terms))
         suffix = (stripped,)
-        acc: dict[Exps, int] = {}
-        for mu in by_strip.get(stripped, ()):
-            sub, sub_starts = _hs_terms(mu, k, l - 1, schur_t)
-            if schur_t:
-                sub = sub[sub_starts[min(stripped, len(sub_starts) - 1)]:]
-            if not acc:  # nothing to add to yet
-                acc = {e + suffix: c for e, c in sub}
-                continue
-            for e, c in sub:
-                key = e + suffix
-                acc[key] = acc.get(key, 0) + c
-        terms.extend(acc.items())
-    starts.append(len(terms))
-    return tuple(terms), tuple(starts)
+        for e, c in _hs_terms(mu, k, l - 1):
+            key = e + suffix
+            acc[key] = acc.get(key, 0) + c
+    return tuple(acc.items())
 
 
 def hs_poly(lam: Sequence[int], k: int, l: int, bound: int) -> Series:
@@ -139,7 +115,7 @@ def hs_poly(lam: Sequence[int], k: int, l: int, bound: int) -> Series:
     vars_ = VarSet.ty(k, l)
     if weight(lam) > bound:
         return Series.zero(vars_, bound)
-    return Series(vars_, bound, dict(_hs_terms(lam, k, l, False)[0]), _raw=True)
+    return Series(vars_, bound, dict(_hs_terms(lam, k, l)), _raw=True)
 
 
 class HookExpansion:
@@ -271,19 +247,16 @@ def hs_decompose(g: Series, k: int, l: int) -> HookExpansion:
 
     Hook Schur polynomials are symmetric in the t and in the y variables, so
     g must be too, and then its monomials with weakly decreasing t- and
-    y-exponents fix it.  :func:`_peel` rewrites them in the basis
-    s_alpha(t) y^beta (in s_alpha(y) t^beta with the hook conjugated when
-    l > k) and substitutes forward: within each total degree the basis is
-    triangular on (alpha, beta) in lexicographic order, since the largest
-    term of hs_poly(lam) is s_(top k rows)(t) y^(conjugate of the rest), with
-    coefficient 1, and distinct partitions lead with distinct terms.  The
-    substitution therefore either terminates with a zero residual or exposes
-    a term no basis element can lead with, on the same inputs as one in
-    monomials would, since the alternant is a unitriangular change of basis.
-    A peel only changes terms below its lead, so one walk over the basis
-    terms of a degree in decreasing order visits each lead in turn.  Besides
-    the off-span error, a table that does not cancel its lead or leaves a
-    term off the basis raises ``ValueError`` rather than looping.
+    y-exponents fix it.  :func:`_peel` solves for the coefficients one y
+    variable at a time: the coefficient of y^z in g, for each sorted
+    exponent vector z of the y variables not yet added, is written in the
+    hook Schur polynomials of the variables added so far.  With none added
+    these are the Schur polynomials s_alpha(t), read off by the alternant
+    (in s_alpha(y) with the hook conjugated when l > k).  Each further
+    variable is a triangular solve by the branching rule, so an input in the
+    span has exactly one solution.  Every equation of the solve is checked,
+    and an input off the span raises ``ValueError`` at the first degree
+    whose residual no hook partition leads.
     """
     if g.vars.names != VarSet.ty(k, l).names:
         raise ValueError(f"series variables {g.vars.names} do not fit hook ({k},{l})")
@@ -322,108 +295,113 @@ def _alternant(alpha: tuple[int, ...], k: int) -> tuple[tuple[int, Exps], ...]:
     return tuple((c, e) for e, c in acc.items() if c)
 
 
-def _padded_partitions(n: int, k: int, cap: int) -> Iterator[tuple[int, ...]]:
-    """Every partition of weight at most n with at most k parts, each at most
-    ``cap``, padded to k entries, in decreasing lexicographic order."""
-    top = min(cap, n)
-    if k == 1:
-        for a in range(top, -1, -1):
-            yield (a,)
-        return
-    for a in range(top, -1, -1):
-        for rest in _padded_partitions(n - a, k - 1, a):
-            yield (a,) + rest
+def _branch(mu: tuple[int, ...], s: int, k: int, j: int) -> tuple:
+    """The lam of the (k, j) hook whose s rows below row k of length j,
+    shortened, give mu, with its other vertical peels; () if there is none.
 
-
-def _basis_keys(n: int, k: int, l: int, betas: dict[int, list[tuple[Exps, Exps]]]
-                ) -> Iterator[tuple[Exps, Exps, Exps]]:
-    """The triples (alpha, beta, beta') of total weight n, alpha padded to k
-    parts and beta to l, in decreasing lexicographic order of alpha + beta;
-    ``betas`` caches each beta of a weight with its conjugate."""
-    for alpha in _padded_partitions(n, k, n):
-        rest = n - sum(alpha)
-        if rest not in betas:
-            betas[rest] = [(b + (0,) * (l - len(b)), _conjugate(b))
-                           for b in partitions_of(rest, l)]
-        yield from ((alpha, beta, below) for beta, below in betas[rest])
+    Those rows must lose their box, so the first vertical peel of lam is
+    (mu, s) itself, and every other one strips more boxes.
+    """
+    if s:
+        if len(mu) < k or mu[k - 1] < j or (j > 1 and mu[k:k + s] != (j - 1,) * s):
+            return ()
+        lam = mu[:k] + (j,) * s + mu[k + s:]
+    else:
+        lam = mu
+    return lam, _vertical_peels(lam, k, j)[1:]
 
 
 def _peel(slices: Iterable[tuple[int, dict[Exps, Coeff]]], k: int, l: int,
           bound: int) -> HookExpansion:
-    """The forward substitution of :func:`hs_decompose` on (degree, slice)
-    pairs of block-sorted terms, in the basis s_alpha(t) y^beta.
+    """The solve of :func:`hs_decompose` on (degree, slice) pairs of
+    block-sorted terms, one y variable at a time.
 
-    Each y-block beta of a slice is paired with every alpha of the remaining
-    degree, also where the monomial t^alpha y^beta is absent, for the
-    alternant can be nonzero there.  With l > k the blocks swap and the
-    result is conjugated, so the alternant takes the larger alphabet.
+    With l > k the blocks swap and the result is conjugated, so the
+    alternant takes the larger alphabet.  Level 0 maps each y-block of a
+    slice to the Schur coefficients of its t-block: every alpha of the
+    remaining degree is tried, also where the monomial t^alpha y^beta is
+    absent, for the alternant can be nonzero there.  At l = 0 that is the
+    answer.
 
-    At l = 0 each s_alpha(t) is its own basis element, so the alternants are
-    the answer.  Otherwise one walk visits the basis keys alpha + beta of the
-    degree in decreasing lexicographic order (alpha padded to k parts, beta
-    to l), and a nonzero residual c there leads hs_lam.  For each vertical
-    peel (mu, s) of lam, c times the slice of the (k, l-1) table of mu that
-    keeps beta weakly decreasing is subtracted, with s appended to each key;
-    together these are the terms of hs_lam, all at or below the lead, so no
-    key needs a second visit.  The walk stops once the residual is empty and
-    skips empty degrees.  A peel that leaves its lead, or a key that
-    outlives the walk, means a table fault and raises ``ValueError``.
+    Level j maps each weakly decreasing exponent vector z of y_(j+1)..y_l to
+    the coefficients g_z(lam), lam in the (k, j) hook, of the y^z part of the
+    slice in hs_lam(t; y_1..y_j).  By the branching rule, each (mu, s) gives
+    one equation: the g_z(lam) with lam/mu a vertical strip of s boxes sum to
+    the level j - 1 coefficient of mu at the sorted (s,) + z, exact by
+    y-symmetry.  A lam with s_lam rows below row k of length j must lose
+    those boxes, and shortening them gives mu_lam; every other lam in the
+    equation of (mu_lam, s_lam) has fewer such rows, since a run of equal
+    rows grows from its top.  The equations are therefore solved in
+    increasing s: the residual at (mu_lam, s_lam) is g_z(lam), which is
+    pushed onto the vertical peels of lam with more boxes.  A nonzero
+    residual at a (mu, s) that is no (mu_lam, s_lam) raises ``ValueError``.
+    Only the levels of one degree are held at a time; the lam of each
+    (mu, s, j) are kept for the call.
     """
     swap, cut = l > k, k
     if swap:
         k, l = l, k
-    alphas: dict[int, list[tuple[Exps, Exps]]] = {}
-    betas: dict[int, list[tuple[Exps, Exps]]] = {}
+    second = "t" if swap else "y"
+    alphas: dict[int, list[tuple[int, ...]]] = {}
+    plans: list[dict] = [{} for _ in range(l + 1)]
     coeffs: dict[tuple[int, ...], Coeff] = {}
     for n, slice_ in slices:
         by_y: dict[Exps, dict[Exps, Coeff]] = {}
         for e, c in slice_.items():
             t, y = (e[cut:], e[:cut]) if swap else (e[:cut], e[cut:])
             by_y.setdefault(y, {})[t] = c
-        terms: dict[Exps, Coeff] = {}
+        level: dict[Exps, dict[tuple[int, ...], Coeff]] = {}
         for y, g in by_y.items():
             m = n - sum(y)
             if m not in alphas:
-                alphas[m] = [(a, a + (0,) * (k - len(a))) for a in partitions_of(m, k)]
-            for alpha, padded in alphas[m]:
+                alphas[m] = list(partitions_of(m, k))
+            row = {}
+            for alpha in alphas[m]:
                 d = sum(c * g.get(e, 0) for c, e in _alternant(alpha, k))
                 if d:
-                    terms[padded + y] = d
-        if not terms:
-            continue
-        if not l:
-            coeffs.update((tuple(p for p in key if p), norm_coeff(c))
-                          for key, c in terms.items())
-            continue
-        for top, beta, below in _basis_keys(n, k, l, betas):
-            key = top + beta
-            c = terms.get(key)
-            if c is None:
-                continue
-            if below and top[k - 1] < below[0]:
-                first, second = "yt" if swap else "ty"
-                raise ValueError(f"degree {n}: residual term s_{top}({first}) "
-                                 f"{second}^{beta} is not led by any hook basis element")
-            lam = tuple(p for p in top if p) + below  # in the hook: below[0] <= l
-            coeffs[lam] = norm_coeff(c)
-            for mu, s in _vertical_peels(lam, k, l):
-                sub, starts = _hs_terms(mu, k, l - 1, True)
-                suffix = (s,)
-                for e, v in sub[starts[min(s, len(starts) - 1)]:]:
-                    e += suffix
-                    t = terms.get(e, 0) - c * v
-                    if t:
-                        terms[e] = t
-                    else:
-                        terms.pop(e, None)
-            if key in terms:
-                raise ValueError(f"degree {n}: the peel of {lam} leaves its lead {key} "
-                                 f"in the residual")
-            if not terms:
-                break
-        else:
-            raise ValueError(f"degree {n}: residual key {next(iter(terms))} "
-                             f"outlives the walk over the basis keys")
+                    row[alpha] = d
+            if row:
+                level[y] = row
+        for j in range(1, l + 1):
+            by_z: dict[Exps, dict[int, dict[tuple[int, ...], Coeff]]] = {}
+            for w, row in level.items():
+                for i, s in enumerate(w):
+                    if not i or w[i - 1] != s:
+                        by_z.setdefault(w[:i] + w[i + 1:], {})[s] = row
+            plan = plans[j]
+            level = {}
+            for z, rows in by_z.items():
+                solved: dict[tuple[int, ...], Coeff] = {}
+                top = n - sum(z)
+                pushed: list[dict[tuple[int, ...], Coeff]] = [{} for _ in range(top + 1)]
+                for s in range(top + 1):
+                    residual = rows.get(s)
+                    p = pushed[s]
+                    if p:
+                        residual = dict(residual) if residual else {}
+                        for mu, v in p.items():
+                            residual[mu] = residual.get(mu, 0) - v
+                    elif not residual:
+                        continue
+                    for mu, c in residual.items():
+                        if not c:
+                            continue
+                        step = plan.get((mu, s))
+                        if step is None:
+                            step = plan[mu, s] = _branch(mu, s, k, j)
+                        if not step:
+                            raise ValueError(
+                                f"degree {n}: residual {c} of hs_{mu} with exponents "
+                                f"{(s,) + z} in {second}_{j}.. is not led by any hook "
+                                f"basis element")
+                        lam, peels = step
+                        solved[lam] = c
+                        for nu, r in peels:
+                            acc = pushed[r]
+                            acc[nu] = acc.get(nu, 0) + c
+                if solved:
+                    level[z] = solved
+        coeffs.update((lam, norm_coeff(c)) for lam, c in level.get((), {}).items())
     if swap:
         k, l = l, k
         coeffs = {_conjugate(lam): c for lam, c in coeffs.items()}

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from cochar import cli
 from cochar.hilbert import utn_hilbert, utn_mult_series
 from cochar.hooks import utn_hook_mult_series
+from test_hooks import time_limit
 
 
 def run(argv, capsys):
@@ -202,6 +203,15 @@ def test_hilbert_rejects_csv_and_needs_one_alphabet(capsys):
     code, out, err = run(["hilbert", "--algebra", "E", "--vars", "2",
                           "--hook", "1,1", "--trunc", "4"], capsys)
     assert code == 2
+
+
+def test_hilbert_rejects_csv_before_computing(capsys):
+    # the series at hook (4, 4), trunc 24 takes tens of seconds to build
+    with time_limit(5):
+        code, out, err = run(["hilbert", "--algebra", "UT4E", "--hook", "4,4",
+                              "--trunc", "24", "--format", "csv"], capsys)
+    assert (code, out) == (2, "")
+    assert "csv output is defined for multiplicity tables" in err
 
 
 def test_bad_hook_argument(capsys):

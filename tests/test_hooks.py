@@ -1,8 +1,8 @@
 import hashlib
 import json
 import random
+import re
 import signal
-from bisect import bisect_left
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
@@ -12,7 +12,6 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cochar import hooks
 from cochar.cli import _block_splits, _raw_expansion, _raw_slices
 from cochar.hilbert import (_sorted_coefficients, grassmann_double_hilbert, utn_double_hilbert,
                             utn_mult_series)
@@ -467,16 +466,23 @@ def unpruned_hs_terms(lam, k, l, schur_t):
 @pytest.mark.parametrize("k, l", [(1, 1), (2, 2), (3, 1), (3, 2), (4, 4)])
 def test_hs_terms_match_the_unpruned_recursion(k, l, schur_t):
     for lam in partitions_upto(9 if schur_t else 7):
-        terms, starts = _hs_terms(lam, k, l, schur_t)
-        assert dict(terms) == unpruned_hs_terms(lam, k, l, schur_t), lam
-        assert len(dict(terms)) == len(terms)
-        if l:
-            # a peel of s boxes reads terms[starts[min(s, len(starts) - 1)]:],
-            # which must be exactly the terms whose last y-exponent is >= s
-            lasts = [e[-1] for e, _ in terms]
-            assert lasts == sorted(lasts)
-            assert all(starts[min(s, len(starts) - 1)] == sum(1 for x in lasts if x < s)
-                       for s in range(sum(lam) + 2))
+        terms = _hs_terms(lam, k, l)
+        monomials = dict(terms)
+        assert len(monomials) == len(terms)
+        if not schur_t:
+            assert monomials == unpruned_hs_terms(lam, k, l, False), lam
+            continue
+        # the oracle tables of max_peel, in the basis s_alpha(t) y^beta with
+        # beta weakly decreasing, are the alternant image of the monomials
+        want = {}
+        for beta in {e[k:] for e in monomials}:
+            if list(beta) != sorted(beta, reverse=True):
+                continue
+            for alpha in partitions_of(sum(lam) - sum(beta), k):
+                d = sum(c * monomials.get(e + beta, 0) for c, e in _alternant(alpha, k))
+                if d:
+                    want[alpha + (0,) * (k - len(alpha)) + beta] = d
+        assert unpruned_hs_terms(lam, k, l, True) == want, lam
 
 
 # -- the peel ------------------------------------------------------------------
@@ -511,7 +517,7 @@ def max_peel(slices, k, l, bound):
             coeffs[lam] = norm_coeff(coeffs.get(lam, 0) + c)
             if not coeffs[lam]:
                 del coeffs[lam]
-            for e, v in _hs_terms(lam, k, l, True)[0]:
+            for e, v in unpruned_hs_terms(lam, k, l, True).items():
                 t = terms.get(e, 0) - c * v
                 if t:
                     terms[e] = t
@@ -524,73 +530,47 @@ def max_peel(slices, k, l, bound):
 
 
 @pytest.mark.parametrize("n, k, l, bound", [(2, 2, 3, 12), (3, 3, 2, 9), (2, 1, 2, 12),
-                                            (2, 4, 0, 10), (1, 1, 4, 10)])
+                                            (2, 4, 0, 10), (1, 1, 4, 10), (2, 2, 3, 14),
+                                            (3, 2, 3, 11), (1, 3, 3, 10), (2, 4, 2, 9)])
 def test_peel_matches_the_max_driven_oracle(n, k, l, bound):
     slices = _raw_slices(n, k, l, bound)
     got = _peel(slices, k, l, bound)
     assert got.coeffs and got == max_peel(slices, k, l, bound)
 
 
-@pytest.fixture
-def corrupt_tables(monkeypatch):
-    """Install a corruption of the schur_t tables of one y-level; the true
-    tables are computed and cached as before, and the cache is emptied after."""
-    true_tables = hooks._hs_terms
-
-    def install(level, change):
-        def corrupted(lam, k, l, schur_t):
-            terms, starts = true_tables(lam, k, l, schur_t)
-            if schur_t and l == level and terms:
-                return change(terms, starts)
-            return terms, starts
-
-        monkeypatch.setattr(hooks, "_hs_terms", corrupted)
-
-    yield install
-    true_tables.cache_clear()
+def outcome(peel, slices, k, l, bound):
+    """The expansion, or the degree of the residual that stops the peel."""
+    try:
+        return peel(slices, k, l, bound)
+    except ValueError as exc:
+        found = re.match(r"degree (\d+): residual", str(exc))
+        assert found, exc
+        return int(found.group(1))
 
 
-def drop_lead(terms, starts):
-    """The table without its largest key, with its start offsets recounted."""
-    lead = max(e for e, _ in terms)
-    kept = [t for t in terms if t[0] != lead]
-    lasts = [e[-1] for e, _ in kept]
-    return tuple(kept), tuple(bisect_left(lasts, s) for s in range(len(starts) - 1)) + (len(kept),)
+@pytest.mark.parametrize("n, k, l, bound", [(3, 2, 2, 7), (2, 2, 3, 7)])
+def test_peel_agrees_with_the_oracle_on_perturbed_keys(n, k, l, bound):
+    # a block-sorted key stands for its orbit, so the perturbed slices stay
+    # symmetric in each alphabet but mostly leave the span
+    slices = _raw_slices(n, k, l, bound)
+    stopped = 0
+    for i, (degree, slice_) in enumerate(slices):
+        for key in slice_:
+            for step in (1, -1):
+                changed = dict(slice_)
+                changed[key] = changed[key] + step
+                perturbed = slices[:i] + [(degree, changed)] + slices[i + 1:]
+                got = outcome(_peel, perturbed, k, l, bound)
+                assert got == outcome(max_peel, perturbed, k, l, bound), (key, step)
+                stopped += got == degree
+    assert stopped
 
 
-def add_stray(terms, starts):
-    """The table with one more entry, at a key that is no basis key."""
-    return terms + ((tuple(range(len(terms[0][0]))), 1),), starts
-
-
-def test_peel_raises_when_a_table_misses_its_lead(corrupt_tables):
-    g = utn_double_hilbert(2, 2, 2, 6)
-    corrupt_tables(1, drop_lead)
-    with time_limit(10), pytest.raises(ValueError, match="leaves its lead"):
-        hs_decompose(g, 2, 2)
-
-
-def test_peel_raises_on_a_stray_table_key(corrupt_tables):
-    g = utn_double_hilbert(2, 2, 2, 6)
-    corrupt_tables(1, add_stray)
-    with time_limit(10), pytest.raises(ValueError, match="outlives the walk"):
-        hs_decompose(g, 2, 2)
-
-
-def test_sparse_input_walks_one_key(monkeypatch):
-    # the walk starts at the degree's largest key, so hs_(4) at bound 24 is
-    # peeled at its first key, and the empty degrees build no key at all
-    walked = []
-    basis_keys = hooks._basis_keys
-
-    def counted(n, k, l, betas):
-        for pair in basis_keys(n, k, l, betas):
-            walked.append(n)
-            yield pair
-
-    monkeypatch.setattr(hooks, "_basis_keys", counted)
-    got = hs_decompose(hs_poly((4,), 4, 4, 24), 4, 4)
-    assert got.coeffs == {(4,): 1} and walked == [4]
+def test_sparse_input_peels_in_time():
+    # one partition at hook (4, 4), bound 24: the empty degrees cost nothing
+    with time_limit(5):
+        got = hs_decompose(hs_poly((4,), 4, 4, 24), 4, 4)
+    assert got.coeffs == {(4,): 1}
 
 
 # -- the CLI raw route ---------------------------------------------------------
@@ -620,10 +600,13 @@ def test_block_splits_give_the_all_combination_slices(n, k, l, bound):
 
 def test_decompose_builds_no_monomial_tables():
     _schur_terms.cache_clear()
+    _hs_terms.cache_clear()
     _raw_expansion(2, 4, 0, 10)
     _raw_expansion(2, 2, 3, 8)
+    _raw_expansion(3, 2, 3, 11)
     hs_decompose(utn_double_hilbert(2, 1, 3, 8), 1, 3)
     assert _schur_terms.cache_info().misses == 0
+    assert _hs_terms.cache_info().currsize == 0
 
 
 # -- the split encoding ------------------------------------------------------
