@@ -25,13 +25,11 @@ import io
 import re
 import sys
 from functools import cache
-from itertools import groupby
-from operator import itemgetter
 from typing import Callable, Sequence
 
 from .closed_forms import closed_table
 from .hilbert import _sorted_coefficients, utn_double_hilbert
-from .hooks import _peel, _utn_hook_expansion, encode_hook_mult, HookExpansion
+from .hooks import _symmetric_decompose, _utn_hook_expansion, encode_hook_mult, HookExpansion
 from .partitions import _format_partition, hook_partitions_of
 from .schur import to_mult_series
 
@@ -113,50 +111,9 @@ def _closed_tag(n: int, k: int, l: int) -> str | None:
     return {(3, 2, 0): "UT3E_parts2", (3, 1, 1): "UT3E_hook11"}.get((n, k, l))
 
 
-@cache
-def _split_getters(runs: tuple[int, ...], k: int, l: int) -> tuple[Callable, ...]:
-    """One getter per distinct arrangement t + y of a sorted vector of k + l
-    entries with these run lengths into a weakly decreasing t-block of k and
-    y-block of l entries: a run of r equal entries sends j of them to t and
-    r - j to y."""
-    splits = [((), ())]
-    top = 0
-    for r in runs:
-        splits = [(t + tuple(range(top, top + j)), y + tuple(range(top + j, top + r)))
-                  for t, y in splits
-                  for j in range(max(0, r - l + len(y)), min(r, k - len(t)) + 1)]
-        top += r
-    # itemgetter of a single index returns the entry itself, so with one
-    # variable (k + l = 1) the vector is its only arrangement, kept as it is
-    return tuple(itemgetter(*t, *y) if k + l > 1 else tuple for t, y in splits)
-
-
-def _block_splits(a: tuple[int, ...], k: int, l: int) -> list[tuple[int, ...]]:
-    """Each distinct block-sorted arrangement of the sorted vector ``a``, padded
-    to k + l entries, once."""
-    padded = a + (0,) * (k + l - len(a))
-    runs = tuple(len(list(run)) for _, run in groupby(padded))
-    return [get(padded) for get in _split_getters(runs, k, l)]
-
-
-def _raw_slices(n: int, k: int, l: int, trunc: int) -> list[tuple[int, dict[tuple[int, ...], int]]]:
-    """The block-sorted monomials of the raw series, as (degree, slice) pairs
-    in increasing degree.
-
-    The series is symmetric in all k + l variables, so every block-sorted
-    arrangement of a sorted vector carries the coefficient of the vector.
-    """
-    slices: dict[int, dict[tuple[int, ...], int]] = {}
-    for a, c in _sorted_coefficients(n, k + l, trunc).items():
-        slice_ = slices.setdefault(sum(a), {})
-        for key in _block_splits(a, k, l):
-            slice_[key] = c
-    return sorted(slices.items())
-
-
 def _raw_expansion(n: int, k: int, l: int, trunc: int) -> HookExpansion:
-    """The decompose route, peeling the raw series at its block-sorted monomials."""
-    return _peel(_raw_slices(n, k, l, trunc), k, l, trunc)
+    """The decompose route, peeling the raw series at its sorted coefficients."""
+    return _symmetric_decompose(_sorted_coefficients(n, k + l, trunc), k, l, trunc)
 
 
 def _routes(n: int, k: int, l: int, trunc: int, domain: list[tuple[int, ...]],
@@ -322,8 +279,11 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SpecError(f"cannot write {out}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ t-block of its input to Schur coefficients through the Vandermonde
 alternant, in the larger alphabet, swapping the two when l > k.  It then
 adds the y variables one at a time by the branching rule, over vertical
 strips lam/mu: hs_lam(t; y_1..y_j) = sum hs_mu(t; y_1..y_(j-1)) y_j^|lam/mu|.
-So it builds no table of any hook Schur polynomial.
+So it builds no table of any hook Schur polynomial.  It reads a series
+symmetric in each alphabet at its monomials with both blocks sorted, which
+:func:`_symmetric_slices` builds from the sorted coefficients alone when
+the series is symmetric in all the variables.
 
 With an empty second alphabet the hook Schur functions are the ordinary
 Schur functions: hs_poly(lam, d, 0, bound) is s_lam(t_1..t_d), and
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import combinations
 from math import comb, factorial
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -53,6 +57,8 @@ from cochar.partitions import (
     HookSplit,
 )
 from cochar.series import norm_coeff, Coeff, Exps, Series, VarSet
+
+Slice = dict[Exps, dict[Exps, Coeff]]  # one degree of the peel's input, see _peel
 
 
 @lru_cache(maxsize=None)
@@ -220,13 +226,14 @@ def _arrangements(block: Sequence[int]) -> int:
     return out
 
 
-def _block_sorted_terms(terms: dict[Exps, Coeff], k: int, n: int) -> dict[Exps, Coeff]:
-    """The terms with weakly decreasing t- and y-exponents, for block-symmetric input.
+def _block_sorted_terms(terms: dict[Exps, Coeff], k: int, l: int, n: int) -> Slice:
+    """The terms with weakly decreasing t- and y-exponents, for block-symmetric
+    input, as the slice of degree n.
 
     Raises unless every term is a permutation within the blocks of a kept
     term with the same coefficient and every such orbit is complete.
     """
-    kept: dict[Exps, Coeff] = {}
+    grouped: Slice = {}
     orbits = 0
     for e, c in terms.items():
         t, y = e[:k], e[k:]
@@ -234,12 +241,41 @@ def _block_sorted_terms(terms: dict[Exps, Coeff], k: int, n: int) -> dict[Exps, 
         if terms.get(key) != c:
             raise ValueError(f"degree {n}: input is not symmetric in each alphabet at {e}")
         if key == e:
-            kept[e] = c
+            branching, alternant = (t, y) if l > k else (y, t)
+            grouped.setdefault(branching, {})[alternant] = c
             orbits += _arrangements(t) * _arrangements(y)
     if orbits != len(terms):
         raise ValueError(f"degree {n}: input is not symmetric in each alphabet "
                          f"(incomplete orbits)")
-    return kept
+    return grouped
+
+
+def _symmetric_slices(coeffs: Mapping[tuple[int, ...], Coeff], k: int,
+                      l: int) -> list[tuple[int, Slice]]:
+    """The (degree, slice) pairs of a series symmetric in all k + l variables,
+    from its coefficients at the partitions of at most k + l parts.
+
+    Each choice of min(k, l) entries of the padded partition, kept in order,
+    is a branching block, and the max(k, l) entries it leaves are the
+    alternant block; both carry the partition's coefficient.  Choices listed
+    in lexicographic order leave their complements in the reverse order, and
+    equal entries give the same blocks again, which rewrite the same entry.
+    """
+    low, high = sorted((k, l))
+    slices: dict[int, Slice] = {}
+    for a, c in coeffs.items():
+        padded = a + (0,) * (k + l - len(a))
+        grouped = slices.setdefault(sum(a), {})
+        for b, g in zip(combinations(padded, low), reversed(tuple(combinations(padded, high)))):
+            grouped.setdefault(b, {})[g] = c
+    return sorted(slices.items())
+
+
+def _symmetric_decompose(coeffs: Mapping[tuple[int, ...], Coeff], k: int, l: int,
+                         bound: int) -> HookExpansion:
+    """:func:`hs_decompose` of the series symmetric in all k + l variables
+    with these coefficients at partitions, truncated at bound."""
+    return _peel(_symmetric_slices(coeffs, k, l), k, l, bound)
 
 
 def hs_decompose(g: Series, k: int, l: int) -> HookExpansion:
@@ -247,23 +283,24 @@ def hs_decompose(g: Series, k: int, l: int) -> HookExpansion:
 
     Hook Schur polynomials are symmetric in the t and in the y variables, so
     g must be too, and then its monomials with weakly decreasing t- and
-    y-exponents fix it.  :func:`_peel` solves for the coefficients one y
-    variable at a time: the coefficient of y^z in g, for each sorted
-    exponent vector z of the y variables not yet added, is written in the
-    hook Schur polynomials of the variables added so far.  With none added
-    these are the Schur polynomials s_alpha(t), read off by the alternant
-    (in s_alpha(y) with the hook conjugated when l > k).  Each further
-    variable is a triangular solve by the branching rule, so an input in the
-    span has exactly one solution.  Every equation of the solve is checked,
-    and an input off the span raises ``ValueError`` at the first degree
-    whose residual no hook partition leads.
+    y-exponents fix it.  :func:`_block_sorted_terms` checks that and groups
+    those monomials into the slices of :func:`_peel`, which solves for the
+    coefficients one y variable at a time: the coefficient of y^z in g, for
+    each sorted exponent vector z of the y variables not yet added, is
+    written in the hook Schur polynomials of the variables added so far.
+    With none added these are the Schur polynomials s_alpha(t), read off by
+    the alternant (in s_alpha(y) with the hook conjugated when l > k).  Each
+    further variable is a triangular solve by the branching rule, so an
+    input in the span has exactly one solution.  Every equation of the solve
+    is checked, and an input off the span raises ``ValueError`` at the first
+    degree whose residual no hook partition leads.
     """
     if g.vars.names != VarSet.ty(k, l).names:
         raise ValueError(f"series variables {g.vars.names} do not fit hook ({k},{l})")
     by_degree: dict[int, dict[Exps, Coeff]] = {}
     for e, c in g.terms.items():
         by_degree.setdefault(sum(e), {})[e] = c
-    return _peel(((n, _block_sorted_terms(by_degree.get(n, {}), k, n))
+    return _peel(((n, _block_sorted_terms(by_degree.get(n, {}), k, l, n))
                   for n in range(g.bound + 1)), k, l, g.bound)
 
 
@@ -311,16 +348,18 @@ def _branch(mu: tuple[int, ...], s: int, k: int, j: int) -> tuple:
     return lam, _vertical_peels(lam, k, j)[1:]
 
 
-def _peel(slices: Iterable[tuple[int, dict[Exps, Coeff]]], k: int, l: int,
-          bound: int) -> HookExpansion:
-    """The solve of :func:`hs_decompose` on (degree, slice) pairs of
-    block-sorted terms, one y variable at a time.
+def _peel(slices: Iterable[tuple[int, Slice]], k: int, l: int, bound: int) -> HookExpansion:
+    """The solve of :func:`hs_decompose` on (degree, slice) pairs, one y
+    variable at a time.
 
-    With l > k the blocks swap and the result is conjugated, so the
-    alternant takes the larger alphabet.  Level 0 maps each y-block of a
-    slice to the Schur coefficients of its t-block: every alpha of the
-    remaining degree is tried, also where the monomial t^alpha y^beta is
-    absent, for the alternant can be nonzero there.  At l = 0 that is the
+    A slice holds the monomials of its degree with both blocks weakly
+    decreasing, keyed by the block of the min(k, l) branching variables and
+    then by that of the max(k, l) alternant variables.  With l > k these are
+    the t and the y: below, t, y, k and l name the alphabets after that
+    swap, and the result is conjugated at the end.  Level 0 maps each
+    y-block of a slice to the Schur coefficients of its t-block: every alpha
+    of the remaining degree is tried, also where the monomial t^alpha y^beta
+    is absent, for the alternant can be nonzero there.  At l = 0 that is the
     answer.
 
     Level j maps each weakly decreasing exponent vector z of y_(j+1)..y_l to
@@ -338,20 +377,16 @@ def _peel(slices: Iterable[tuple[int, dict[Exps, Coeff]]], k: int, l: int,
     Only the levels of one degree are held at a time; the lam of each
     (mu, s, j) are kept for the call.
     """
-    swap, cut = l > k, k
+    swap = l > k
     if swap:
         k, l = l, k
     second = "t" if swap else "y"
     alphas: dict[int, list[tuple[int, ...]]] = {}
     plans: list[dict] = [{} for _ in range(l + 1)]
     coeffs: dict[tuple[int, ...], Coeff] = {}
-    for n, slice_ in slices:
-        by_y: dict[Exps, dict[Exps, Coeff]] = {}
-        for e, c in slice_.items():
-            t, y = (e[cut:], e[:cut]) if swap else (e[:cut], e[cut:])
-            by_y.setdefault(y, {})[t] = c
+    for n, grouped in slices:
         level: dict[Exps, dict[tuple[int, ...], Coeff]] = {}
-        for y, g in by_y.items():
+        for y, g in grouped.items():
             m = n - sum(y)
             if m not in alphas:
                 alphas[m] = list(partitions_of(m, k))

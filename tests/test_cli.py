@@ -40,6 +40,17 @@ def test_mult_all_routes(capsys):
     assert row.split() == ["[5,2]", "7", "11", "pipeline;decompose;closed-form"]
 
 
+def test_mult_in_one_variable(capsys):
+    # k + l = 1: the raw route's peel input has an empty branching block
+    # and one alternant entry; H = 1/(1-x), so every multiplicity is 1
+    code, out, err = run(["mult", "--algebra", "UT3E", "--vars", "1", "--trunc", "8",
+                          "--method", "all", "--format", "csv"], capsys)
+    assert code == 0, err
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [(r[0], r[2], r[3]) for r in rows] == \
+        [(f"[{m}]" if m else "[]", "1", "pipeline;decompose") for m in range(9)]
+
+
 def test_hookmult_csv(capsys):
     code, out, err = run(["hookmult", "--algebra", "UT2E", "--hook", "2,3",
                           "--trunc", "8", "--method", "all", "--format", "csv"],
@@ -228,6 +239,16 @@ def test_out_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().splitlines()[0] == "partition,weight,multiplicity,routes"
+
+
+def test_out_to_an_unopenable_path_is_a_bad_request(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(["hookmult", "--algebra", "UT2E", "--hook", "1,1", "--trunc", "4",
+                          "--out", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
 
 
 def test_route_disagreement_exits_nonzero(capsys, monkeypatch):

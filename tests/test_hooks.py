@@ -12,7 +12,7 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cochar.cli import _block_splits, _raw_expansion, _raw_slices
+from cochar.cli import _raw_expansion
 from cochar.hilbert import (_sorted_coefficients, grassmann_double_hilbert, utn_double_hilbert,
                             utn_mult_series)
 from cochar.hooks import (
@@ -21,6 +21,7 @@ from cochar.hooks import (
     _hs_terms,
     _peel,
     _schur_terms,
+    _symmetric_slices,
     _vertical_peels,
     decode_hook_mult,
     encode_hook_mult,
@@ -491,17 +492,13 @@ def test_hs_terms_match_the_unpruned_recursion(k, l, schur_t):
 def max_peel(slices, k, l, bound):
     """Oracle: the forward substitution that peels the largest residual key
     with the whole (k, l) table of its partition, until the slice is empty."""
-    swap, cut = l > k, k
+    swap = l > k
     if swap:
         k, l = l, k
     coeffs = {}
-    for n, slice_ in slices:
-        by_y = {}
-        for e, c in slice_.items():
-            t, y = (e[cut:], e[:cut]) if swap else (e[:cut], e[cut:])
-            by_y.setdefault(y, {})[t] = c
+    for n, grouped in slices:
         terms = {}
-        for y, g in by_y.items():
+        for y, g in grouped.items():
             for alpha in partitions_of(n - sum(y), k):
                 d = sum(c * g.get(e, 0) for c, e in _alternant(alpha, k))
                 if d:
@@ -533,7 +530,7 @@ def max_peel(slices, k, l, bound):
                                             (2, 4, 0, 10), (1, 1, 4, 10), (2, 2, 3, 14),
                                             (3, 2, 3, 11), (1, 3, 3, 10), (2, 4, 2, 9)])
 def test_peel_matches_the_max_driven_oracle(n, k, l, bound):
-    slices = _raw_slices(n, k, l, bound)
+    slices = _symmetric_slices(_sorted_coefficients(n, k + l, bound), k, l)
     got = _peel(slices, k, l, bound)
     assert got.coeffs and got == max_peel(slices, k, l, bound)
 
@@ -552,16 +549,15 @@ def outcome(peel, slices, k, l, bound):
 def test_peel_agrees_with_the_oracle_on_perturbed_keys(n, k, l, bound):
     # a block-sorted key stands for its orbit, so the perturbed slices stay
     # symmetric in each alphabet but mostly leave the span
-    slices = _raw_slices(n, k, l, bound)
+    slices = _symmetric_slices(_sorted_coefficients(n, k + l, bound), k, l)
     stopped = 0
-    for i, (degree, slice_) in enumerate(slices):
-        for key in slice_:
-            for step in (1, -1):
-                changed = dict(slice_)
-                changed[key] = changed[key] + step
+    for i, (degree, grouped) in enumerate(slices):
+        for y, row in grouped.items():
+            for t, step in product(row, (1, -1)):
+                changed = {**grouped, y: {**row, t: row[t] + step}}
                 perturbed = slices[:i] + [(degree, changed)] + slices[i + 1:]
                 got = outcome(_peel, perturbed, k, l, bound)
-                assert got == outcome(max_peel, perturbed, k, l, bound), (key, step)
+                assert got == outcome(max_peel, perturbed, k, l, bound), (y, t, step)
                 stopped += got == degree
     assert stopped
 
@@ -573,29 +569,39 @@ def test_sparse_input_peels_in_time():
     assert got.coeffs == {(4,): 1}
 
 
-# -- the CLI raw route ---------------------------------------------------------
+# -- the raw route's peel input ----------------------------------------------
 
 
 def all_combination_slices(n, k, l, bound):
-    """Oracle: every choice of k positions of each padded sorted vector as the t-block."""
+    """Oracle: every choice of k positions of each padded sorted vector as the
+    t-block, grouped by the branching block (the t-block when l > k)."""
     slices = {}
     for a, c in _sorted_coefficients(n, k + l, bound).items():
         padded = a + (0,) * (k + l - len(a))
         for pick in combinations(range(k + l), k):
-            rest = tuple(i for i in range(k + l) if i not in pick)
-            slices.setdefault(sum(a), {})[tuple(padded[i] for i in pick + rest)] = c
+            t = tuple(padded[i] for i in pick)
+            y = tuple(padded[i] for i in range(k + l) if i not in pick)
+            branching, alternant = (t, y) if l > k else (y, t)
+            slices.setdefault(sum(a), {}).setdefault(branching, {})[alternant] = c
     return slices
 
 
 @pytest.mark.parametrize("n, k, l, bound", [(2, 2, 3, 10), (3, 3, 2, 9), (2, 4, 0, 10),
                                             (1, 1, 4, 10), (2, 4, 4, 8), (2, 1, 0, 8)])
 def test_block_splits_give_the_all_combination_slices(n, k, l, bound):
+    coeffs = _sorted_coefficients(n, k + l, bound)
     slices = {}
-    for a, c in _sorted_coefficients(n, k + l, bound).items():
-        keys = _block_splits(a, k, l)
-        assert len(set(keys)) == len(keys), a  # each arrangement once
-        slices.setdefault(sum(a), {}).update(dict.fromkeys(keys, c))
+    for a, c in coeffs.items():
+        [(degree, grouped)] = _symmetric_slices({a: c}, k, l)
+        keys = [(b, g) for b, row in grouped.items() for g in row]
+        # each arrangement once: as many as the distinct choices of k positions
+        padded = a + (0,) * (k + l - len(a))
+        assert len(keys) == len({tuple(padded[i] for i in pick)
+                                 for pick in combinations(range(k + l), k)}), a
+        for b, row in grouped.items():
+            slices.setdefault(degree, {}).setdefault(b, {}).update(row)
     assert slices == all_combination_slices(n, k, l, bound)
+    assert _symmetric_slices(coeffs, k, l) == sorted(slices.items())
 
 
 def test_decompose_builds_no_monomial_tables():
