@@ -20,8 +20,10 @@ repeated runs produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import io
+import os
 import re
 import sys
 from functools import cache
@@ -194,51 +196,51 @@ def _json(obj) -> str:
     with str keys, lists, str, int, bool and None; any other type raises
     ``TypeError``.  Str and int members are written in line, without a call."""
     chunks: list[str] = []
-    put = chunks.append
-
-    def member(sep: str, v, inner: str) -> None:
-        if type(v) is str:
-            put(sep + _quote(v))
-        elif type(v) is int:
-            put(sep + int.__repr__(v))
-        else:
-            put(sep)
-            write(v, inner)
-
-    def write(o, pad: str) -> None:
-        if isinstance(o, dict) and o:
-            inner = pad + "  "
-            sep = "{\n" + inner
-            for key in sorted(o):
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-                member(sep + _quote(key) + ": ", o[key], inner)
-                sep = ",\n" + inner
-            put("\n" + pad + "}")
-        elif isinstance(o, list) and o:
-            inner = pad + "  "
-            sep = "[\n" + inner
-            for v in o:
-                member(sep, v, inner)
-                sep = ",\n" + inner
-            put("\n" + pad + "]")
-        elif isinstance(o, str):
-            put(_quote(o))
-        elif o is None:
-            put("null")
-        elif o is True:
-            put("true")
-        elif o is False:
-            put("false")
-        elif isinstance(o, int):
-            put(int.__repr__(o))
-        elif isinstance(o, (dict, list)):
-            put("{}" if isinstance(o, dict) else "[]")
-        else:
-            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-    write(obj, "")
+    _write(obj, "", chunks.append)
     return "".join(chunks)
+
+
+def _member(sep: str, v, inner: str, put: Callable[[str], None]) -> None:
+    if type(v) is str:
+        put(sep + _quote(v))
+    elif type(v) is int:
+        put(sep + int.__repr__(v))
+    else:
+        put(sep)
+        _write(v, inner, put)
+
+
+def _write(o, pad: str, put: Callable[[str], None]) -> None:
+    if isinstance(o, dict) and o:
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key in sorted(o):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            _member(sep + _quote(key) + ": ", o[key], inner, put)
+            sep = ",\n" + inner
+        put("\n" + pad + "}")
+    elif isinstance(o, list) and o:
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for v in o:
+            _member(sep, v, inner, put)
+            sep = ",\n" + inner
+        put("\n" + pad + "]")
+    elif isinstance(o, str):
+        put(_quote(o))
+    elif o is None:
+        put("null")
+    elif o is True:
+        put("true")
+    elif o is False:
+        put("false")
+    elif isinstance(o, int):
+        put(int.__repr__(o))
+    elif isinstance(o, (dict, list)):
+        put("{}" if isinstance(o, dict) else "[]")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _render_rows(rows, fmt: str, job: dict, extra: dict | None = None) -> str:
@@ -273,6 +275,25 @@ def _render_series(series, fmt: str, job: dict) -> str:
     for exps, c in series.sorted_terms():
         lines.append(f"{_format_monomial(series.vars.names, exps)}: {c}")
     return "\n".join(lines) + "\n"
+
+
+def _check_out(out: str | None) -> None:
+    """Refuse an ``--out`` path that cannot be written, before any route runs:
+    a directory, a path whose directory is missing or not writable, or a file
+    that is not writable.  The file itself is opened only by :func:`_emit`."""
+    if out is None:
+        return
+    parent = os.path.dirname(out) or "."
+    if os.path.isdir(out):
+        err = errno.EISDIR
+    elif os.path.lexists(out):
+        err = 0 if os.access(out, os.W_OK) else errno.EACCES
+    elif not os.path.isdir(parent):
+        err = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        err = 0 if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+    if err:
+        raise SpecError(f"cannot write {out}: {os.strerror(err)}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -451,6 +472,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.driver(args)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -461,14 +483,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> int:
-    """Process entry point of ``cochar`` and ``python -m cochar.cli``:
-    :func:`main`, then ``gc.freeze()``, also when argparse exits.
+    """Process entry point of ``cochar`` and ``python -m cochar.cli``.
 
-    Interpreter exit collects the whole heap once more: 9 to 13 ms after a
-    bench job on a 2-core x86_64 host, Python 3.10 to 3.13.  Frozen objects sit in the permanent generation, which no
-    collection visits.  :func:`main` does not freeze, because tests and
-    tracers call it in-process and go on running.
+    It runs :func:`main` with the cyclic collector off, since the package
+    makes no reference cycles, and then freezes the heap, also when argparse
+    exits, so that the collection at interpreter exit visits nothing.
+    :func:`main` leaves the collector alone: tests and tracers call it
+    in-process and go on running.
     """
+    gc.disable()
     try:
         return main()
     finally:

@@ -58,7 +58,7 @@ from cochar.partitions import (
 )
 from cochar.series import norm_coeff, Coeff, Exps, Series, VarSet
 
-Slice = dict[Exps, dict[Exps, Coeff]]  # one degree of the peel's input, see _peel
+Slice = dict[Exps, dict[int, Coeff]]  # one degree of the peel's input, see _peel
 
 
 @lru_cache(maxsize=None)
@@ -228,13 +228,14 @@ def _arrangements(block: Sequence[int]) -> int:
 
 def _block_sorted_terms(terms: dict[Exps, Coeff], k: int, l: int, n: int) -> Slice:
     """The terms with weakly decreasing t- and y-exponents, for block-symmetric
-    input, as the slice of degree n.
+    input, as the slice of degree n (see :func:`_peel`).
 
     Raises unless every term is a permutation within the blocks of a kept
     term with the same coefficient and every such orbit is complete.
     """
     grouped: Slice = {}
     orbits = 0
+    w = max(k, l).bit_length()
     for e, c in terms.items():
         t, y = e[:k], e[k:]
         key = tuple(sorted(t, reverse=True)) + tuple(sorted(y, reverse=True))
@@ -242,7 +243,7 @@ def _block_sorted_terms(terms: dict[Exps, Coeff], k: int, l: int, n: int) -> Sli
             raise ValueError(f"degree {n}: input is not symmetric in each alphabet at {e}")
         if key == e:
             branching, alternant = (t, y) if l > k else (y, t)
-            grouped.setdefault(branching, {})[alternant] = c
+            grouped.setdefault(branching, {})[_code(alternant, w)] = c
             orbits += _arrangements(t) * _arrangements(y)
     if orbits != len(terms):
         raise ValueError(f"degree {n}: input is not symmetric in each alphabet "
@@ -257,17 +258,21 @@ def _symmetric_slices(coeffs: Mapping[tuple[int, ...], Coeff], k: int,
 
     Each choice of min(k, l) entries of the padded partition, kept in order,
     is a branching block, and the max(k, l) entries it leaves are the
-    alternant block; both carry the partition's coefficient.  Choices listed
-    in lexicographic order leave their complements in the reverse order, and
-    equal entries give the same blocks again, which rewrite the same entry.
+    alternant block; both carry the partition's coefficient.  The code of the
+    alternant block is that of the padded partition minus that of the
+    branching block, and equal entries give the same blocks again, which
+    rewrite the same entry.
     """
     low, high = sorted((k, l))
+    w = high.bit_length()
     slices: dict[int, Slice] = {}
     for a, c in coeffs.items():
         padded = a + (0,) * (k + l - len(a))
+        bits = [1 << w * e for e in padded]
+        whole = sum(bits)
         grouped = slices.setdefault(sum(a), {})
-        for b, g in zip(combinations(padded, low), reversed(tuple(combinations(padded, high)))):
-            grouped.setdefault(b, {})[g] = c
+        for b, drop in zip(combinations(padded, low), combinations(bits, low)):
+            grouped.setdefault(b, {})[whole - sum(drop)] = c
     return sorted(slices.items())
 
 
@@ -304,31 +309,68 @@ def hs_decompose(g: Series, k: int, l: int) -> HookExpansion:
                   for n in range(g.bound + 1)), k, l, g.bound)
 
 
-@lru_cache(maxsize=None)
-def _alternant(alpha: tuple[int, ...], k: int) -> tuple[tuple[int, Exps], ...]:
-    """The signed exponents sort(alpha + delta - w(delta)), w in S_k, merged.
+def _code(exps: Iterable[int], w: int) -> int:
+    """The integer sum of 1 << (w * e) over the exponents.
+
+    It holds the count of each exponent value in w bits, so with
+    w = k.bit_length() it names a multiset of at most k exponents, whatever
+    their order.  The code of a union is the sum of the codes.
+    """
+    return sum(1 << w * e for e in exps)
+
+
+def _tail_rows(tail: tuple[int, ...], k: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """The rows 1..r-1 of the alternant of every alpha = (a,) + tail of r parts.
+
+    For each value v that they leave to row 0, the signed codes of their
+    exponents, the sign counting row 0's inversions too.  Rows take unused
+    values from the last one up, row i one of at most alpha_i + k-1-i, so no
+    partial choice dead-ends: the zero rows keep their own.  Partial choices
+    with the same values used and the same code are merged.
+    """
+    w = k.bit_length()
+    r = len(tail) + 1
+    rows = {((1 << k - r) - 1, k - r): 1}  # (values used, code) -> sign
+    for i in range(r - 1, 0, -1):
+        room = tail[i - 1] + k - 1 - i
+        merged: dict[tuple[int, int], int] = {}
+        for (used, code), s in rows.items():
+            for v in range(k - r, min(room, k - 1) + 1):
+                if not used >> v & 1:  # each used value above v is an inversion
+                    key = (used | 1 << v, code + (1 << w * (room - v)))
+                    merged[key] = merged.get(key, 0) + (-s if (used >> v).bit_count() & 1 else s)
+        rows = {key: s for key, s in merged.items() if s}
+    by_first: dict[int, list[tuple[int, int]]] = {}
+    for (used, code), s in rows.items():
+        v = (~used & (1 << k) - 1).bit_length() - 1
+        by_first.setdefault(v, []).append((code, -s if (used >> v).bit_count() & 1 else s))
+    return tuple((v, tuple(codes)) for v, codes in by_first.items())
+
+
+def _alternant(alpha: tuple[int, ...], k: int, tails: dict) -> tuple[tuple[int, int], ...]:
+    """The signed codes of sort(alpha + delta - w(delta)), w in S_k, merged.
 
     With delta = (k-1, ..., 0), the coefficient of s_alpha in a g symmetric in
     t_1..t_k is that of t^(alpha + delta) in g times the Vandermonde
     alternant, sum_w sgn(w) g[sort(alpha + delta - w(delta))] (Macdonald
-    I.3), where only nonnegative exponents count.  Rows take unused values
-    from the last one up, row i one of at most alpha_i + k-1-i, so no partial
-    choice dead-ends: the zero rows keep their own, the first row the last.
+    I.3), where only nonnegative exponents count.  Each exponent vector is
+    given by its :func:`_code`.  Rows 1..r-1 come from ``tails``, the
+    caller's memo of :func:`_tail_rows` by alpha[1:], and row 0 takes the
+    value they leave.
     """
-    r = len(alpha)
-    if not r:
-        return ((1, (0,) * k),)
-    rows = [((1 << k - r) - 1, (0,) * (k - r), 1)]  # (values used, exponents, sign)
-    for i in range(r - 1, 0, -1):
-        room = alpha[i] + k - 1 - i
-        rows = [(used | 1 << v, (room - v,) + exps, -s if (used >> v).bit_count() & 1 else s)
-                for used, exps, s in rows for v in range(k - r, min(room, k - 1) + 1)
-                if not used >> v & 1]  # each used value above v is an inversion
-    acc: dict[Exps, int] = {}
-    for used, exps, s in rows:
-        v = (~used & (1 << k) - 1).bit_length() - 1
-        key = tuple(sorted((alpha[0] + k - 1 - v,) + exps, reverse=True))
-        acc[key] = acc.get(key, 0) + (-s if (used >> v).bit_count() & 1 else s)
+    if not alpha:
+        return ((1, k),)
+    rows = tails.get(alpha[1:])
+    if rows is None:
+        rows = tails[alpha[1:]] = _tail_rows(alpha[1:], k)
+    w = k.bit_length()
+    top = alpha[0] + k - 1
+    acc: dict[int, int] = {}
+    for v, codes in rows:
+        first = 1 << w * (top - v)
+        for code, s in codes:
+            key = code + first
+            acc[key] = acc.get(key, 0) + s
     return tuple((c, e) for e, c in acc.items() if c)
 
 
@@ -354,7 +396,7 @@ def _peel(slices: Iterable[tuple[int, Slice]], k: int, l: int, bound: int) -> Ho
 
     A slice holds the monomials of its degree with both blocks weakly
     decreasing, keyed by the block of the min(k, l) branching variables and
-    then by that of the max(k, l) alternant variables.  With l > k these are
+    then by the :func:`_code` of that of the max(k, l) alternant variables.  With l > k these are
     the t and the y: below, t, y, k and l name the alphabets after that
     swap, and the result is conjugated at the end.  Level 0 maps each
     y-block of a slice to the Schur coefficients of its t-block: every alpha
@@ -374,25 +416,28 @@ def _peel(slices: Iterable[tuple[int, Slice]], k: int, l: int, bound: int) -> Ho
     increasing s: the residual at (mu_lam, s_lam) is g_z(lam), which is
     pushed onto the vertical peels of lam with more boxes.  A nonzero
     residual at a (mu, s) that is no (mu_lam, s_lam) raises ``ValueError``.
-    Only the levels of one degree are held at a time; the lam of each
-    (mu, s, j) are kept for the call.
+    Only the levels of one degree are held at a time; the alternants, the
+    rows of their tails and the lam of each (mu, s, j) are kept for the call.
     """
     swap = l > k
     if swap:
         k, l = l, k
     second = "t" if swap else "y"
-    alphas: dict[int, list[tuple[int, ...]]] = {}
+    tails: dict = {}
+    alternants: dict[int, list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]] = {}
     plans: list[dict] = [{} for _ in range(l + 1)]
     coeffs: dict[tuple[int, ...], Coeff] = {}
     for n, grouped in slices:
         level: dict[Exps, dict[tuple[int, ...], Coeff]] = {}
         for y, g in grouped.items():
             m = n - sum(y)
-            if m not in alphas:
-                alphas[m] = list(partitions_of(m, k))
+            pairs = alternants.get(m)
+            if pairs is None:
+                pairs = alternants[m] = [(alpha, _alternant(alpha, k, tails))
+                                         for alpha in partitions_of(m, k)]
             row = {}
-            for alpha in alphas[m]:
-                d = sum(c * g.get(e, 0) for c, e in _alternant(alpha, k))
+            for alpha, terms in pairs:
+                d = sum(c * g.get(e, 0) for c, e in terms)
                 if d:
                     row[alpha] = d
             if row:

@@ -178,19 +178,21 @@ def partitions_of(n: int, max_parts: int | None = None,
         return
     first = n if max_part is None else min(n, max_part)
     rows = n if max_parts is None else max_parts
+    yield from _partitions(n, first, rows, [])
 
-    def rec(rem: int, cap: int, slots: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if rem == 0:
-            yield tuple(acc)
-            return
-        if slots == 0 or cap == 0:
-            return
-        for p in range(min(cap, rem), 0, -1):
-            acc.append(p)
-            yield from rec(rem - p, p, slots - 1, acc)
-            acc.pop()
 
-    yield from rec(n, first, rows, [])
+def _partitions(rem: int, cap: int, slots: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
+    """Each ``acc`` + a partition of ``rem`` into at most ``slots`` parts of at
+    most ``cap``, in descending lex order."""
+    if rem == 0:
+        yield tuple(acc)
+        return
+    if slots == 0 or cap == 0:
+        return
+    for p in range(min(cap, rem), 0, -1):
+        acc.append(p)
+        yield from _partitions(rem - p, p, slots - 1, acc)
+        acc.pop()
 
 
 def partitions_upto(n: int, max_parts: int | None = None,
@@ -208,22 +210,24 @@ def hook_partitions_of(n: int, k: int, l: int) -> list[tuple[int, ...]]:
     """
     if k < 0 or l < 0:
         raise ValueError("hook parameters must be nonnegative")
-    memo: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
+    return _hook_tails(n, n, 0, k, l, {})
 
-    def tails(rem: int, cap: int, row: int) -> list[tuple[int, ...]]:
-        if rem == 0:
-            return [()]
-        if row == k:
-            cap = min(cap, l)
-        key = (rem, cap, row)
-        out = memo.get(key)
-        if out is None:
-            below = min(row + 1, k)
-            out = memo[key] = [(p,) + t for p in range(min(cap, rem), 0, -1)
-                               for t in tails(rem - p, p, below)]
-        return out
 
-    return tails(n, n, 0)
+def _hook_tails(rem: int, cap: int, row: int, k: int, l: int,
+                memo: dict[tuple[int, int, int], list[tuple[int, ...]]]) -> list[tuple[int, ...]]:
+    """The rows from index ``row`` on (counted up to k) of the (k, l) hook
+    partitions: ``rem`` boxes in parts of at most ``cap``, memoized in ``memo``."""
+    if rem == 0:
+        return [()]
+    if row == k:
+        cap = min(cap, l)
+    key = (rem, cap, row)
+    out = memo.get(key)
+    if out is None:
+        below = min(row + 1, k)
+        out = memo[key] = [(p,) + t for p in range(min(cap, rem), 0, -1)
+                           for t in _hook_tails(rem - p, p, below, k, l, memo)]
+    return out
 
 
 @cache
@@ -281,24 +285,25 @@ def _walk(lam: tuple[int, ...], k: int, l: int, budget: int, c, acc: dict,
         top = min(lam[-1], budget) if lam else budget
         if n >= k:
             top = min(top, l)
-    below = _new_rows(top, vertical)
-    last = len(steps)
     full = not (even and budget & 1)  # whether a nu that spends the budget counts
+    _walk_runs(0, budget, (), steps, tails, _new_rows(top, vertical), budget, even, full, c, acc)
 
-    def rec(j: int, rem: int, head: tuple[int, ...]) -> None:
-        if j == last:
-            for rows in below[(budget - rem) & 1:rem + 1:2] if even else below[:rem + 1]:
-                nu = head + rows
-                acc[nu] = acc.get(nu, 0) + c
-            return
-        run = steps[j]
-        for x, rows in enumerate(run[:rem]):
-            rec(j + 1, rem - x, head + rows)
-        if len(run) > rem and full:  # run j spends the budget
-            nu = head + run[rem] + tails[j + 1]
+
+def _walk_runs(j: int, rem: int, head: tuple[int, ...], steps: list, tails: list,
+               below: tuple, budget: int, even: bool, full: bool, c, acc: dict) -> None:
+    """:func:`_walk` from run j on, with ``rem`` boxes left and the rows
+    ``head`` grown so far."""
+    if j == len(steps):
+        for rows in below[(budget - rem) & 1:rem + 1:2] if even else below[:rem + 1]:
+            nu = head + rows
             acc[nu] = acc.get(nu, 0) + c
-
-    rec(0, budget, ())
+        return
+    run = steps[j]
+    for x, rows in enumerate(run[:rem]):
+        _walk_runs(j + 1, rem - x, head + rows, steps, tails, below, budget, even, full, c, acc)
+    if len(run) > rem and full:  # run j spends the budget
+        nu = head + run[rem] + tails[j + 1]
+        acc[nu] = acc.get(nu, 0) + c
 
 
 def _horizontal_walk(lam: tuple[int, ...], k: int, l: int, budget: int, c,

@@ -1,10 +1,12 @@
 import csv
+import gc
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -251,6 +253,31 @@ def test_out_to_an_unopenable_path_is_a_bad_request(tmp_path, capsys):
     assert not target.parent.exists()
 
 
+def test_unwritable_out_fails_before_the_routes(tmp_path, capsys):
+    # the job takes half a minute; each refusal gives the reason open() gives
+    (tmp_path / "file").write_text("")
+    job = ["hookmult", "--algebra", "UT4E", "--hook", "4,4", "--trunc", "24",
+           "--method", "all", "--format", "csv", "--out"]
+    for target in (tmp_path / "missing" / "x.csv", tmp_path, tmp_path / "file" / "x.csv"):
+        with pytest.raises(OSError) as opened:
+            open(target, "w")
+        with time_limit(2):
+            code, out, err = run(job + [str(target)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {target}: {opened.value.strerror}\n"
+    assert (tmp_path / "file").read_text() == ""
+
+
+def test_route_disagreement_leaves_the_out_file_untouched(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "rows.csv"
+    target.write_text("earlier rows\n")
+    monkeypatch.setattr(cli, "closed_table", lambda tag: lambda lam: 99)
+    code, out, err = run(["mult", "--algebra", "E", "--vars", "2", "--trunc", "3",
+                          "--out", str(target)], capsys)
+    assert code == 1 and "route disagreement" in err
+    assert target.read_text() == "earlier rows\n"
+
+
 def test_route_disagreement_exits_nonzero(capsys, monkeypatch):
     def wrong(tag):
         return lambda lam: 99
@@ -363,3 +390,50 @@ def test_json_job_skips_json_package(tmp_path):
             "print('json' in sys.modules, file=sys.stderr)")
     proc = _subprocess(["-c", code], tmp_path)
     assert proc.returncode == 0 and proc.stderr == b"False\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["hookmult", "--algebra", "UT3E", "--hook", "1,1", "--trunc", "8", "--format", "json"],
+    ["mult", "--algebra", "UT2E", "--vars", "3", "--trunc", "8", "--format", "json"],
+    ["table", "--algebra", "UT2E", "--vars", "4", "--trunc", "8", "--format", "csv"],
+    ["hilbert", "--algebra", "E", "--vars", "2", "--trunc", "5", "--format", "json"],
+    ["verify", "--suite", "invariants"],
+])
+def test_jobs_leave_no_cochar_function_in_a_cycle(capsys, argv):
+    # run() keeps the collector off, so a reference cycle would live until
+    # exit; argparse's own objects are all that a collection may find
+    gc.collect()
+    gc.disable()
+    try:
+        assert cli.main(argv) == 0
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [f.__qualname__ for f in gc.garbage if isinstance(f, types.FunctionType)
+                  and (f.__module__ or "").startswith("cochar")]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    capsys.readouterr()
+    assert leaked == []
+
+
+def test_only_the_entry_point_disables_the_collector(tmp_path):
+    code = """if True:
+        import gc, sys
+        import cochar.cli as cli
+        seen = [gc.isenabled()]
+        argv = ["hookmult", "--algebra", "UT2E", "--hook", "1,1", "--trunc", "5"]
+        cli.main(argv)
+        seen.append(gc.isenabled())
+        main = cli.main
+        def spy():
+            seen.append(gc.isenabled())
+            return main(argv)
+        cli.main = spy
+        cli.run()
+        print(*seen)
+    """
+    proc = _subprocess(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines()[-1] == "True True False"

@@ -6,7 +6,7 @@ import signal
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb
 
 import pytest
@@ -17,6 +17,7 @@ from cochar.hilbert import (_sorted_coefficients, grassmann_double_hilbert, utn_
                             utn_mult_series)
 from cochar.hooks import (
     _alternant,
+    _code,
     _conjugate,
     _hs_terms,
     _peel,
@@ -388,20 +389,60 @@ def test_pieri_steps_keep_the_hook_part(e, size):
 # -- decomposition in the basis s_alpha(t) y^beta ------------------------------
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def decode(code, k):
+    """The weakly decreasing exponents of a multiset code of hooks._code: the
+    count of exponent e in bits w*e .. w*e + w - 1, w = k.bit_length()."""
+    w = k.bit_length()
+    exps = []
+    for e in range(code.bit_length() // w + 1):
+        exps += [e] * (code >> w * e & (1 << w) - 1)
+    return tuple(reversed(exps))
+
+
+@lru_cache(maxsize=None)
+def alternant(alpha, k):
+    """_alternant(alpha, k) with a fresh memo of tails, each exponent
+    multiset decoded."""
+    return tuple((c, decode(e, k)) for c, e in _alternant(alpha, k, {}))
+
+
+def permutation_sum(alpha, k):
+    """Every w in S_k, signed by its inversions, with no pruning."""
+    padded = alpha + (0,) * (k - len(alpha))
+    expected = {}
+    for w in permutations(range(k)):
+        exps = [padded[i] - i + w[i] for i in range(k)]  # alpha + delta - w(delta)
+        if min(exps) >= 0:
+            key = tuple(sorted(exps, reverse=True))
+            sign = (-1) ** sum(w[i] > w[j] for i in range(k) for j in range(i + 1, k))
+            expected[key] = expected.get(key, 0) + sign
+    return {e: c for e, c in expected.items() if c}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 8])
 def test_alternant_matches_the_permutation_sum(k):
-    # every w in S_k, signed by its inversions, with no pruning
-    for alpha in partitions_upto(8, max_parts=k):
-        padded = alpha + (0,) * (k - len(alpha))
-        expected = {}
-        for w in permutations(range(k)):
-            exps = [padded[i] - i + w[i] for i in range(k)]  # alpha + delta - w(delta)
-            if min(exps) >= 0:
-                key = tuple(sorted(exps, reverse=True))
-                sign = (-1) ** sum(w[i] > w[j] for i in range(k) for j in range(i + 1, k))
-                expected[key] = expected.get(key, 0) + sign
-        got = {e: c for c, e in _alternant(alpha, k)}
-        assert got == {e: c for e, c in expected.items() if c}, alpha
+    # from k = 5 on, weight at most 8 gives alpha with r < k and repeated
+    # parts; S_8 is large, so k = 8 checks a few alpha.  One memo of tails
+    # serves every alpha, as in the peel
+    tails = {}
+    alphas = partitions_upto(8, max_parts=k) if k < 8 else [(8,), (1,) * 8, (3, 3, 2, 2, 1, 1)]
+    for alpha in alphas:
+        terms = _alternant(alpha, k, tails)
+        got = {decode(e, k): c for c, e in terms}
+        assert len(got) == len(terms) and all(c for c, e in terms), alpha
+        assert got == permutation_sum(alpha, k), alpha
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8])
+def test_multiset_codes_name_multisets_of_at_most_k_exponents(k):
+    w = k.bit_length()
+    seen = {}
+    for size in range(k + 1):
+        for exps in combinations_with_replacement(range(5), size):
+            code = _code(exps, w)
+            assert seen.setdefault(code, exps) == exps
+            assert _code(exps[::-1], w) == code and decode(code, k) == exps[::-1]
+    assert _code((3, 0, 3, 5, 3), w) == _code((3, 0, 3), w) + _code((5, 3), w)
 
 
 @settings(max_examples=80, deadline=None)
@@ -480,7 +521,7 @@ def test_hs_terms_match_the_unpruned_recursion(k, l, schur_t):
             if list(beta) != sorted(beta, reverse=True):
                 continue
             for alpha in partitions_of(sum(lam) - sum(beta), k):
-                d = sum(c * monomials.get(e + beta, 0) for c, e in _alternant(alpha, k))
+                d = sum(c * monomials.get(e + beta, 0) for c, e in alternant(alpha, k))
                 if d:
                     want[alpha + (0,) * (k - len(alpha)) + beta] = d
         assert unpruned_hs_terms(lam, k, l, True) == want, lam
@@ -499,8 +540,9 @@ def max_peel(slices, k, l, bound):
     for n, grouped in slices:
         terms = {}
         for y, g in grouped.items():
+            g = {decode(e, k): c for e, c in g.items()}
             for alpha in partitions_of(n - sum(y), k):
-                d = sum(c * g.get(e, 0) for c, e in _alternant(alpha, k))
+                d = sum(c * g.get(e, 0) for c, e in alternant(alpha, k))
                 if d:
                     terms[alpha + (0,) * (k - len(alpha)) + y] = d
         while terms:
@@ -600,7 +642,10 @@ def test_block_splits_give_the_all_combination_slices(n, k, l, bound):
                                  for pick in combinations(range(k + l), k)}), a
         for b, row in grouped.items():
             slices.setdefault(degree, {}).setdefault(b, {}).update(row)
-    assert slices == all_combination_slices(n, k, l, bound)
+    decoded = {degree: {b: {decode(g, max(k, l)): c for g, c in row.items()}
+                        for b, row in grouped.items()}
+               for degree, grouped in slices.items()}
+    assert decoded == all_combination_slices(n, k, l, bound)
     assert _symmetric_slices(coeffs, k, l) == sorted(slices.items())
 
 
