@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import errno
 import gc
-import io
 import os
 import re
 import sys
@@ -31,7 +30,7 @@ from typing import Callable, Sequence
 
 from .closed_forms import closed_table
 from .hilbert import _sorted_coefficients, utn_double_hilbert
-from .hooks import _symmetric_decompose, _utn_hook_expansion, encode_hook_mult, HookExpansion
+from .hooks import _split_exps, _symmetric_decompose, _utn_hook_expansion, HookExpansion
 from .partitions import _format_partition, hook_partitions_of
 from .schur import to_mult_series
 
@@ -154,17 +153,6 @@ def _compare_routes(results: dict[str, dict],
     return diffs
 
 
-def _build_rows(results: dict[str, dict], domain: list[tuple[int, ...]]):
-    names = list(results)
-    first = results[names[0]]
-    rows = []
-    for lam in domain:
-        m = first[lam]
-        if m:
-            rows.append((lam, sum(lam), m, names))
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
@@ -191,12 +179,13 @@ def _quote(s: str) -> str:
     return encode_basestring_ascii(s)
 
 
-def _json(obj) -> str:
+def _json(obj, pad: str = "") -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, for dicts
     with str keys, lists, str, int, bool and None; any other type raises
-    ``TypeError``.  Str and int members are written in line, without a call."""
+    ``TypeError``.  Str and int members are written in line, without a call.
+    With ``pad``, the text is that of obj nested where lines open with pad."""
     chunks: list[str] = []
-    _write(obj, "", chunks.append)
+    _write(obj, pad, chunks.append)
     return "".join(chunks)
 
 
@@ -243,26 +232,71 @@ def _write(o, pad: str, put: Callable[[str], None]) -> None:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _render_rows(rows, fmt: str, job: dict, extra: dict | None = None) -> str:
-    if fmt == "csv":
-        import csv
+def _rows_json(rows: list, names: list[str]) -> str:
+    """The ``rows`` member of a table job's JSON document: what :func:`_json`
+    writes for the list of {"partition", "weight", "multiplicity", "routes"}
+    dicts, with one format string a row.  The routes block is the same on
+    every row, so it is written once.  A multiplicity that is no int goes
+    through :func:`_json`, which rejects every type but int and bool."""
+    if not rows:
+        return "[]"
+    routes = _json(names, "      ")
+    out = []
+    for lam, m in rows:
+        part = "[\n        " + ",\n        ".join(map(str, lam)) + "\n      ]" if lam else "[]"
+        mult = int.__repr__(m) if type(m) is int else _json(m)
+        out.append(f'{{\n      "multiplicity": {mult},\n      "partition": {part},\n'
+                   f'      "routes": {routes},\n      "weight": {sum(lam)}\n    }}')
+    return "[\n    " + ",\n    ".join(out) + "\n  ]"
 
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["partition", "weight", "multiplicity", "routes"])
-        for lam, w, m, names in rows:
-            writer.writerow([_format_partition(lam), w, m, ";".join(names)])
-        return buf.getvalue()
+
+def _hook_series_json(e: HookExpansion) -> str:
+    """The ``series`` member of a hookmult job's JSON document: what
+    :func:`_json` writes for ``encode_hook_mult(e).to_obj()``.
+
+    to_obj sorts its terms by (|lam|, lam), since the split exponents of lam
+    sum to |lam| and assemble back to lam, so each partition of e is split
+    once, in that order, and written by one template of 2k + l int slots.
+    """
+    k, l = e.k, e.l
+
+    def ints(count: int) -> str:
+        return "[\n          " + ",\n          ".join(["%d"] * count) + "\n        ]" if count else "[]"
+
+    term = (f'{{\n        "coeff": "%s",\n        "lambda0": {ints(k)},\n'
+            f'        "mu": {ints(k)},\n        "nu": {ints(l)}\n      }}')
+    terms = [term % ((e.coeffs[lam],) + _split_exps(lam, k, l)) for lam in e.support()]
+    body = "[\n      " + ",\n      ".join(terms) + "\n    ]" if terms else "[]"
+    return f'{{\n    "hook": [\n      {k},\n      {l}\n    ],\n    "terms": {body}\n  }}'
+
+
+def _render_rows(rows: list, names: list[str], fmt: str, job: dict,
+                 series: str | None = None) -> str:
+    """The table of (partition, multiplicity) rows that ``names`` agree on.
+
+    JSON holds the job's fields, the rows and the series member, if given,
+    in sorted key order.  CSV rows are those of ``csv.writer(lineterminator="\\n")``,
+    which quotes a field exactly when it holds a comma, as a partition of
+    two or more parts does.
+    """
+    routes = ";".join(names)
+    if fmt == "csv":
+        lines = ["partition,weight,multiplicity,routes\n"]
+        for lam, m in rows:
+            p = _format_partition(lam)
+            lines.append(f'"{p}",{sum(lam)},{m},{routes}\n' if "," in p
+                         else f"{p},{sum(lam)},{m},{routes}\n")
+        return "".join(lines)
     if fmt == "json":
-        obj = dict(job)
-        obj["rows"] = [{"partition": list(lam), "weight": w, "multiplicity": m,
-                        "routes": list(names)} for lam, w, m, names in rows]
-        if extra:
-            obj.update(extra)
-        return _json(obj) + "\n"
+        members = {key: _json(v, "  ") for key, v in job.items()}
+        members["rows"] = _rows_json(rows, names)
+        if series is not None:
+            members["series"] = series
+        return "{\n  " + ",\n  ".join(f"{_quote(key)}: {members[key]}"
+                                        for key in sorted(members)) + "\n}\n"
     lines = [f"{'partition':<18} {'weight':>6} {'multiplicity':>12}  routes"]
-    for lam, w, m, names in rows:
-        lines.append(f"{_format_partition(lam):<18} {w:>6} {m:>12}  {';'.join(names)}")
+    for lam, m in rows:
+        lines.append(f"{_format_partition(lam):<18} {sum(lam):>6} {m:>12}  {routes}")
     return "\n".join(lines) + "\n"
 
 
@@ -341,7 +375,10 @@ def _cmd_hilbert(args) -> int:
     return 0
 
 
-def _table_driver(args, n: int, extra_factory: Callable | None = None) -> int:
+def _table_driver(args, n: int,
+                  series: Callable[[HookExpansion], str] | None = None) -> int:
+    """Run the selected routes over the domain and write the rows they agree
+    on; a JSON job also writes ``series`` of the pipeline expansion."""
     k, l = _alphabets(args)
     domain = [lam for w in range(args.trunc + 1) for lam in hook_partitions_of(w, k, l)]
     # one pipeline run serves both the route and the JSON embed
@@ -357,9 +394,11 @@ def _table_driver(args, n: int, extra_factory: Callable | None = None) -> int:
         if len(diffs) > 20:
             print(f"  ... {len(diffs) - 20} more", file=sys.stderr)
         return 1
-    rows = _build_rows(results, domain)
-    extra = extra_factory(expansion()) if extra_factory and args.format == "json" else None
-    _emit(_render_rows(rows, args.format, _job_fields(args), extra), args.out)
+    names = list(results)
+    first = results[names[0]]
+    rows = [(lam, first[lam]) for lam in domain if first[lam]]
+    embed = series(expansion()) if series and args.format == "json" else None
+    _emit(_render_rows(rows, names, args.format, _job_fields(args), embed), args.out)
     return 0
 
 
@@ -367,10 +406,10 @@ def _cmd_mult(args) -> int:
     n = _parse_algebra(args.algebra)
     _check_guardrails(args, n)
 
-    def embed(e: HookExpansion) -> dict:  # the one-alphabet series in T-form
+    def embed(e: HookExpansion) -> str:  # the one-alphabet series in T-form
         ms = to_mult_series(e)
-        return {"series": {"form": ms.form, "d": ms.d, "bound": ms.bound,
-                           "terms": ms.series.to_obj()}}
+        return _json({"form": ms.form, "d": ms.d, "bound": ms.bound,
+                      "terms": ms.series.to_obj()}, "  ")
 
     return _table_driver(args, n, embed)
 
@@ -378,7 +417,7 @@ def _cmd_mult(args) -> int:
 def _cmd_hookmult(args) -> int:
     n = _parse_algebra(args.algebra)
     _check_guardrails(args, n)
-    return _table_driver(args, n, lambda e: {"series": encode_hook_mult(e).to_obj()})
+    return _table_driver(args, n, _hook_series_json)
 
 
 def _cmd_table(args) -> int:

@@ -48,11 +48,9 @@ from cochar.partitions import (
     _horizontal_walk,
     _vertical_walk,
     assemble_hook,
-    horizontal_strips,
     in_hook,
     partition,
     partitions_of,
-    vertical_strips,
     weight,
     HookSplit,
 )
@@ -187,8 +185,13 @@ class HookExpansion:
         if (self.k, self.l) != (other.k, other.l):
             raise ValueError("mismatched hooks")
         bound = min(self.bound, other.bound)
-        return _collect(self.k, self.l, bound,
-                        (self.coeffs.items(), other.coeffs.items()))
+        acc: dict[tuple[int, ...], Coeff] = {}
+        for items in (self.coeffs.items(), other.coeffs.items()):
+            for lam, c in items:
+                if sum(lam) <= bound:
+                    acc[lam] = acc.get(lam, 0) + c
+        return HookExpansion(self.k, self.l, bound,
+                             {lam: norm_coeff(c) for lam, c in acc.items() if c}, _raw=True)
 
     def scale(self, c: Coeff) -> "HookExpansion":
         c = norm_coeff(c)
@@ -204,18 +207,6 @@ class HookExpansion:
         for lam, c in self.coeffs.items():
             out = out + hs_poly(lam, self.k, self.l, self.bound).scale(c)
         return out
-
-
-def _collect(k: int, l: int, bound: int,
-             groups: Iterable[Iterable[tuple[tuple[int, ...], Coeff]]]) -> HookExpansion:
-    """Sum of (partition, coefficient) pairs already known to lie in the hook."""
-    acc: dict[tuple[int, ...], Coeff] = {}
-    for group in groups:
-        for lam, c in group:
-            if sum(lam) <= bound:
-                acc[lam] = acc.get(lam, 0) + c
-    return HookExpansion(k, l, bound,
-                         {lam: norm_coeff(c) for lam, c in acc.items() if c}, _raw=True)
 
 
 def _arrangements(block: Sequence[int]) -> int:
@@ -374,6 +365,34 @@ def _alternant(alpha: tuple[int, ...], k: int, tails: dict) -> tuple[tuple[int, 
     return tuple((c, e) for e, c in acc.items() if c)
 
 
+def _schur_row(g: dict[int, Coeff], m: int, k: int, tails: dict) -> dict[tuple[int, ...], Coeff]:
+    """The nonzero coefficients of the s_alpha, |alpha| = m, in the block g:
+    the sum of :func:`_alternant`'s signed codes read in g, taken straight
+    from the rows of alpha's tail.  Merging the alternant first pays only
+    where other blocks of its degree read it too."""
+    w = k.bit_length()
+    get = g.get
+    row = {}
+    for alpha in partitions_of(m, k):
+        if not alpha:  # the k zero exponents, of code k
+            d = get(k, 0)
+        else:
+            rows = tails.get(alpha[1:])
+            if rows is None:
+                rows = tails[alpha[1:]] = _tail_rows(alpha[1:], k)
+            top = alpha[0] + k - 1
+            d = 0
+            for v, codes in rows:
+                first = 1 << w * (top - v)
+                for code, s in codes:
+                    c = get(code + first)
+                    if c:
+                        d += s * c
+        if d:
+            row[alpha] = d
+    return row
+
+
 def _branch(mu: tuple[int, ...], s: int, k: int, j: int) -> tuple:
     """The lam of the (k, j) hook whose s rows below row k of length j,
     shortened, give mu, with its other vertical peels; () if there is none.
@@ -431,15 +450,18 @@ def _peel(slices: Iterable[tuple[int, Slice]], k: int, l: int, bound: int) -> Ho
         level: dict[Exps, dict[tuple[int, ...], Coeff]] = {}
         for y, g in grouped.items():
             m = n - sum(y)
-            pairs = alternants.get(m)
-            if pairs is None:
-                pairs = alternants[m] = [(alpha, _alternant(alpha, k, tails))
-                                         for alpha in partitions_of(m, k)]
-            row = {}
-            for alpha, terms in pairs:
-                d = sum(c * g.get(e, 0) for c, e in terms)
-                if d:
-                    row[alpha] = d
+            if not l:  # the one block () of its degree
+                row = _schur_row(g, m, k, tails)
+            else:
+                pairs = alternants.get(m)
+                if pairs is None:
+                    pairs = alternants[m] = [(alpha, _alternant(alpha, k, tails))
+                                             for alpha in partitions_of(m, k)]
+                row = {}
+                for alpha, terms in pairs:
+                    d = sum(c * g.get(e, 0) for c, e in terms)
+                    if d:
+                        row[alpha] = d
             if row:
                 level[y] = row
         for j in range(1, l + 1):
@@ -491,21 +513,32 @@ def _peel(slices: Iterable[tuple[int, Slice]], k: int, l: int, bound: int) -> Ho
 # -- Pieri steps and derived operators ---------------------------------------
 
 
-def _pieri(e: HookExpansion, size: int, strips: Callable) -> HookExpansion:
-    hook = (e.k, e.l)
-    return _collect(e.k, e.l, e.bound,
-                    (((nu, c) for nu in strips(lam, size, hook=hook))
-                     for lam, c in e.coeffs.items() if sum(lam) + size <= e.bound))
+def _pieri(e: HookExpansion, size: int, walk: Callable) -> HookExpansion:
+    """e times the one-row or one-column hook Schur function of ``size``
+    boxes: each lam's walk to that budget, keeping its strips of exactly
+    ``size`` boxes, in the walk's order."""
+    k, l, bound = e.k, e.l, e.bound
+    acc: dict[tuple[int, ...], Coeff] = {}
+    for lam, c in e.coeffs.items():
+        target = sum(lam) + size
+        if size >= 0 and target <= bound:
+            strips: dict[tuple[int, ...], Coeff] = {}
+            walk(lam, k, l, size, c, strips)
+            for nu in strips:
+                if sum(nu) == target:
+                    acc[nu] = acc.get(nu, 0) + c
+    return HookExpansion(k, l, bound,
+                         {nu: norm_coeff(c) for nu, c in acc.items() if c}, _raw=True)
 
 
 def hook_pieri_row(e: HookExpansion, n: int) -> HookExpansion:
     """Expansion of e times the one-row hook Schur function of size n."""
-    return _pieri(e, n, horizontal_strips)
+    return _pieri(e, n, _horizontal_walk)
 
 
 def hook_pieri_col(e: HookExpansion, m: int) -> HookExpansion:
     """Expansion of e times the one-column hook Schur function of size m."""
-    return _pieri(e, m, vertical_strips)
+    return _pieri(e, m, _vertical_walk)
 
 
 def _derived(e: HookExpansion, walk: Callable, even: bool = False) -> HookExpansion:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -135,6 +136,92 @@ def test_json_writer_matches_json_dumps(obj):
 def test_json_writer_rejects_other_types(obj):
     with pytest.raises(TypeError):
         cli._json(obj)
+
+
+# table jobs of every shape the writers meet: the pipeline series embedded
+# for hookmult and mult, none for table; multi-part and empty partitions,
+# l > k, the decompose route alone, and E at trunc 0
+TABLE_JOBS = [
+    (["hookmult", "--algebra", "UT3E", "--hook", "1,1", "--trunc", "8"], (3, 1, 1, 8)),
+    (["hookmult", "--algebra", "UT2E", "--hook", "1,2", "--trunc", "8"], (2, 1, 2, 8)),
+    (["hookmult", "--algebra", "UT2E", "--hook", "2,3", "--trunc", "7",
+      "--method", "decompose"], (2, 2, 3, 7)),
+    (["hookmult", "--algebra", "UT2E", "--hook", "3,4", "--trunc", "8"], (2, 3, 4, 8)),
+    (["hookmult", "--algebra", "E", "--hook", "1,1", "--trunc", "0"], (1, 1, 1, 0)),
+    (["mult", "--algebra", "UT2E", "--vars", "3", "--trunc", "8"], (2, 3, 0, 8)),
+    (["table", "--algebra", "UT2E", "--vars", "4", "--trunc", "8"], None),
+    (["table", "--algebra", "UT2E", "--hook", "2,3", "--trunc", "8"], None),
+]
+TABLE_IDS = [" ".join(argv) for argv, _ in TABLE_JOBS]
+
+
+def _table_job(argv, fmt, capsys, monkeypatch):
+    """The job's output, and the rows, route names and job fields that it
+    was written from."""
+    seen = []
+    render = cli._render_rows
+
+    def spy(rows, names, fmt, job, *args):
+        seen.append((rows, names, job))
+        return render(rows, names, fmt, job, *args)
+
+    monkeypatch.setattr(cli, "_render_rows", spy)
+    code, out, err = run(argv + ["--format", fmt], capsys)
+    assert code == 0, err
+    (rows, names, job), = seen
+    return out, rows, names, job
+
+
+def _old_table_object(argv, rows, names, job, pipeline):
+    """The object that table jobs serialised before they wrote their rows and
+    the hookmult series themselves: a dict per row, and the embed of the
+    library's encoded series."""
+    obj = dict(job, rows=[{"partition": list(lam), "weight": sum(lam), "multiplicity": m,
+                           "routes": list(names)} for lam, m in rows])
+    if pipeline is not None:
+        n, k, l, trunc = pipeline
+        if argv[0] == "hookmult":
+            obj["series"] = utn_hook_mult_series(n, k, l, trunc).to_obj()
+        else:
+            ms = utn_mult_series(n, k, trunc)
+            obj["series"] = {"form": ms.form, "d": ms.d, "bound": ms.bound,
+                             "terms": ms.series.to_obj()}
+    return obj
+
+
+@pytest.mark.parametrize("argv, pipeline", TABLE_JOBS, ids=TABLE_IDS)
+def test_table_json_matches_the_generic_writer(capsys, monkeypatch, argv, pipeline):
+    out, rows, names, job = _table_job(argv, "json", capsys, monkeypatch)
+    assert rows and job["command"] == argv[0]
+    obj = _old_table_object(argv, rows, names, job, pipeline)
+    assert out == cli._json(obj) + "\n" == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv, pipeline", TABLE_JOBS, ids=TABLE_IDS)
+def test_table_csv_matches_the_csv_module(capsys, monkeypatch, argv, pipeline):
+    out, rows, names, _ = _table_job(argv, "csv", capsys, monkeypatch)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["partition", "weight", "multiplicity", "routes"])
+    for lam, m in rows:
+        writer.writerow([cli._format_partition(lam), sum(lam), m, ";".join(names)])
+    assert out == buf.getvalue()
+
+
+def test_empty_table_matches_the_generic_writer():
+    job = {"command": "table", "algebra": "E", "trunc": 3, "vars": 2, "method": "all"}
+    obj = dict(job, rows=[])
+    assert cli._render_rows([], ["pipeline", "decompose"], "json", job) \
+        == cli._json(obj) + "\n" == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    assert cli._render_rows([], ["pipeline"], "csv", job) == "partition,weight,multiplicity,routes\n"
+
+
+@pytest.mark.parametrize("m", [Fraction(1, 2), 1.0])
+def test_table_json_rejects_a_multiplicity_that_is_no_int(m):
+    # as the generic writer rejects any type that JSON has not
+    job = {"command": "table", "algebra": "E", "trunc": 3, "vars": 2, "method": "all"}
+    with pytest.raises(TypeError):
+        cli._render_rows([((2, 1), m)], ["pipeline"], "json", job)
 
 
 def test_hilbert_json_matches_module(capsys):
@@ -388,6 +475,15 @@ def test_json_job_skips_json_package(tmp_path):
     code = ("import sys, cochar.cli; cochar.cli.main(['hookmult', '--algebra', 'UT3E', "
             "'--hook', '1,1', '--trunc', '6', '--format', 'json']); "
             "print('json' in sys.modules, file=sys.stderr)")
+    proc = _subprocess(["-c", code], tmp_path)
+    assert proc.returncode == 0 and proc.stderr == b"False\n"
+
+
+def test_csv_job_skips_csv_package(tmp_path):
+    # the rows are written by f-strings, quoted as csv.writer quotes them
+    code = ("import sys, cochar.cli; cochar.cli.main(['hookmult', '--algebra', 'UT3E', "
+            "'--hook', '1,1', '--trunc', '6', '--format', 'csv']); "
+            "print('csv' in sys.modules, file=sys.stderr)")
     proc = _subprocess(["-c", code], tmp_path)
     assert proc.returncode == 0 and proc.stderr == b"False\n"
 

@@ -21,6 +21,7 @@ from cochar.hooks import (
     _conjugate,
     _hs_terms,
     _peel,
+    _schur_row,
     _schur_terms,
     _symmetric_slices,
     _vertical_peels,
@@ -431,6 +432,31 @@ def test_alternant_matches_the_permutation_sum(k):
         got = {decode(e, k): c for c, e in terms}
         assert len(got) == len(terms) and all(c for c, e in terms), alpha
         assert got == permutation_sum(alpha, k), alpha
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_schur_row_reads_the_alternant(k):
+    # the l = 0 peel sums each alternant straight from its tail rows: the
+    # same coefficients as the merged alternant, on random blocks that miss
+    # about half their keys and hold signed and fractional entries
+    rng = random.Random(k)
+    w = k.bit_length()
+    tails = {}
+    nonzero = 0
+    for m in range(9):
+        keys = [_code(a + (0,) * (k - len(a)), w)
+                for a in partitions_of(m, max_parts=k)]
+        for _ in range(3):
+            g = {e: rng.choice([-2, -1, 1, 3, Fraction(1, 2)])
+                 for e in rng.sample(keys, len(keys) // 2 + 1)}
+            want = {}
+            for alpha in partitions_of(m, k):
+                d = sum(c * g.get(e, 0) for c, e in _alternant(alpha, k, {}))
+                if d:
+                    want[alpha] = d
+            assert _schur_row(g, m, k, tails) == want, (m, g)
+            nonzero += len(want)
+    assert nonzero
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8])
