@@ -26,7 +26,7 @@ import os
 import re
 import sys
 from functools import cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .closed_forms import closed_table
 from .hilbert import _sorted_coefficients, utn_double_hilbert
@@ -232,22 +232,28 @@ def _write(o, pad: str, put: Callable[[str], None]) -> None:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
+def _list_json(items: Iterable[str], pad: str) -> str:
+    """What :func:`_json` writes for a list nested at ``pad`` whose members
+    it writes as ``items``."""
+    inner = "\n" + pad + "  "
+    body = ("," + inner).join(items)
+    return "[" + inner + body + "\n" + pad + "]" if body else "[]"
+
+
 def _rows_json(rows: list, names: list[str]) -> str:
     """The ``rows`` member of a table job's JSON document: what :func:`_json`
     writes for the list of {"partition", "weight", "multiplicity", "routes"}
     dicts, with one format string a row.  The routes block is the same on
     every row, so it is written once.  A multiplicity that is no int goes
     through :func:`_json`, which rejects every type but int and bool."""
-    if not rows:
-        return "[]"
     routes = _json(names, "      ")
     out = []
     for lam, m in rows:
-        part = "[\n        " + ",\n        ".join(map(str, lam)) + "\n      ]" if lam else "[]"
+        part = _list_json(map(str, lam), "      ")
         mult = int.__repr__(m) if type(m) is int else _json(m)
         out.append(f'{{\n      "multiplicity": {mult},\n      "partition": {part},\n'
                    f'      "routes": {routes},\n      "weight": {sum(lam)}\n    }}')
-    return "[\n    " + ",\n    ".join(out) + "\n  ]"
+    return _list_json(out, "  ")
 
 
 def _hook_series_json(e: HookExpansion) -> str:
@@ -259,15 +265,15 @@ def _hook_series_json(e: HookExpansion) -> str:
     once, in that order, and written by one template of 2k + l int slots.
     """
     k, l = e.k, e.l
-
-    def ints(count: int) -> str:
-        return "[\n          " + ",\n          ".join(["%d"] * count) + "\n        ]" if count else "[]"
-
-    term = (f'{{\n        "coeff": "%s",\n        "lambda0": {ints(k)},\n'
-            f'        "mu": {ints(k)},\n        "nu": {ints(l)}\n      }}')
+    pad = "        "
+    term = ('{\n        "coeff": "%s",\n'
+            f'        "lambda0": {_list_json(["%d"] * k, pad)},\n'
+            f'        "mu": {_list_json(["%d"] * k, pad)},\n'
+            f'        "nu": {_list_json(["%d"] * l, pad)}\n'
+            '      }')
     terms = [term % ((e.coeffs[lam],) + _split_exps(lam, k, l)) for lam in e.support()]
-    body = "[\n      " + ",\n      ".join(terms) + "\n    ]" if terms else "[]"
-    return f'{{\n    "hook": [\n      {k},\n      {l}\n    ],\n    "terms": {body}\n  }}'
+    return (f'{{\n    "hook": {_list_json((str(k), str(l)), "    ")},\n'
+            f'    "terms": {_list_json(terms, "    ")}\n  }}')
 
 
 def _render_rows(rows: list, names: list[str], fmt: str, job: dict,

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cochar import cli
 from cochar.hilbert import utn_hilbert, utn_mult_series
-from cochar.hooks import utn_hook_mult_series
+from cochar.hooks import encode_hook_mult, utn_hook_mult_series, HookExpansion
 from test_hooks import time_limit
 
 
@@ -214,6 +214,8 @@ def test_empty_table_matches_the_generic_writer():
     assert cli._render_rows([], ["pipeline", "decompose"], "json", job) \
         == cli._json(obj) + "\n" == json.dumps(obj, sort_keys=True, indent=2) + "\n"
     assert cli._render_rows([], ["pipeline"], "csv", job) == "partition,weight,multiplicity,routes\n"
+    zero = HookExpansion(2, 3, 10)
+    assert cli._hook_series_json(zero) == cli._json(encode_hook_mult(zero).to_obj(), "  ")
 
 
 @pytest.mark.parametrize("m", [Fraction(1, 2), 1.0])
