@@ -421,7 +421,8 @@ def _peel(slices: Iterable[tuple[int, Slice]], k: int, l: int, bound: int) -> Ho
     y-block of a slice to the Schur coefficients of its t-block: every alpha
     of the remaining degree is tried, also where the monomial t^alpha y^beta
     is absent, for the alternant can be nonzero there.  At l = 0 that is the
-    answer.
+    answer, and each degree has the one block (), so :func:`_schur_row`
+    reads it from the tail rows without merging any alternant.
 
     Level j maps each weakly decreasing exponent vector z of y_(j+1)..y_l to
     the coefficients g_z(lam), lam in the (k, j) hook, of the y^z part of the
@@ -435,8 +436,9 @@ def _peel(slices: Iterable[tuple[int, Slice]], k: int, l: int, bound: int) -> Ho
     increasing s: the residual at (mu_lam, s_lam) is g_z(lam), which is
     pushed onto the vertical peels of lam with more boxes.  A nonzero
     residual at a (mu, s) that is no (mu_lam, s_lam) raises ``ValueError``.
-    Only the levels of one degree are held at a time; the alternants, the
-    rows of their tails and the lam of each (mu, s, j) are kept for the call.
+    Only the levels of one degree are held at a time; the alternants (at
+    l > 0), the rows of their tails and the lam of each (mu, s, j) are kept
+    for the call.
     """
     swap = l > k
     if swap:

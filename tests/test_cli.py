@@ -172,7 +172,7 @@ def _table_job(argv, fmt, capsys, monkeypatch):
     return out, rows, names, job
 
 
-def _old_table_object(argv, rows, names, job, pipeline):
+def _old_table_object(rows, names, job, pipeline):
     """The object that table jobs serialised before they wrote their rows and
     the hookmult series themselves: a dict per row, and the embed of the
     library's encoded series."""
@@ -180,7 +180,7 @@ def _old_table_object(argv, rows, names, job, pipeline):
                            "routes": list(names)} for lam, m in rows])
     if pipeline is not None:
         n, k, l, trunc = pipeline
-        if argv[0] == "hookmult":
+        if job["command"] == "hookmult":
             obj["series"] = utn_hook_mult_series(n, k, l, trunc).to_obj()
         else:
             ms = utn_mult_series(n, k, trunc)
@@ -193,7 +193,7 @@ def _old_table_object(argv, rows, names, job, pipeline):
 def test_table_json_matches_the_generic_writer(capsys, monkeypatch, argv, pipeline):
     out, rows, names, job = _table_job(argv, "json", capsys, monkeypatch)
     assert rows and job["command"] == argv[0]
-    obj = _old_table_object(argv, rows, names, job, pipeline)
+    obj = _old_table_object(rows, names, job, pipeline)
     assert out == cli._json(obj) + "\n" == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
