@@ -19,13 +19,13 @@ repeated runs produce identical bytes.
 
 from __future__ import annotations
 
-import argparse
 import errno
 import gc
 import os
 import re
 import sys
 from functools import cache
+from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence
 
 from .closed_forms import closed_table
@@ -59,16 +59,17 @@ def _parse_algebra(tag: str) -> int:
 
 
 def _parse_hook(text: str) -> tuple[int, int]:
-    pieces = text.split(",")
     try:
-        k, l = (int(p) for p in pieces)
+        k, l = (int(p) for p in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"bad hook {text!r}: expected two integers like 2,3") from None
-    if k < 1 or l < 1:
-        raise argparse.ArgumentTypeError(
-            f"bad hook {text!r}: both arms must be >= 1")
-    return k, l
+        problem = "expected two integers like 2,3"
+    else:
+        if k >= 1 and l >= 1:
+            return k, l
+        problem = "both arms must be >= 1"
+    import argparse  # for its error type only: a valid hook loads no argparse
+
+    raise argparse.ArgumentTypeError(f"bad hook {text!r}: {problem}")
 
 
 def _check_guardrails(args, n: int) -> None:
@@ -457,65 +458,102 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# The command line, declared once: each subcommand's help, driver and options
+# in help order, as (name, add_argument keywords).  As in argparse, an option's
+# dest is its name without the dashes, and its default is None unless given.
+_ALGEBRA = ("--algebra", {"required": True, "help": "E or UTnE (e.g. UT2E)"})
+_VARS = ("--vars", {"type": int, "help": "number of variables in the single alphabet"})
+_HOOK = ("--hook", {"type": _parse_hook,
+                    "help": "hook arms k,l for the split pair of alphabets"})
+_TRUNC = ("--trunc", {"type": int, "required": True, "help": "total-degree truncation bound"})
+_METHOD = ("--method", {"choices": ("pipeline", "decompose", "closed-form", "all"),
+                        "default": "all",
+                        "help": "route(s) to compute; 'all' cross-checks every "
+                                "available route (default)"})
+_FORMAT = ("--format", {"choices": ("json", "csv", "text"), "default": "text"})
+_OUT = ("--out", {"help": "write output to a file"})
+_FORCE = ("--force", {"action": "store_true", "default": False,
+                      "help": "proceed past the default size guardrails"})
+
+
+def _required(option: tuple[str, dict]) -> tuple[str, dict]:
+    return option[0], dict(option[1], required=True)
+
+
+COMMANDS = {
+    "hilbert": ("raw series of an algebra", _cmd_hilbert,
+                (_ALGEBRA, _VARS, _HOOK, _TRUNC, _FORMAT, _OUT, _FORCE)),
+    "mult": ("multiplicity table in d variables", _cmd_mult,
+             (_ALGEBRA, _required(_VARS), _TRUNC, _METHOD, _FORMAT, _OUT, _FORCE)),
+    "hookmult": ("multiplicity table over a hook", _cmd_hookmult,
+                 (_ALGEBRA, _required(_HOOK), _TRUNC, _METHOD, _FORMAT, _OUT, _FORCE)),
+    "table": ("route-agreement table", _cmd_table,
+              (_ALGEBRA, _VARS, _HOOK, _TRUNC, _METHOD, _FORMAT, _OUT, _FORCE)),
+    "verify": ("run a check suite", _cmd_verify,
+               (("--suite", {"choices": ("invariants", "acceptance", "all"),
+                             "default": "invariants"}),
+                ("--format", {"choices": ("json", "text"), "default": "text"}),
+                ("--out", {}))),
+}
+
+
+def _build_parser():
+    """The argparse parser of :data:`COMMANDS`, which words help, usage and
+    every error; it is imported here, so a valid job never loads it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cochar",
         description="exact cocharacter-series computations with cross-route checking")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, methods=True, needs_vars=False, needs_hook=False, free=False):
-        p.add_argument("--algebra", required=True,
-                       help="E or UTnE (e.g. UT2E)")
-        if needs_vars or free:
-            p.add_argument("--vars", type=int, default=None,
-                           required=needs_vars and not free,
-                           help="number of variables in the single alphabet")
-        if needs_hook or free:
-            p.add_argument("--hook", type=_parse_hook, default=None,
-                           required=needs_hook and not free,
-                           help="hook arms k,l for the split pair of alphabets")
-        p.add_argument("--trunc", type=int, required=True,
-                       help="total-degree truncation bound")
-        if methods:
-            p.add_argument("--method",
-                           choices=("pipeline", "decompose", "closed-form", "all"),
-                           default="all",
-                           help="route(s) to compute; 'all' cross-checks every "
-                                "available route (default)")
-        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-        p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument("--force", action="store_true",
-                       help="proceed past the default size guardrails")
-
-    p_hilbert = sub.add_parser("hilbert", help="raw series of an algebra")
-    common(p_hilbert, methods=False, free=True)
-    p_hilbert.set_defaults(driver=_cmd_hilbert)
-
-    p_mult = sub.add_parser("mult", help="multiplicity table in d variables")
-    common(p_mult, needs_vars=True)
-    p_mult.set_defaults(driver=_cmd_mult)
-
-    p_hookmult = sub.add_parser("hookmult", help="multiplicity table over a hook")
-    common(p_hookmult, needs_hook=True)
-    p_hookmult.set_defaults(driver=_cmd_hookmult)
-
-    p_table = sub.add_parser("table", help="route-agreement table")
-    common(p_table, free=True)
-    p_table.set_defaults(driver=_cmd_table)
-
-    p_verify = sub.add_parser("verify", help="run a check suite")
-    p_verify.add_argument("--suite", choices=("invariants", "acceptance", "all"),
-                          default="invariants")
-    p_verify.add_argument("--format", choices=("json", "text"), default="text")
-    p_verify.add_argument("--out", default=None)
-    p_verify.set_defaults(driver=_cmd_verify)
-
+    for command, (summary, driver, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name, keywords in options:
+            p.add_argument(name, **keywords)
+        p.set_defaults(driver=driver)
     return parser
 
 
+def _parse_strict(argv: Sequence[str]) -> SimpleNamespace | None:
+    """What ``_build_parser().parse_args(argv)`` returns, where argv needs
+    none of argparse's own rules: a subcommand, then exact option names, each
+    once, flags alone and other options with one value that does not start
+    with ``-`` and passes its converter and choices, and every required
+    option.  ``None`` for any other list, such as help, abbreviations,
+    ``--opt=value``, repeats and bad values, which argparse parses."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, driver, options = COMMANDS[argv[0]]
+    table = dict(options)
+    given = {}
+    words = iter(argv[1:])
+    for name in words:
+        keywords = table.get(name)
+        if keywords is None or name in given:
+            return None
+        if keywords.get("action") == "store_true":
+            given[name] = True
+            continue
+        text = next(words, "-")  # a missing value is refused as one starting with -
+        if text.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(text)
+        except Exception:  # argparse raises or words it again
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        given[name] = value
+    if any(keywords.get("required") and name not in given for name, keywords in options):
+        return None
+    return SimpleNamespace(command=argv[0], driver=driver,
+                           **{name[2:]: given.get(name, keywords.get("default"))
+                              for name, keywords in options})
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse_strict(argv) or _build_parser().parse_args(argv)
     try:
         _check_out(args.out)
         return args.driver(args)

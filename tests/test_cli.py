@@ -1,9 +1,11 @@
+import contextlib
 import csv
 import gc
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -25,7 +27,8 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 def _subprocess(argv, cwd):
@@ -408,11 +411,11 @@ def test_table_needs_exactly_one_alphabet(capsys):
 
 def test_cli_import_skips_dataclasses_and_inspect():
     # every CLI job pays its import; dataclasses and inspect cost about 9 ms
-    # of it, fractions (with decimal) about 5 ms, and json, csv, fractions and
-    # the check suites load only where they are used
+    # of it, fractions (with decimal) about 5 ms, and json, csv, fractions,
+    # argparse and the check suites load only where they are used
     code = ("import cochar.cli, sys; "
             "print(sorted(m for m in ('dataclasses', 'inspect', 'json', 'csv', "
-            "'fractions', 'decimal', 'cochar.verify') if m in sys.modules))")
+            "'fractions', 'decimal', 'cochar.verify', 'argparse') if m in sys.modules))")
     proc = _subprocess(["-c", code], None)
     assert proc.returncode == 0 and proc.stdout.strip() == b"[]"
 
@@ -481,6 +484,25 @@ def test_json_job_skips_json_package(tmp_path):
     assert proc.returncode == 0 and proc.stderr == b"False\n"
 
 
+def test_valid_jobs_skip_argparse(tmp_path):
+    # argparse, its gettext and the locale that gettext loads cost about
+    # 4 ms a job; only help and errors build the parser
+    code = """if True:
+        import sys, cochar.cli
+        for argv in (
+                ["hookmult", "--algebra", "UT3E", "--hook", "1,1", "--trunc", "6"],
+                ["mult", "--algebra", "UT2E", "--vars", "2", "--trunc", "6", "--format", "csv"],
+                ["table", "--algebra", "UT2E", "--hook", "1,1", "--trunc", "5", "--force"],
+                ["hilbert", "--algebra", "E", "--vars", "2", "--trunc", "4", "--format", "json"],
+                ["verify", "--suite", "invariants"]):
+            assert cochar.cli.main(argv) == 0
+        print(sorted(m for m in ("argparse", "gettext", "locale") if m in sys.modules),
+              file=sys.stderr)
+    """
+    proc = _subprocess(["-c", code], tmp_path)
+    assert proc.returncode == 0 and proc.stderr == b"[]\n"
+
+
 def test_csv_job_skips_csv_package(tmp_path):
     # the rows are written by f-strings, quoted as csv.writer quotes them
     code = ("import sys, cochar.cli; cochar.cli.main(['hookmult', '--algebra', 'UT3E', "
@@ -499,7 +521,8 @@ def test_csv_job_skips_csv_package(tmp_path):
 ])
 def test_jobs_leave_no_cochar_function_in_a_cycle(capsys, argv):
     # run() keeps the collector off, so a reference cycle would live until
-    # exit; argparse's own objects are all that a collection may find
+    # exit; a valid job builds no parser, and only help and error runs leave
+    # argparse's own cyclic objects
     gc.collect()
     gc.disable()
     try:
@@ -535,3 +558,169 @@ def test_only_the_entry_point_disables_the_collector(tmp_path):
     proc = _subprocess(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode().splitlines()[-1] == "True True False"
+
+
+# ---------------------------------------------------------------------------
+# argument parsing
+# ---------------------------------------------------------------------------
+
+
+def _hand_written_parser():
+    """The parser as it was written before the command table: the reference
+    for the help, usage and error bytes of the parser built from the table."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="cochar",
+        description="exact cocharacter-series computations with cross-route checking")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p, methods=True, needs_vars=False, needs_hook=False, free=False):
+        p.add_argument("--algebra", required=True, help="E or UTnE (e.g. UT2E)")
+        if needs_vars or free:
+            p.add_argument("--vars", type=int, default=None, required=needs_vars and not free,
+                           help="number of variables in the single alphabet")
+        if needs_hook or free:
+            p.add_argument("--hook", type=cli._parse_hook, default=None,
+                           required=needs_hook and not free,
+                           help="hook arms k,l for the split pair of alphabets")
+        p.add_argument("--trunc", type=int, required=True, help="total-degree truncation bound")
+        if methods:
+            p.add_argument("--method", choices=("pipeline", "decompose", "closed-form", "all"),
+                           default="all", help="route(s) to compute; 'all' cross-checks every "
+                                               "available route (default)")
+        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+        p.add_argument("--out", default=None, help="write output to a file")
+        p.add_argument("--force", action="store_true",
+                       help="proceed past the default size guardrails")
+
+    for name, summary, driver, kinds in (
+            ("hilbert", "raw series of an algebra", cli._cmd_hilbert,
+             dict(methods=False, free=True)),
+            ("mult", "multiplicity table in d variables", cli._cmd_mult, dict(needs_vars=True)),
+            ("hookmult", "multiplicity table over a hook", cli._cmd_hookmult,
+             dict(needs_hook=True)),
+            ("table", "route-agreement table", cli._cmd_table, dict(free=True))):
+        p = sub.add_parser(name, help=summary)
+        common(p, **kinds)
+        p.set_defaults(driver=driver)
+    p = sub.add_parser("verify", help="run a check suite")
+    p.add_argument("--suite", choices=("invariants", "acceptance", "all"), default="invariants")
+    p.add_argument("--format", choices=("json", "text"), default="text")
+    p.add_argument("--out", default=None)
+    p.set_defaults(driver=cli._cmd_verify)
+    return parser
+
+
+def _argparse_outcome(parser, argv):
+    """vars() of the namespace, or None and the exit code, with the bytes
+    that argparse wrote."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result, code = vars(parser.parse_args(argv)), None
+        except SystemExit as exc:
+            result, code = None, exc.code
+    return result, code, out.getvalue(), err.getvalue()
+
+
+OPTION_NAMES = sorted({name for _, _, options in cli.COMMANDS.values() for name, _ in options})
+# valid values of each option, then ints, hooks and words that are valid
+# for some options only or for none
+GOOD_VALUES = {"--algebra": ["E", "UT2E", "UT3E"], "--vars": ["2", "3"], "--hook": ["1,1", "2,3"],
+               "--trunc": ["0", "6"], "--out": ["rows.txt"]}
+OTHER_VALUES = [" 4", "+5", "1_0", "-1", "0", "x", "1,x", "0,1", "1,2,3", " 1, 2", "UT0E", "",
+                "-", "-x", "--force", "json", "csv", "text", "all", "pipeline", "closed-form",
+                "acceptance"]
+OTHER_WORDS = ["--alg", "--tr", "--fo", "--f", "--hoo", "-h", "--help", "--", "--format=json",
+               "--trunc=4", "--hook=1,1", "--force=1", "--bogus", "x", "-1", "hookmult"]
+
+
+@st.composite
+def argument_lists(draw):
+    """A subcommand or another word, then the subcommand's options in any
+    order, now and then dropped, renamed or followed by another word; each
+    option mostly with a valid value."""
+    command = draw(st.sampled_from([*cli.COMMANDS, "bogus", "--help"]))
+    _, _, options = cli.COMMANDS.get(command, cli.COMMANDS["table"])
+    argv = [command]
+    for name, keywords in draw(st.permutations(options)):
+        if draw(st.integers(0, 7)) == 0:
+            continue
+        if draw(st.integers(0, 7)) == 0:
+            name = draw(st.sampled_from(OPTION_NAMES + OTHER_WORDS))
+        argv.append(name)
+        if keywords.get("action") != "store_true" or draw(st.integers(0, 7)) == 0:
+            good = list(keywords.get("choices", GOOD_VALUES.get(name, [])))
+            argv.append(draw(st.sampled_from(good if good and draw(st.integers(0, 3))
+                                             else OTHER_VALUES)))
+        if draw(st.integers(0, 9)) == 0:
+            argv.append(draw(st.sampled_from(OTHER_WORDS + OTHER_VALUES)))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argument_lists())
+@example(["hookmult", "--algebra", "UT2E", "--hook", "1,1", "--trunc", " 4", "--force"])
+@example(["mult", "--algebra", "E", "--vars", "+5", "--trunc", "1_0", "--out", ""])
+@example(["hookmult", "--algebra", "E", "--hook", "1,1", "--trunc", "4", "--out", "-"])
+@example(["hookmult", "--algebra", "E", "--hook", "1,1", "--trunc", "4", "--out", "--force"])
+@example(["hookmult", "--algebra", "E", "--hook", "1,1", "--trunc", "4", "--out"])
+@example(["hookmult", "--algebra", "E", "--hook", "1,1", "--trunc", "4", "--trunc", "5"])
+@example(["hookmult", "--algebra", "E", "--hook", "1,1", "--trunc", "4", "--", "--force"])
+def test_strict_parser_agrees_with_argparse(argv):
+    # the strict parser gives argparse's namespace or leaves the list to it,
+    # and the parser built from the table parses as the hand-written one did
+    built = _argparse_outcome(cli._build_parser(), argv)
+    assert built == _argparse_outcome(_hand_written_parser(), argv)
+    strict = cli._parse_strict(argv)
+    if strict is not None:
+        assert vars(strict) == built[0]
+
+
+def _known_jobs():
+    """Every job of the bench families, the CI steps and the README block."""
+    spec = json.loads((ROOT / "bench" / "spec.json").read_text())
+    jobs = [job["args"] for w in spec["workloads"].values()
+            for job in [*w["family"], w["smoke"]]]
+    ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    jobs += [m.split() for m in re.findall(
+        r"\b((?:hilbert|mult|hookmult|table|verify)(?: +--[a-z]+ +[\w,.]+)+)", ci)]
+    readme = (ROOT / "README.md").read_text()
+    jobs += [m.split() for m in re.findall(r"^cochar (.+)$", readme, re.M)]
+    return jobs
+
+
+KNOWN_JOBS = _known_jobs()
+
+
+@pytest.mark.parametrize("argv", KNOWN_JOBS, ids=[" ".join(a) for a in KNOWN_JOBS])
+def test_strict_parser_takes_every_known_job(argv):
+    strict = cli._parse_strict(argv)
+    assert strict is not None
+    assert vars(strict) == vars(cli._build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    *([command, "--help"] for command in cli.COMMANDS),
+    ["hookmult", "--alg", "UT2E", "--hook", "1,1", "--trunc", "4"],
+    ["hookmult", "--algebra", "UT2E", "--hook", "1,1", "--trunc", "4", "--format=json"],
+    ["hookmult", "--algebra", "UT2E", "--hook", "1,1", "--trunc", "-1"],
+    ["hookmult", "--algebra", "UT2E", "--hook", "1,x", "--trunc", "4"],
+    ["hookmult", "--algebra", "UT2E", "--hook", "0,1", "--trunc", "4"],
+], ids=" ".join)
+def test_help_and_errors_are_those_of_the_hand_written_parser(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def outcome():
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    got = outcome()
+    monkeypatch.setattr(cli, "_parse_strict", lambda argv: None)
+    monkeypatch.setattr(cli, "_build_parser", _hand_written_parser)
+    assert got == outcome()
