@@ -25,7 +25,6 @@ from cochar.series import (
     expand_factor,
     norm_coeff,
     Series,
-    substitute_monomials,
     VarSet,
 )
 from cochar.hooks import (
@@ -49,8 +48,6 @@ from cochar.schur import (
     from_mult_series,
     MultSeries,
     to_mult_series,
-    verify_mult_series,
-    young_derived_substitution,
 )
 from cochar.hilbert import (
     grassmann_double_hilbert,

@@ -7,22 +7,17 @@ steps and derived operators are those of :mod:`cochar.hooks` at ``l = 0``.
 
 This module keeps what only one alphabet has.  :class:`MultSeries` packs an
 ``l = 0`` expansion into a generating series, either on the exponents ``lam``
-themselves (T-form) or on the consecutive differences of ``lam`` (V-form);
-:func:`young_derived_substitution` is a second route for the row derivation,
-working on the T-form series; and :func:`verify_mult_series` checks a
-decomposition by antisymmetrization, independently of the hook layer.
+themselves (T-form) or on the consecutive differences of ``lam`` (V-form).
 """
 
 from __future__ import annotations
 
-from itertools import permutations, product
 from typing import Sequence
 
 from cochar.hooks import HookExpansion
 from cochar.hooks import _schur_terms  # noqa: F401  (resolved here by bench/tracer.py)
 from cochar.partitions import partition
-from cochar.series import (Coeff, Exps, expand_factor, norm_coeff, Series,
-                           substitute_monomials, VarSet)
+from cochar.series import Coeff, Exps, Series, VarSet
 
 
 class MultSeries:
@@ -113,93 +108,6 @@ def convert_mult_series(m: MultSeries, form: str) -> MultSeries:
     if form == m.form:
         return m
     return to_mult_series(from_mult_series(m), form)
-
-
-def young_derived_substitution(m: MultSeries) -> MultSeries:
-    """The row derivation ``hook_row_derived`` at l = 0, on the series itself.
-
-    Multiplying by prod 1/(1-t_i) is here a signed sum of monomial
-    substitutions applied to the T-form series, times the geometric product,
-    with no Pieri step.  Every substitution image of a partition monomial has
-    total degree at least the source weight, so the weight-N truncation is
-    exact.
-    """
-    m = convert_mult_series(m, "T")
-    d, n = m.d, m.bound
-    tv = VarSet.t(d)
-    acc = Series.zero(tv, n)
-    for eps in product((0, 1), repeat=d - 1):  # eps[j-2] is the choice at t_j
-        mapping = {}
-        for i in range(1, d + 1):
-            img = [0] * d
-            if i == 1:
-                img[0] = 1
-                if d > 1:
-                    img[1] += eps[0]
-            elif i < d:
-                img[i - 1] += 1 - eps[i - 2]
-                img[i] += eps[i - 1]
-            else:
-                img[d - 1] += 1 - eps[d - 2]
-            mapping[f"t{i}"] = (1, tuple(img))
-        pref = [0] * d
-        for j in range(2, d + 1):
-            pref[j - 1] = eps[j - 2]
-        sign = -1 if sum(eps) % 2 else 1
-        image = substitute_monomials(m.series, tv, mapping, n)
-        acc = acc + image * Series.monomial(tv, n, tuple(pref), sign)
-    geo = expand_factor(tv, [(f"t{i}", -1, -1) for i in range(1, d + 1)], n)
-    return MultSeries("T", d, n, acc * geo)
-
-
-# -- the antisymmetrization check ---------------------------------------------
-
-
-def _perm_sign(sigma: Sequence[int]) -> int:
-    inversions = sum(1 for i in range(len(sigma)) for j in range(i + 1, len(sigma))
-                     if sigma[i] > sigma[j])
-    return -1 if inversions % 2 else 1
-
-
-def _vandermonde(d: int, bound: int) -> Series:
-    """prod_{i<j} (t_i - t_j) via the determinant expansion."""
-    terms: dict[Exps, Coeff] = {}
-    for sigma in permutations(range(d)):
-        exps = tuple(d - 1 - sigma[i] for i in range(d))
-        terms[exps] = _perm_sign(sigma)
-    return Series(VarSet.t(d), bound, terms)
-
-
-def verify_mult_series(f: Series, h: MultSeries) -> bool:
-    """Check a series against its claimed multiplicity series.
-
-    Uses the antisymmetrization identity: f times the Vandermonde product
-    equals the signed sum over permutations of the staircase monomial times
-    the permuted multiplicity series.
-    """
-    h = convert_mult_series(h, "T")
-    d = h.d
-    if f.vars.names != VarSet.t(d).names:
-        return False
-    n = min(f.bound, h.bound)
-    dv = d * (d - 1) // 2
-    lhs = f.truncate(n).truncate(n + dv) * _vandermonde(d, n + dv)
-    rhs: dict[Exps, Coeff] = {}
-    for sigma in permutations(range(d)):
-        sgn = _perm_sign(sigma)
-        for e, c in h.series.terms.items():
-            if sum(e) > n:
-                continue
-            out = [0] * d
-            for i in range(d):
-                out[sigma[i]] = e[i] + d - 1 - i
-            key = tuple(out)
-            s = rhs.get(key, 0) + sgn * c
-            if s:
-                rhs[key] = s
-            else:
-                del rhs[key]
-    return lhs.terms == {e: norm_coeff(c) for e, c in rhs.items() if c}
 
 
 # -- names of the former ordinary-Schur layer -----------------------------------

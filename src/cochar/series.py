@@ -369,45 +369,3 @@ def expand_factor(vars_: VarSet, factors: Iterable[tuple], bound: int) -> Series
             else:
                 out = out.shift_mul_geometric(exps, sign)
     return out
-
-
-def substitute_monomials(s: Series, target: VarSet,
-                         mapping: Mapping[str, tuple[int, Sequence[int]]],
-                         bound: int) -> Series:
-    """Substitute each source variable by +/- a monomial of ``target``.
-
-    ``mapping`` sends every source variable name to ``(sign, exponents)``.
-    Terms whose image exceeds ``bound`` are dropped; the caller is responsible
-    for making sure that truncation is sound for its use.
-    """
-    images: list[tuple[int, Exps]] = []
-    for name in s.vars.names:
-        if name not in mapping:
-            raise ValueError(f"no image for variable {name!r}")
-        sign, exps = mapping[name]
-        if sign not in (1, -1):
-            raise ValueError(f"image sign must be +1 or -1, got {sign!r}")
-        exps = tuple(int(e) for e in exps)
-        if len(exps) != target.arity or any(e < 0 for e in exps):
-            raise ValueError(f"bad image monomial {exps!r} for {name!r}")
-        images.append((sign, exps))
-    out: dict[Exps, Coeff] = {}
-    for e, c in s.terms.items():
-        key = [0] * target.arity
-        sign = 1
-        for power, (sgn, img) in zip(e, images):
-            if power:
-                if sgn < 0 and power % 2:
-                    sign = -sign
-                for i, m in enumerate(img):
-                    if m:
-                        key[i] += m * power
-        if sum(key) > bound:
-            continue
-        k = tuple(key)
-        t = out.get(k, 0) + sign * c
-        if t:
-            out[k] = t
-        else:
-            del out[k]
-    return Series(target, bound, {e: norm_coeff(c) for e, c in out.items() if c}, _raw=True)

@@ -7,8 +7,10 @@ printed per criterion; run with ``pytest -s`` to watch them go by.
 
 import pytest
 
+from cochar import verify
 from cochar.hilbert import utn_mult_series
-from cochar.hooks import utn_hook_mult_series
+from cochar.hooks import hook_row_derived, HookExpansion, utn_hook_mult_series
+from cochar.schur import from_mult_series, to_mult_series
 from cochar.verify import ACCEPTANCE_CHECKS
 
 
@@ -23,6 +25,37 @@ def test_criterion(check):
     line = f"{'PASS' if result.passed else 'FAIL'}  {result.name}: {result.detail}"
     print(line)
     assert result.passed, line
+
+
+def test_operator_identities_detail():
+    assert verify.operator_identities() == (
+        "acceptance", "operator identities", True,
+        "commutation, row derivation and synthesis hold on 100 samples")
+
+
+def test_operator_identities_catch_a_wrong_row_derivation(monkeypatch):
+    def one_strip_too_many(e):
+        out = hook_row_derived(e)
+        return out + HookExpansion(out.k, out.l, out.bound, {(2,): 1})
+
+    monkeypatch.setattr(verify, "hook_row_derived", one_strip_too_many)
+    result = verify.operator_identities()
+    assert not result.passed
+    assert "row derivation is not prod 1/(1-t_i)" in result.detail
+
+
+def test_operator_identities_catch_a_wrong_multiplicity(monkeypatch):
+    def off_by_one_at_52(n, d, bound):
+        m = utn_mult_series(n, d, bound)
+        if n != 2:
+            return m
+        return to_mult_series(from_mult_series(m) + HookExpansion(d, 0, bound, {(5, 2): 1}))
+
+    monkeypatch.setattr(verify, "utn_mult_series", off_by_one_at_52)
+    result = verify.operator_identities()
+    assert not result.passed
+    assert result.detail == ("synthesis of the multiplicity series is not "
+                             "the Hilbert series for n=2")
 
 
 def test_headline_values():

@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cochar.series import (
-    expand_factor, norm_coeff, Series, substitute_monomials, VarSet)
+from cochar.series import expand_factor, norm_coeff, Series, VarSet
 
 T1 = VarSet.t(1)
 T2 = VarSet.t(2)
@@ -89,16 +88,6 @@ def test_series_mul_contract():
         a * Series.one(T2, 5)
 
 
-def test_substitution_commutes_with_mul():
-    a = Series(T2, 6, {(1, 0): 1, (0, 2): 3})
-    b = Series(T2, 6, {(0, 0): 1, (1, 1): -2})
-    t3 = VarSet.t(3)
-    amap = {"t1": (1, (1, 1, 0)), "t2": (-1, (0, 0, 1))}
-    left = substitute_monomials(a * b, t3, amap, 12)
-    right = substitute_monomials(a, t3, amap, 12) * substitute_monomials(b, t3, amap, 12)
-    assert left == right
-
-
 def test_expand_factor_geometric():
     s = expand_factor(T1, [("t1", -1, -1)], 4)  # 1/(1 - t1)
     assert s.terms == {(0,): 1, (1,): 1, (2,): 1, (3,): 1, (4,): 1}
@@ -136,29 +125,6 @@ def test_expand_factor_rejects():
         expand_factor(T1, [((0,), 1, -1)], 3)
     with pytest.raises(ValueError):
         expand_factor(T1, [("t9", 1, 1)], 3)
-
-
-def test_substitute_monomials():
-    t3 = VarSet.t(3)
-    s = Series(T2, 4, {(2, 1): 1, (1, 0): 3})
-    out = substitute_monomials(
-        s, t3, {"t1": (1, (1, 1, 0)), "t2": (1, (0, 0, 1))}, 8)
-    assert out.terms == {(2, 2, 1): 1, (1, 1, 0): 3}
-    # sign tracking: odd power of a negated image flips the term
-    neg = substitute_monomials(s, t3, {"t1": (-1, (1, 0, 0)), "t2": (1, (0, 1, 0))}, 8)
-    assert neg.terms == {(2, 1, 0): 1, (1, 0, 0): -3}
-    # collisions must cancel exactly
-    u = Series(T2, 4, {(1, 0): 1, (0, 1): -1})
-    z = substitute_monomials(u, t3, {"t1": (1, (1, 0, 0)), "t2": (1, (1, 0, 0))}, 8)
-    assert z.is_zero()
-    with pytest.raises(ValueError):
-        substitute_monomials(s, t3, {"t1": (1, (1, 0, 0))}, 8)
-
-
-def test_substitute_drops_above_bound():
-    s = Series(T1, 3, {(1,): 1, (2,): 1})
-    out = substitute_monomials(s, T2, {"t1": (1, (1, 1))}, 3)
-    assert out.terms == {(1, 1): 1}
 
 
 def test_sorted_terms_and_json():
