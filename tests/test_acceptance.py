@@ -33,21 +33,27 @@ def test_operator_identities_detail():
         "commutation, row derivation and synthesis hold on 100 samples")
 
 
-def test_operator_identities_catch_a_wrong_row_derivation(monkeypatch):
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_operator_identities_catch_a_wrong_row_derivation(monkeypatch, d):
+    # the fault hits only one Schur width, so every width in the check is exercised
     def one_strip_too_many(e):
         out = hook_row_derived(e)
+        if out.k != d or out.l != 0:
+            return out
         return out + HookExpansion(out.k, out.l, out.bound, {(2,): 1})
 
     monkeypatch.setattr(verify, "hook_row_derived", one_strip_too_many)
     result = verify.operator_identities()
     assert not result.passed
     assert "row derivation is not prod 1/(1-t_i)" in result.detail
+    assert f"d={d})" in result.detail
 
 
-def test_operator_identities_catch_a_wrong_multiplicity(monkeypatch):
+@pytest.mark.parametrize("wrong_n", [1, 2, 3])
+def test_operator_identities_catch_a_wrong_multiplicity(monkeypatch, wrong_n):
     def off_by_one_at_52(n, d, bound):
         m = utn_mult_series(n, d, bound)
-        if n != 2:
+        if n != wrong_n:
             return m
         return to_mult_series(from_mult_series(m) + HookExpansion(d, 0, bound, {(5, 2): 1}))
 
@@ -55,7 +61,7 @@ def test_operator_identities_catch_a_wrong_multiplicity(monkeypatch):
     result = verify.operator_identities()
     assert not result.passed
     assert result.detail == ("synthesis of the multiplicity series is not "
-                             "the Hilbert series for n=2")
+                             f"the Hilbert series for n={wrong_n}")
 
 
 def test_headline_values():
