@@ -30,8 +30,8 @@ from typing import Callable, Iterable, Sequence
 
 from .closed_forms import closed_table
 from .hilbert import _sorted_coefficients, utn_double_hilbert
-from .hooks import _split_exps, _symmetric_decompose, _utn_hook_expansion, HookExpansion
-from .partitions import _format_partition, hook_partitions_of
+from .hooks import _symmetric_decompose, _utn_hook_expansion, HookExpansion
+from .partitions import _format_partition, _split_exps, hook_partitions_of
 from .schur import to_mult_series
 
 # Soft limits.  Past these the computations still work, they just get slow;
@@ -52,7 +52,7 @@ class SpecError(Exception):
 def _parse_algebra(tag: str) -> int:
     if tag == "E":
         return 1
-    m = re.fullmatch(r"UT(\d+)E", tag)
+    m = re.fullmatch(r"UT([0-9]+)E", tag)
     if m is None or int(m.group(1)) < 1:
         raise SpecError(f"unknown algebra {tag!r}: expected E or UTnE with n >= 1")
     return int(m.group(1))
@@ -180,86 +180,49 @@ def _quote(s: str) -> str:
     return encode_basestring_ascii(s)
 
 
-def _json(obj, pad: str = "") -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, for dicts
-    with str keys, lists, str, int, bool and None; any other type raises
-    ``TypeError``.  Str and int members are written in line, without a call.
-    With ``pad``, the text is that of obj nested where lines open with pad."""
-    chunks: list[str] = []
-    _write(obj, pad, chunks.append)
-    return "".join(chunks)
-
-
-def _member(sep: str, v, inner: str, put: Callable[[str], None]) -> None:
-    if type(v) is str:
-        put(sep + _quote(v))
-    elif type(v) is int:
-        put(sep + int.__repr__(v))
-    else:
-        put(sep)
-        _write(v, inner, put)
-
-
-def _write(o, pad: str, put: Callable[[str], None]) -> None:
-    if isinstance(o, dict) and o:
-        inner = pad + "  "
-        sep = "{\n" + inner
-        for key in sorted(o):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            _member(sep + _quote(key) + ": ", o[key], inner, put)
-            sep = ",\n" + inner
-        put("\n" + pad + "}")
-    elif isinstance(o, list) and o:
-        inner = pad + "  "
-        sep = "[\n" + inner
-        for v in o:
-            _member(sep, v, inner, put)
-            sep = ",\n" + inner
-        put("\n" + pad + "]")
-    elif isinstance(o, str):
-        put(_quote(o))
-    elif o is None:
-        put("null")
-    elif o is True:
-        put("true")
-    elif o is False:
-        put("false")
-    elif isinstance(o, int):
-        put(int.__repr__(o))
-    elif isinstance(o, (dict, list)):
-        put("{}" if isinstance(o, dict) else "[]")
-    else:
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
 def _list_json(items: Iterable[str], pad: str) -> str:
-    """What :func:`_json` writes for a list nested at ``pad`` whose members
-    it writes as ``items``."""
+    """What ``json.dumps(sort_keys=True, indent=2)`` writes for a list nested
+    at ``pad`` whose members it writes as ``items``."""
     inner = "\n" + pad + "  "
     body = ("," + inner).join(items)
     return "[" + inner + body + "\n" + pad + "]" if body else "[]"
 
 
 def _rows_json(rows: list, names: list[str]) -> str:
-    """The ``rows`` member of a table job's JSON document: what :func:`_json`
+    """The ``rows`` member of a table job's JSON document: what ``json.dumps``
     writes for the list of {"partition", "weight", "multiplicity", "routes"}
     dicts, with one format string a row.  The routes block is the same on
-    every row, so it is written once.  A multiplicity that is no int goes
-    through :func:`_json`, which rejects every type but int and bool."""
-    routes = _json(names, "      ")
+    every row, so it is written once.  A multiplicity must be an int."""
+    routes = _list_json(map(_quote, names), "      ")
     out = []
     for lam, m in rows:
+        if type(m) is not int:
+            raise TypeError(f"multiplicity of {lam} is a {type(m).__name__}, not an int")
         part = _list_json(map(str, lam), "      ")
-        mult = int.__repr__(m) if type(m) is int else _json(m)
-        out.append(f'{{\n      "multiplicity": {mult},\n      "partition": {part},\n'
+        out.append(f'{{\n      "multiplicity": {m},\n      "partition": {part},\n'
                    f'      "routes": {routes},\n      "weight": {sum(lam)}\n    }}')
     return _list_json(out, "  ")
 
 
+def _terms_json(series, pad: str) -> str:
+    """What ``json.dumps`` writes for ``series.to_obj()`` nested at ``pad``:
+    one template of int slots a term, in :meth:`Series.sorted_terms` order.
+    Every coefficient must be an int, so its denominator is 1."""
+    inner = pad + "    "
+    term = (f'{{\n{inner}"den": "1",\n'
+            f'{inner}"exp": {_list_json(["%d"] * series.vars.arity, inner)},\n'
+            f'{inner}"num": "%d"\n{pad}  }}')
+    terms = []
+    for exps, c in series.sorted_terms():
+        if type(c) is not int:
+            raise TypeError(f"coefficient of {exps} is a {type(c).__name__}, not an int")
+        terms.append(term % (*exps, c))
+    return _list_json(terms, pad)
+
+
 def _hook_series_json(e: HookExpansion) -> str:
     """The ``series`` member of a hookmult job's JSON document: what
-    :func:`_json` writes for ``encode_hook_mult(e).to_obj()``.
+    ``json.dumps`` writes for ``encode_hook_mult(e).to_obj()``.
 
     to_obj sorts its terms by (|lam|, lam), since the split exponents of lam
     sum to |lam| and assemble back to lam, so each partition of e is split
@@ -275,6 +238,15 @@ def _hook_series_json(e: HookExpansion) -> str:
     terms = [term % ((e.coeffs[lam],) + _split_exps(lam, k, l)) for lam in e.support()]
     return (f'{{\n    "hook": {_list_json((str(k), str(l)), "    ")},\n'
             f'    "terms": {_list_json(terms, "    ")}\n  }}')
+
+
+def _document_json(job: dict, members: dict[str, str]) -> str:
+    """A job's JSON document: the job fields, each an int, a str or a list of
+    ints, and ``members``, written at indent 2, all in sorted key order."""
+    fields = {key: int.__repr__(v) if type(v) is int else _quote(v) if type(v) is str
+              else _list_json(map(str, v), "  ") for key, v in job.items()}
+    return "{\n  " + ",\n  ".join(f"{_quote(key)}: {text}"
+                                    for key, text in sorted((fields | members).items())) + "\n}\n"
 
 
 def _render_rows(rows: list, names: list[str], fmt: str, job: dict,
@@ -295,12 +267,10 @@ def _render_rows(rows: list, names: list[str], fmt: str, job: dict,
                          else f"{p},{sum(lam)},{m},{routes}\n")
         return "".join(lines)
     if fmt == "json":
-        members = {key: _json(v, "  ") for key, v in job.items()}
-        members["rows"] = _rows_json(rows, names)
+        members = {"rows": _rows_json(rows, names)}
         if series is not None:
             members["series"] = series
-        return "{\n  " + ",\n  ".join(f"{_quote(key)}: {members[key]}"
-                                        for key in sorted(members)) + "\n}\n"
+        return _document_json(job, members)
     lines = [f"{'partition':<18} {'weight':>6} {'multiplicity':>12}  routes"]
     for lam, m in rows:
         lines.append(f"{_format_partition(lam):<18} {sum(lam):>6} {m:>12}  {routes}")
@@ -309,9 +279,7 @@ def _render_rows(rows: list, names: list[str], fmt: str, job: dict,
 
 def _render_series(series, fmt: str, job: dict) -> str:
     if fmt == "json":
-        obj = dict(job)
-        obj["series"] = series.to_obj()
-        return _json(obj) + "\n"
+        return _document_json(job, {"series": _terms_json(series, "  ")})
     lines = []
     for exps, c in series.sorted_terms():
         lines.append(f"{_format_monomial(series.vars.names, exps)}: {c}")
@@ -415,8 +383,8 @@ def _cmd_mult(args) -> int:
 
     def embed(e: HookExpansion) -> str:  # the one-alphabet series in T-form
         ms = to_mult_series(e)
-        return _json({"form": ms.form, "d": ms.d, "bound": ms.bound,
-                      "terms": ms.series.to_obj()}, "  ")
+        return (f'{{\n    "bound": {ms.bound},\n    "d": {ms.d},\n    "form": {_quote(ms.form)},\n'
+                f'    "terms": {_terms_json(ms.series, "    ")}\n  }}')
 
     return _table_driver(args, n, embed)
 
@@ -440,9 +408,9 @@ def _cmd_verify(args) -> int:
 
     results = run_suite(args.suite)
     if args.format == "json":
-        obj = [{"suite": r.suite, "name": r.name, "passed": r.passed,
-                "detail": r.detail} for r in results]
-        text = _json(obj) + "\n"
+        import json
+
+        text = json.dumps([r._asdict() for r in results], sort_keys=True, indent=2) + "\n"
     else:
         lines = [f"{'PASS' if r.passed else 'FAIL'}  {r.suite}: {r.name} -- {r.detail}"
                  for r in results]

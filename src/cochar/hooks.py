@@ -44,8 +44,10 @@ from math import comb, factorial
 from typing import Callable, Iterable, Mapping, Sequence
 
 from cochar.partitions import (
+    _assemble_exps,
     _conjugate,
     _horizontal_walk,
+    _split_exps,
     _vertical_walk,
     assemble_hook,
     in_hook,
@@ -606,21 +608,6 @@ def hook_grassmann_derived_power(e: HookExpansion, j: int) -> HookExpansion:
 # -- the split-variable encoding ---------------------------------------------
 
 
-def _split_exps(lam: tuple[int, ...], k: int, l: int) -> Exps:
-    """Exponents v^rectangle t^arm y^leg of a canonical partition in the (k, l) hook."""
-    head = lam[:k] + (0,) * (k - len(lam))
-    below = lam[k:]
-    return (tuple(min(p, l) for p in head) + tuple(max(p - l, 0) for p in head)
-            + tuple(sum(1 for p in below if p > j) for j in range(l)))
-
-
-def _assemble_exps(exps: Exps, k: int, l: int) -> tuple[int, ...]:
-    """The partition a well-formed split exponent vector encodes (inverse of _split_exps)."""
-    rows = tuple(a + b for a, b in zip(exps[:k], exps[k:2 * k]) if a + b)
-    nu = exps[2 * k:]
-    return rows + tuple(sum(1 for v in nu if v > i) for i in range(nu[0] if nu else 0))
-
-
 class HookMultSeries:
     """Series over v_1..v_k, t_1..t_k, y_1..y_l encoding a hook expansion.
 
@@ -639,8 +626,7 @@ class HookMultSeries:
             if series.vars.names != VarSet.vty(k, l).names:
                 raise ValueError("series variables do not match the split encoding")
             for e in series.terms:  # assemble_hook raises on a malformed monomial
-                assemble_hook(HookSplit(k, l, partition(e[:k]), partition(e[k:2 * k]),
-                                        partition(e[2 * k:])))
+                assemble_hook(HookSplit(k, l, e[:k], e[k:2 * k], e[2 * k:]))
             series = series.truncate(bound)
         self.k = k
         self.l = l

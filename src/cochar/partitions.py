@@ -132,43 +132,48 @@ class HookSplit(NamedTuple):
 
 
 def split_hook(lam: Sequence[int], k: int, l: int) -> HookSplit:
-    """Split ``lam`` in H(k, l) into rectangle part, arm, and conjugated leg."""
+    """Split ``lam`` in H(k, l) into rectangle part, arm, and conjugated leg:
+    the blocks of :func:`_split_exps` without their zeros."""
     lam = partition(lam)
     if not in_hook(lam, k, l):
         raise ValueError(f"{lam} is not inside the ({k}, {l}) hook")
-    head = lam[:k]
-    lambda0 = tuple(min(p, l) for p in head if min(p, l) > 0)
-    mu = tuple(p - l for p in head if p > l)
-    nu = conjugate(lam[k:])
-    return HookSplit(k, l, lambda0, mu, nu)
+    exps = _split_exps(lam, k, l)
+    blocks = (exps[:k], exps[k:2 * k], exps[2 * k:])
+    return HookSplit(k, l, *(tuple(p for p in block if p) for block in blocks))
 
 
 def assemble_hook(split: HookSplit) -> tuple[int, ...]:
-    """Inverse of :func:`split_hook`; raises ``ValueError`` on invalid triples."""
-    k, l, lambda0, mu, nu = split
-    lambda0, mu, nu = partition(lambda0), partition(mu), partition(nu)
-    if len(lambda0) > k or any(p > l for p in lambda0):
-        raise ValueError(f"lambda0 {lambda0} exceeds the {l}^{k} rectangle")
-    if len(mu) > k:
-        raise ValueError(f"arm {mu} has more than {k} parts")
-    if len(nu) > l:
-        raise ValueError(f"leg conjugate {nu} has more than {l} parts")
-    # arm rows must sit against full rectangle rows
-    for i in range(len(mu)):
-        if part_at(lambda0, i + 1) != l:
-            raise ValueError(f"arm row {i + 1} of {mu} not backed by a full row of {lambda0}")
-    rows = []
-    for i in range(1, k + 1):
-        r = part_at(lambda0, i) + part_at(mu, i)
-        if r > 0:
-            rows.append(r)
-    below = conjugate(nu)
-    if below and k > 0 and (len(rows) < k or rows[-1] < below[0]):
-        raise ValueError(f"leg {below} does not fit under rectangle part {lambda0}")
-    lam = partition(tuple(rows) + below)
-    if split_hook(lam, k, l)[2:] != (lambda0, mu, nu):
-        raise ValueError(f"({lambda0}, {mu}, {nu}) is not a valid ({k}, {l}) split")
+    """Inverse of :func:`split_hook`: the partition whose :func:`_split_exps`
+    are the blocks padded to k, k and l entries, or ``ValueError``."""
+    k, l, *blocks = split
+    exps: tuple[int, ...] = ()
+    for name, block, width in zip(("lambda0", "arm", "leg conjugate"), blocks, (k, k, l)):
+        block = partition(block)
+        if len(block) > width:
+            raise ValueError(f"{name} {block} has more than {width} parts")
+        exps += block + (0,) * (width - len(block))
+    lam = partition(_assemble_exps(exps, k, l))
+    if _split_exps(lam, k, l) != exps:
+        raise ValueError(f"{tuple(blocks)} is not a valid ({k}, {l}) split")
     return lam
+
+
+def _split_exps(lam: tuple[int, ...], k: int, l: int) -> tuple[int, ...]:
+    """Exponents v^rectangle t^arm y^leg of a canonical partition in the
+    (k, l) hook: its first k rows cut at l, their overhangs past l, and the
+    l column lengths below row k."""
+    head = lam[:k] + (0,) * (k - len(lam))
+    below = lam[k:]
+    return (tuple(min(p, l) for p in head) + tuple(max(p - l, 0) for p in head)
+            + tuple(sum(1 for p in below if p > j) for j in range(l)))
+
+
+def _assemble_exps(exps: tuple[int, ...], k: int, l: int) -> tuple[int, ...]:
+    """The rows that a split exponent vector encodes; the partition of a
+    well-formed one (inverse of :func:`_split_exps`)."""
+    rows = tuple(a + b for a, b in zip(exps[:k], exps[k:2 * k]) if a + b)
+    nu = exps[2 * k:]
+    return rows + tuple(sum(1 for v in nu if v > i) for i in range(nu[0] if nu else 0))
 
 
 def partitions_of(n: int, max_parts: int | None = None,

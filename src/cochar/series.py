@@ -160,9 +160,6 @@ class Series:
     def coefficient(self, exps: Sequence[int]) -> Coeff:
         return self.terms.get(tuple(exps), 0)
 
-    def constant_term(self) -> Coeff:
-        return self.terms.get((0,) * self.vars.arity, 0)
-
     def degree_slice(self, d: int) -> dict[Exps, Coeff]:
         return {e: c for e, c in self.terms.items() if sum(e) == d}
 

@@ -16,8 +16,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cochar import cli
-from cochar.hilbert import utn_hilbert, utn_mult_series
+from cochar.hilbert import utn_double_hilbert, utn_hilbert, utn_mult_series
 from cochar.hooks import encode_hook_mult, utn_hook_mult_series, HookExpansion
+from cochar.series import Series, VarSet
 from test_hooks import time_limit
 
 
@@ -119,28 +120,6 @@ def test_json_embed_runs_the_pipeline_once(capsys, monkeypatch, argv, pipeline):
     assert json.loads(full)["series"] == want
 
 
-# strings mix arbitrary characters with quotes, backslashes, control and
-# non-ASCII ones; ints reach past 64 bits
-json_text = st.text(st.characters() | st.sampled_from('"\\/\n\t\x00\x1f\x7fé€\u2028😀'), max_size=8)
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 100, 2 ** 100) | json_text,
-    lambda inner: st.lists(inner) | st.dictionaries(json_text, inner),
-    max_leaves=20)
-
-
-@settings(max_examples=50, deadline=None)
-@given(json_values)
-@example({"b": [], "a": {}, "c": [{}, [[]], -1, 2 ** 70, True, False, None, 'q"\\\x01ü']})
-def test_json_writer_matches_json_dumps(obj):
-    assert cli._json(obj) == json.dumps(obj, sort_keys=True, indent=2)
-
-
-@pytest.mark.parametrize("obj", [1.5, {"a": [0.0]}, [(1, 2)], {1: "int key"}])
-def test_json_writer_rejects_other_types(obj):
-    with pytest.raises(TypeError):
-        cli._json(obj)
-
-
 # table jobs of every shape the writers meet: the pipeline series embedded
 # for hookmult and mult, none for table; multi-part and empty partitions,
 # l > k, the decompose route alone, and E at trunc 0
@@ -197,7 +176,7 @@ def test_table_json_matches_the_generic_writer(capsys, monkeypatch, argv, pipeli
     out, rows, names, job = _table_job(argv, "json", capsys, monkeypatch)
     assert rows and job["command"] == argv[0]
     obj = _old_table_object(rows, names, job, pipeline)
-    assert out == cli._json(obj) + "\n" == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    assert out == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("argv, pipeline", TABLE_JOBS, ids=TABLE_IDS)
@@ -215,18 +194,46 @@ def test_empty_table_matches_the_generic_writer():
     job = {"command": "table", "algebra": "E", "trunc": 3, "vars": 2, "method": "all"}
     obj = dict(job, rows=[])
     assert cli._render_rows([], ["pipeline", "decompose"], "json", job) \
-        == cli._json(obj) + "\n" == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        == json.dumps(obj, sort_keys=True, indent=2) + "\n"
     assert cli._render_rows([], ["pipeline"], "csv", job) == "partition,weight,multiplicity,routes\n"
     zero = HookExpansion(2, 3, 10)
-    assert cli._hook_series_json(zero) == cli._json(encode_hook_mult(zero).to_obj(), "  ")
+    embed = json.dumps(encode_hook_mult(zero).to_obj(), sort_keys=True, indent=2)
+    assert cli._hook_series_json(zero) == embed.replace("\n", "\n  ")
 
 
 @pytest.mark.parametrize("m", [Fraction(1, 2), 1.0])
 def test_table_json_rejects_a_multiplicity_that_is_no_int(m):
-    # as the generic writer rejects any type that JSON has not
     job = {"command": "table", "algebra": "E", "trunc": 3, "vars": 2, "method": "all"}
     with pytest.raises(TypeError):
         cli._render_rows([((2, 1), m)], ["pipeline"], "json", job)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--algebra", "E", "--vars", "1", "--trunc", "0"],
+    ["--algebra", "UT2E", "--vars", "3", "--trunc", "6"],
+    ["--algebra", "UT3E", "--hook", "3,1", "--trunc", "7"],
+    ["--algebra", "UT2E", "--hook", "2,3", "--trunc", "7"],  # l > k
+], ids=" ".join)
+def test_hilbert_json_matches_json_dumps(capsys, argv):
+    code, out, err = run(["hilbert", *argv, "--format", "json"], capsys)
+    assert code == 0, err
+    opts = dict(zip(argv[::2], argv[1::2]))
+    job = {"command": "hilbert", "algebra": opts["--algebra"], "trunc": int(opts["--trunc"])}
+    if "--vars" in opts:
+        job["vars"] = int(opts["--vars"])
+        k, l = job["vars"], 0
+    else:
+        job["hook"] = [int(x) for x in opts["--hook"].split(",")]
+        k, l = job["hook"]
+    s = utn_double_hilbert(cli._parse_algebra(job["algebra"]), k, l, job["trunc"])
+    assert out == json.dumps(dict(job, series=s.to_obj()), sort_keys=True, indent=2) + "\n"
+
+
+def test_terms_writer_rejects_a_coefficient_that_is_no_int():
+    s = Series(VarSet.t(2), 4, {(1, 0): 3, (0, 1): Fraction(1, 2)})
+    with pytest.raises(TypeError):
+        cli._terms_json(s, "  ")
+    assert cli._terms_json(Series(VarSet.t(2), 4), "  ") == "[]"
 
 
 def test_hilbert_json_matches_module(capsys):
@@ -265,8 +272,10 @@ def test_hilbert_text_constant_term(capsys):
     assert out.splitlines() == ["1: 1", "t1: 1", "t1^2: 1", "t1^3: 1"]
 
 
-def test_invalid_algebra(capsys):
-    code, out, err = run(["mult", "--algebra", "XYZ", "--vars", "2",
+@pytest.mark.parametrize("tag", ["XYZ", "UT\u0662E"])
+def test_invalid_algebra(capsys, tag):
+    # n is written in ASCII digits: UT\u0662E (an Arabic-Indic two) is no UT2E
+    code, out, err = run(["mult", "--algebra", tag, "--vars", "2",
                           "--trunc", "4"], capsys)
     assert code == 2
     assert "unknown algebra" in err
@@ -475,13 +484,20 @@ def test_only_the_entry_point_freezes(tmp_path):
     assert (a, b) == (0, 0) and c > 0 and d > 0
 
 
-def test_json_job_skips_json_package(tmp_path):
-    # plain ASCII strings are quoted in line; importing json costs about 2 ms
-    code = ("import sys, cochar.cli; cochar.cli.main(['hookmult', '--algebra', 'UT3E', "
-            "'--hook', '1,1', '--trunc', '6', '--format', 'json']); "
-            "print('json' in sys.modules, file=sys.stderr)")
+@pytest.mark.parametrize("argv", [
+    ["hookmult", "--algebra", "UT3E", "--hook", "1,1", "--trunc", "6"],
+    ["mult", "--algebra", "UT2E", "--vars", "3", "--trunc", "6"],
+    ["hilbert", "--algebra", "UT2E", "--vars", "2", "--trunc", "5"],
+    ["hilbert", "--algebra", "UT2E", "--hook", "2,3", "--trunc", "5"],
+], ids=" ".join)
+def test_json_job_skips_json_package(tmp_path, argv):
+    # plain ASCII strings are quoted in line and series written from their
+    # int coefficients; importing json costs about 2 ms, fractions about 5
+    code = (f"import sys, cochar.cli; cochar.cli.main({argv + ['--format', 'json']!r}); "
+            "print(sorted(m for m in ('json', 'fractions') if m in sys.modules), "
+            "file=sys.stderr)")
     proc = _subprocess(["-c", code], tmp_path)
-    assert proc.returncode == 0 and proc.stderr == b"False\n"
+    assert proc.returncode == 0 and proc.stderr == b"[]\n"
 
 
 def test_valid_jobs_skip_argparse(tmp_path):

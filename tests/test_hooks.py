@@ -40,10 +40,9 @@ from cochar.hooks import (
     HookExpansion,
     HookMultSeries,
 )
-from cochar.partitions import (assemble_hook, char_degree, conjugate, hook_partitions_of,
-                               partition, HookSplit,
+from cochar.partitions import (assemble_hook, char_degree, conjugate, partition, HookSplit,
                                horizontal_strips, in_hook, partitions_of, partitions_upto,
-                               vertical_strips, weight)
+                               vertical_strips)
 from cochar.schur import to_mult_series
 from cochar.series import expand_factor, norm_coeff, Series, VarSet
 

@@ -8,8 +8,6 @@ on expansions HookExpansion(d, 0, ...).
 import random
 from fractions import Fraction
 
-import pytest
-
 from cochar.hooks import (
     hook_col_derived,
     hook_even_col_derived,
@@ -20,11 +18,7 @@ from cochar.hooks import (
     HookExpansion,
 )
 from cochar.partitions import partitions_upto
-from cochar.schur import (
-    convert_mult_series,
-    MultSeries,
-    to_mult_series,
-)
+from cochar.schur import MultSeries, to_mult_series
 from cochar.series import expand_factor, Series, VarSet
 
 

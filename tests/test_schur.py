@@ -21,7 +21,7 @@ from cochar.hooks import (
     HookExpansion,
     HookMultSeries,
 )
-from cochar.partitions import char_degree, partition, partitions_of, partitions_upto, weight
+from cochar.partitions import partitions_of, partitions_upto
 from cochar.schur import (
     convert_mult_series,
     from_mult_series,
