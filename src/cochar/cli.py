@@ -25,14 +25,16 @@ import os
 import re
 import sys
 from functools import cache
+from itertools import chain
 from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence
 
 from .closed_forms import closed_table
-from .hilbert import _sorted_coefficients, utn_double_hilbert
+from .hilbert import _graded_terms, _sorted_coefficients
 from .hooks import _symmetric_decompose, _utn_hook_expansion, HookExpansion
 from .partitions import _format_partition, _split_exps, hook_partitions_of
 from .schur import to_mult_series
+from .series import VarSet
 
 # Soft limits.  Past these the computations still work, they just get slow;
 # the tool refuses unless --force is given, and then proceeds exactly as
@@ -160,24 +162,12 @@ def _compare_routes(results: dict[str, dict],
 
 
 def _format_monomial(names: Sequence[str], exps: Sequence[int]) -> str:
-    pieces = []
-    for name, e in zip(names, exps):
-        if e == 1:
-            pieces.append(name)
-        elif e:
-            pieces.append(f"{name}^{e}")
-    return " ".join(pieces) if pieces else "1"
+    return " ".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e) or "1"
 
 
 def _quote(s: str) -> str:
-    """``json.encoder.encode_basestring_ascii(s)``.  Printable ASCII without a
-    quote or backslash is quoted in line, so only other strings import the
-    ``json`` package."""
-    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
-        return '"' + s + '"'
-    from json.encoder import encode_basestring_ascii
-
-    return encode_basestring_ascii(s)
+    """``json.dumps(s)`` for the names and algebra tags a document holds: none needs escapes."""
+    return '"' + s + '"'
 
 
 def _list_json(items: Iterable[str], pad: str) -> str:
@@ -204,20 +194,20 @@ def _rows_json(rows: list, names: list[str]) -> str:
     return _list_json(out, "  ")
 
 
-def _terms_json(series, pad: str) -> str:
-    """What ``json.dumps`` writes for ``series.to_obj()`` nested at ``pad``:
-    one template of int slots a term, in :meth:`Series.sorted_terms` order.
-    Every coefficient must be an int, so its denominator is 1."""
+def _terms_json(terms: Iterable, arity: int, pad: str) -> Iterable[str]:
+    """What ``json.dumps`` writes for ``to_obj()`` of a series in ``arity`` variables at
+    ``pad``: a chunk a term, ``terms`` in :meth:`Series.sorted_terms` order, each c an int."""
     inner = pad + "    "
-    term = (f'{{\n{inner}"den": "1",\n'
-            f'{inner}"exp": {_list_json(["%d"] * series.vars.arity, inner)},\n'
+    term = (f'%s\n{pad}  {{\n{inner}"den": "1",\n'
+            f'{inner}"exp": {_list_json(["%d"] * arity, inner)},\n'
             f'{inner}"num": "%d"\n{pad}  }}')
-    terms = []
-    for exps, c in series.sorted_terms():
+    sep, close = "[", "[]"
+    for exps, c in terms:
         if type(c) is not int:
             raise TypeError(f"coefficient of {exps} is a {type(c).__name__}, not an int")
-        terms.append(term % (*exps, c))
-    return _list_json(terms, pad)
+        yield term % (sep, *exps, c)
+        sep, close = ",", "\n" + pad + "]"
+    yield close
 
 
 def _hook_series_json(e: HookExpansion) -> str:
@@ -277,15 +267,6 @@ def _render_rows(rows: list, names: list[str], fmt: str, job: dict,
     return "\n".join(lines) + "\n"
 
 
-def _render_series(series, fmt: str, job: dict) -> str:
-    if fmt == "json":
-        return _document_json(job, {"series": _terms_json(series, "  ")})
-    lines = []
-    for exps, c in series.sorted_terms():
-        lines.append(f"{_format_monomial(series.vars.names, exps)}: {c}")
-    return "\n".join(lines) + "\n"
-
-
 def _check_out(out: str | None) -> None:
     """Refuse an ``--out`` path that cannot be written, before any route runs:
     a directory, a path whose directory is missing or not writable, or a file
@@ -305,13 +286,14 @@ def _check_out(out: str | None) -> None:
         raise SpecError(f"cannot write {out}: {os.strerror(err)}")
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write each chunk with one ``write``; a str would go a character at a time."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         try:
             with open(out, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             raise SpecError(f"cannot write {out}: {exc.strerror}") from None
 
@@ -345,8 +327,15 @@ def _cmd_hilbert(args) -> int:
         raise SpecError("hilbert needs exactly one of --vars or --hook")
     if args.format == "csv":
         raise SpecError("csv output is defined for multiplicity tables, not raw series")
-    series = utn_double_hilbert(n, *_alphabets(args), args.trunc)
-    _emit(_render_series(series, args.format, _job_fields(args)), args.out)
+    k, l = _alphabets(args)
+    # the one step that can fail runs before the first byte is written
+    terms = _graded_terms(_sorted_coefficients(n, k + l, args.trunc), k + l, args.trunc)
+    if args.format == "json":
+        head, tail = _document_json(_job_fields(args), {"series": "\0"}).split("\0")
+        _emit(chain((head,), _terms_json(terms, k + l, "  "), (tail,)), args.out)
+    else:
+        names = VarSet.ty(k, l).names
+        _emit((f"{_format_monomial(names, exps)}: {c}\n" for exps, c in terms), args.out)
     return 0
 
 
@@ -373,7 +362,7 @@ def _table_driver(args, n: int,
     first = results[names[0]]
     rows = [(lam, first[lam]) for lam in domain if first[lam]]
     embed = series(expansion()) if series and args.format == "json" else None
-    _emit(_render_rows(rows, names, args.format, _job_fields(args), embed), args.out)
+    _emit((_render_rows(rows, names, args.format, _job_fields(args), embed),), args.out)
     return 0
 
 
@@ -383,8 +372,9 @@ def _cmd_mult(args) -> int:
 
     def embed(e: HookExpansion) -> str:  # the one-alphabet series in T-form
         ms = to_mult_series(e)
+        terms = "".join(_terms_json(ms.series.sorted_terms(), ms.d, "    "))
         return (f'{{\n    "bound": {ms.bound},\n    "d": {ms.d},\n    "form": {_quote(ms.form)},\n'
-                f'    "terms": {_terms_json(ms.series, "    ")}\n  }}')
+                f'    "terms": {terms}\n  }}')
 
     return _table_driver(args, n, embed)
 
@@ -417,7 +407,7 @@ def _cmd_verify(args) -> int:
         failed = sum(1 for r in results if not r.passed)
         lines.append(f"{len(results)} checks, {failed} failed")
         text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    _emit((text,), args.out)
     return 0 if all(r.passed for r in results) else 1
 
 

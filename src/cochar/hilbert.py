@@ -16,7 +16,7 @@ raises.
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import comb
 from operator import add, mul
 
@@ -68,6 +68,26 @@ def _sorted_coefficients(n: int, width: int, bound: int) -> dict[tuple[int, ...]
     return out
 
 
+def _graded_terms(coeffs: dict[tuple[int, ...], int], width: int, bound: int):
+    """The nonzero terms (exps, c) of the symmetric series in ``width`` variables
+    with coefficients ``coeffs`` at partitions, in :meth:`Series.sorted_terms` order.
+    Degree d starts at (d, 0, ..., 0); the next vector in descending lex takes one
+    from the last nonzero e[i] before e[-1] and puts it, with all of e[-1], in e[i + 1]."""
+    for d in range(bound + 1):
+        e = [d] + [0] * (width - 1)
+        while True:
+            c = coeffs.get(tuple(sorted(filter(None, e), reverse=True)))
+            if c:
+                yield tuple(e), c
+            i = width - 2
+            while i >= 0 and not e[i]:
+                i -= 1
+            if i < 0:
+                break
+            e[i] -= 1
+            e[-1], e[i + 1] = 0, e[-1] + 1
+
+
 def grassmann_hilbert(d: int, bound: int) -> Series:
     """1/2 + (1/2) prod_{i<=d} (1+t_i)/(1-t_i), truncated."""
     return grassmann_double_hilbert(d, 0, bound)
@@ -95,20 +115,10 @@ def grassmann_double_hilbert(k: int, l: int, bound: int) -> Series:
 
 
 def utn_double_hilbert(n: int, k: int, l: int, bound: int) -> Series:
-    """Two-alphabet Hilbert series of the triangular algebra over E.
-
-    Every exponent vector, walked as k + l cut points among bound + k + l
-    slots, takes the coefficient of its sorted vector.
-    """
+    """Two-alphabet Hilbert series of the triangular algebra over E, by :func:`_graded_terms`."""
     if n < 1:
         raise ValueError("n must be positive")
     if k < 0 or l < 0 or k + l < 1:
         raise ValueError("need a nonempty combined alphabet")
-    coeffs = _sorted_coefficients(n, k + l, bound)
-    terms: dict[tuple[int, ...], int] = {}
-    for cuts in combinations(range(bound + k + l), k + l):
-        e = tuple(b - a - 1 for a, b in zip((-1,) + cuts, cuts))
-        c = coeffs.get(tuple(sorted((x for x in e if x), reverse=True)))
-        if c:
-            terms[e] = c
-    return Series(VarSet.ty(k, l), bound, terms, _raw=True)
+    terms = _graded_terms(_sorted_coefficients(n, k + l, bound), k + l, bound)
+    return Series(VarSet.ty(k, l), bound, dict(terms), _raw=True)

@@ -231,9 +231,47 @@ def test_hilbert_json_matches_json_dumps(capsys, argv):
 
 def test_terms_writer_rejects_a_coefficient_that_is_no_int():
     s = Series(VarSet.t(2), 4, {(1, 0): 3, (0, 1): Fraction(1, 2)})
-    with pytest.raises(TypeError):
-        cli._terms_json(s, "  ")
-    assert cli._terms_json(Series(VarSet.t(2), 4), "  ") == "[]"
+    with pytest.raises(TypeError, match="not an int"):
+        "".join(cli._terms_json(s.sorted_terms(), 2, "  "))
+    assert "".join(cli._terms_json([], 2, "  ")) == "[]"
+
+
+def test_quote_is_json_dumps_on_every_document_string():
+    names = [*cli.COMMANDS, *cli.ROUTE_ORDER, "T", "E", "UT1E", "UT4E", "UT12E"]
+    for _, _, options in cli.COMMANDS.values():
+        names += [c for _, keywords in options for c in keywords.get("choices", ())]
+    assert {"hilbert", "decompose", "closed-form", "all"} <= set(names)
+    for s in names:
+        assert cli._quote(s) == json.dumps(s)
+
+
+def test_failed_hilbert_writes_nothing(tmp_path, capsys, monkeypatch):
+    def fail(n, width, bound):
+        raise ArithmeticError("product-form sum is not divisible")
+    monkeypatch.setattr(cli, "_sorted_coefficients", fail)
+    target = tmp_path / "h.json"
+    target.write_text("earlier series\n")
+    job = ["hilbert", "--algebra", "UT2E", "--hook", "2,3", "--trunc", "6", "--format", "json"]
+    for argv in (job, job + ["--out", str(target)]):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == "computation failed: product-form sum is not divisible\n"
+    assert target.read_text() == "earlier series\n"
+
+
+def test_table_json_is_written_in_one_call(capsys, monkeypatch):
+    class Writes(io.StringIO):
+        calls = 0
+
+        def write(self, s):
+            self.calls += 1
+            return super().write(s)
+
+    argv = ["hookmult", "--algebra", "UT2E", "--hook", "1,1", "--trunc", "6", "--format", "json"]
+    code, expected, err = run(argv, capsys)
+    monkeypatch.setattr(sys, "stdout", Writes())
+    assert cli.main(argv) == 0
+    assert (sys.stdout.calls, sys.stdout.getvalue()) == (1, expected)
 
 
 def test_hilbert_json_matches_module(capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -238,3 +239,24 @@ def test_double_hilbert_to_obj_is_unchanged(job, size, digest):
 def test_double_hilbert_is_integral(n, k, l, bound):
     coeffs = utn_double_hilbert(n, k, l, bound).terms.values()
     assert all(type(c) is int and c != 0 for c in coeffs)
+
+
+def _cut_point_terms(coeffs, width, bound):
+    """The walk that the ordered one replaced: every exponent vector as width
+    cut points among bound + width slots, then sorted into the printed order."""
+    terms = {}
+    for cuts in combinations(range(bound + width), width):
+        e = tuple(b - a - 1 for a, b in zip((-1,) + cuts, cuts))
+        c = coeffs.get(tuple(sorted((x for x in e if x), reverse=True)))
+        if c:
+            terms[e] = c
+    return Series(VarSet.t(width), bound, terms).sorted_terms()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_graded_terms_walk_in_printed_order(n):
+    for width in range(1, 6):
+        for bound in range(9):
+            coeffs = hilbert._sorted_coefficients(n, width, bound)
+            got = list(hilbert._graded_terms(coeffs, width, bound))
+            assert got == _cut_point_terms(coeffs, width, bound), (width, bound)
