@@ -4,20 +4,16 @@ from cochar.partitions import (
     assemble_hook,
     char_degree,
     conjugate,
-    contains,
-    format_partition,
     hook_partitions_of,
     HookSplit,
     horizontal_strips,
     in_extended_hook,
     in_hook,
-    parse_partition,
     part_at,
     partition,
     partitions_of,
     partitions_upto,
     split_hook,
-    square_overlap,
     vertical_strips,
     weight,
 )
@@ -44,7 +40,6 @@ from cochar.hooks import (
     utn_hook_mult_series,
 )
 from cochar.schur import (
-    convert_mult_series,
     from_mult_series,
     MultSeries,
     to_mult_series,

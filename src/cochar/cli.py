@@ -161,10 +161,6 @@ def _compare_routes(results: dict[str, dict],
 # ---------------------------------------------------------------------------
 
 
-def _format_monomial(names: Sequence[str], exps: Sequence[int]) -> str:
-    return " ".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e) or "1"
-
-
 def _quote(s: str) -> str:
     """``json.dumps(s)`` for the names and algebra tags a document holds: none needs escapes."""
     return '"' + s + '"'
@@ -334,8 +330,11 @@ def _cmd_hilbert(args) -> int:
         head, tail = _document_json(_job_fields(args), {"series": "\0"}).split("\0")
         _emit(chain((head,), _terms_json(terms, k + l, "  "), (tail,)), args.out)
     else:
-        names = VarSet.ty(k, l).names
-        _emit((f"{_format_monomial(names, exps)}: {c}\n" for exps, c in terms), args.out)
+        # each variable's pieces "", "t1", "t1^2", ... are built once, not per term
+        pieces = [("", name, *(f"{name}^{e}" for e in range(2, args.trunc + 1)))
+                  for name in VarSet.ty(k, l).names]
+        _emit((f"{' '.join([p[e] for p, e in zip(pieces, exps) if e]) or '1'}: {c}\n"
+               for exps, c in terms), args.out)
     return 0
 
 
@@ -530,11 +529,21 @@ def run() -> int:
     makes no reference cycles, and then freezes the heap, also when argparse
     exits, so that the collection at interpreter exit visits nothing.
     :func:`main` leaves the collector alone: tests and tracers call it
-    in-process and go on running.
+    in-process and go on running.  A reader of stdout that leaves early,
+    as ``head`` does, ends the job with exit 1 and no traceback.
     """
     gc.disable()
     try:
-        return main()
+        code = main()
+        sys.stdout.flush()  # a reader that left raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # as the SIGPIPE note of the signal docs does: the flush at exit
+        # writes what is left to devnull instead of raising again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     finally:
         gc.freeze()
 

@@ -666,11 +666,6 @@ class HookMultSeries:
             ],
         }
 
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_obj(), indent=2, sort_keys=False)
-
     @classmethod
     def from_obj(cls, obj: Mapping, bound: int) -> "HookMultSeries":
         """Inverse of :meth:`to_obj`; the object does not carry the bound."""

@@ -63,14 +63,6 @@ def _conjugate(lam: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def contains(outer: Sequence[int], inner: Sequence[int]) -> bool:
-    """Diagram containment ``inner`` inside ``outer``."""
-    outer, inner = partition(outer), partition(inner)
-    if len(inner) > len(outer):
-        return False
-    return all(inner[i] <= outer[i] for i in range(len(inner)))
-
-
 def char_degree(lam: Sequence[int]) -> int:
     """Number of standard Young tableaux of shape ``lam`` (hook lengths)."""
     lam = partition(lam)
@@ -103,17 +95,6 @@ def in_extended_hook(lam: Sequence[int], n: int) -> bool:
     if n < 1:
         raise ValueError("n must be positive")
     return part_at(lam, n + 1) <= 2 * n and part_at(lam, 2 * n + 1) <= n
-
-
-def square_overlap(lam: Sequence[int], n: int) -> int:
-    """Number of boxes in the (n-1)-square whose top-left box is (n+1, n+1)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    lam = partition(lam)
-    total = 0
-    for i in range(n + 1, 2 * n):  # rows n+1 .. 2n-1
-        total += max(0, min(part_at(lam, i), 2 * n - 1) - n)
-    return total
 
 
 class HookSplit(NamedTuple):
@@ -176,14 +157,11 @@ def _assemble_exps(exps: tuple[int, ...], k: int, l: int) -> tuple[int, ...]:
     return rows + tuple(sum(1 for v in nu if v > i) for i in range(nu[0] if nu else 0))
 
 
-def partitions_of(n: int, max_parts: int | None = None,
-                  max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """All partitions of ``n`` with the given bounds, in descending lex order."""
+def partitions_of(n: int, max_parts: int | None = None) -> Iterator[tuple[int, ...]]:
+    """All partitions of ``n`` into at most ``max_parts`` parts, in descending lex order."""
     if n < 0:
         return
-    first = n if max_part is None else min(n, max_part)
-    rows = n if max_parts is None else max_parts
-    yield from _partitions(n, first, rows, [])
+    yield from _partitions(n, n, n if max_parts is None else max_parts, [])
 
 
 def _partitions(rem: int, cap: int, slots: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
@@ -200,11 +178,10 @@ def _partitions(rem: int, cap: int, slots: int, acc: list[int]) -> Iterator[tupl
         acc.pop()
 
 
-def partitions_upto(n: int, max_parts: int | None = None,
-                    max_part: int | None = None) -> Iterator[tuple[int, ...]]:
+def partitions_upto(n: int, max_parts: int | None = None) -> Iterator[tuple[int, ...]]:
     """All partitions of weight at most ``n``, ordered by weight."""
     for w in range(n + 1):
-        yield from partitions_of(w, max_parts, max_part)
+        yield from partitions_of(w, max_parts)
 
 
 def hook_partitions_of(n: int, k: int, l: int) -> list[tuple[int, ...]]:
@@ -363,24 +340,6 @@ def vertical_strips(lam: Sequence[int], size: int,
     return _strips(_vertical_walk, lam, size, hook)
 
 
-def parse_partition(text: str) -> tuple[int, ...]:
-    """Parse ``"[4,2,1]"`` (or ``"4,2,1"``; ``"[]"`` is empty)."""
-    s = text.strip()
-    if s.startswith("[") and s.endswith("]"):
-        s = s[1:-1]
-    s = s.strip()
-    if not s:
-        return ()
-    try:
-        return partition([int(tok) for tok in s.split(",")])
-    except ValueError as exc:
-        raise ValueError(f"cannot parse partition from {text!r}: {exc}") from None
-
-
-def format_partition(lam: Sequence[int]) -> str:
-    return _format_partition(partition(lam))
-
-
 def _format_partition(lam: tuple[int, ...]) -> str:
-    """:func:`format_partition` of a canonical partition tuple."""
+    """A canonical partition tuple as ``"[4,2,1]"``, ``"[]"`` if empty."""
     return "[" + ",".join(map(str, lam)) + "]"

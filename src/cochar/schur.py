@@ -104,12 +104,6 @@ def from_mult_series(m: MultSeries) -> HookExpansion:
     return HookExpansion(m.d, 0, m.bound, coeffs)
 
 
-def convert_mult_series(m: MultSeries, form: str) -> MultSeries:
-    if form == m.form:
-        return m
-    return to_mult_series(from_mult_series(m), form)
-
-
 # -- names of the former ordinary-Schur layer -----------------------------------
 #
 # bench/tracer.py resolves these names (and ``_schur_terms`` above) when it

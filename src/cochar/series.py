@@ -11,7 +11,7 @@ that integer-only work does not load it (nor ``decimal`` through it).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -31,20 +31,15 @@ def norm_coeff(c: Coeff | str) -> Coeff:
 
 
 class VarSet:
-    """Ordered variable names, optionally split into labeled blocks; immutable."""
+    """Ordered variable names; immutable."""
 
-    __slots__ = ("names", "blocks")
+    __slots__ = ("names",)
     names: tuple[str, ...]
-    blocks: tuple[tuple[str, int], ...] | None
 
-    def __init__(self, names: tuple[str, ...],
-                 blocks: tuple[tuple[str, int], ...] | None = None) -> None:
+    def __init__(self, names: tuple[str, ...]) -> None:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in {names}")
-        if blocks is not None and sum(n for _, n in blocks) != len(names):
-            raise ValueError("block sizes do not cover the variable list")
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "blocks", blocks)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of an immutable VarSet")
@@ -53,18 +48,18 @@ class VarSet:
         raise AttributeError(f"cannot delete field {name!r} of an immutable VarSet")
 
     def __reduce__(self):
-        return (VarSet, (self.names, self.blocks))
+        return (VarSet, (self.names,))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not VarSet:
             return NotImplemented
-        return (self.names, self.blocks) == (other.names, other.blocks)
+        return self.names == other.names
 
     def __hash__(self) -> int:
-        return hash((self.names, self.blocks))
+        return hash(self.names)
 
     def __repr__(self) -> str:
-        return f"VarSet(names={self.names!r}, blocks={self.blocks!r})"
+        return f"VarSet(names={self.names!r})"
 
     @property
     def arity(self) -> int:
@@ -76,35 +71,24 @@ class VarSet:
         except ValueError:
             raise ValueError(f"unknown variable {name!r}") from None
 
-    def block_range(self, label: str) -> range:
-        if self.blocks is None:
-            raise ValueError("variable set has no blocks")
-        start = 0
-        for lab, n in self.blocks:
-            if lab == label:
-                return range(start, start + n)
-            start += n
-        raise ValueError(f"no block {label!r}")
-
     @staticmethod
     def t(d: int) -> "VarSet":
-        return VarSet(tuple(f"t{i}" for i in range(1, d + 1)), (("t", d),))
+        return VarSet(tuple(f"t{i}" for i in range(1, d + 1)))
 
     @staticmethod
     def v(d: int) -> "VarSet":
-        return VarSet(tuple(f"v{i}" for i in range(1, d + 1)), (("v", d),))
+        return VarSet(tuple(f"v{i}" for i in range(1, d + 1)))
 
     @staticmethod
     def ty(k: int, l: int) -> "VarSet":
-        names = tuple(f"t{i}" for i in range(1, k + 1)) + tuple(f"y{j}" for j in range(1, l + 1))
-        return VarSet(names, (("t", k), ("y", l)))
+        return VarSet(tuple(f"t{i}" for i in range(1, k + 1))
+                      + tuple(f"y{j}" for j in range(1, l + 1)))
 
     @staticmethod
     def vty(k: int, l: int) -> "VarSet":
-        names = (tuple(f"v{i}" for i in range(1, k + 1))
-                 + tuple(f"t{i}" for i in range(1, k + 1))
-                 + tuple(f"y{j}" for j in range(1, l + 1)))
-        return VarSet(names, (("v", k), ("t", k), ("y", l)))
+        return VarSet(tuple(f"v{i}" for i in range(1, k + 1))
+                      + tuple(f"t{i}" for i in range(1, k + 1))
+                      + tuple(f"y{j}" for j in range(1, l + 1)))
 
 
 class Series:
@@ -147,11 +131,6 @@ class Series:
     def one(cls, vars_: VarSet, bound: int) -> "Series":
         return cls(vars_, bound, {(0,) * vars_.arity: 1}, _raw=True)
 
-    @classmethod
-    def monomial(cls, vars_: VarSet, bound: int, exps: Sequence[int],
-                 coeff: Coeff = 1) -> "Series":
-        return cls(vars_, bound, {tuple(exps): coeff})
-
     # -- basics ----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -159,13 +138,6 @@ class Series:
 
     def coefficient(self, exps: Sequence[int]) -> Coeff:
         return self.terms.get(tuple(exps), 0)
-
-    def degree_slice(self, d: int) -> dict[Exps, Coeff]:
-        return {e: c for e, c in self.terms.items() if sum(e) == d}
-
-    def select(self, pred: Callable[[Exps], bool]) -> "Series":
-        return Series(self.vars, self.bound,
-                      {e: c for e, c in self.terms.items() if pred(e)}, _raw=True)
 
     def truncate(self, bound: int) -> "Series":
         """Lower (or raise) the truncation bound; raising adds no information."""
@@ -310,11 +282,6 @@ class Series:
             f = Fraction(c)
             out.append({"exp": list(e), "num": str(f.numerator), "den": str(f.denominator)})
         return out
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_obj(), separators=(",", ":"))
 
     @classmethod
     def from_obj(cls, vars_: VarSet, bound: int, obj: Iterable[Mapping]) -> "Series":

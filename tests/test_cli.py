@@ -495,6 +495,23 @@ def test_module_entry_point_matches_main(tmp_path, monkeypatch, capsysbinary, ar
         assert (tmp_path / "sub" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
 
 
+def test_a_reader_that_leaves_ends_the_job_quietly(tmp_path):
+    # about 1.5 MB of JSON, far more than a pipe holds: the reader takes one
+    # line and leaves, so a later write meets a broken pipe; run() exits 1
+    # with no traceback, and -X dev -W error turns any warning at exit into
+    # stderr bytes
+    argv = ["hilbert", "--algebra", "UT2E", "--hook", "2,3", "--trunc", "14", "--format", "json"]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    with subprocess.Popen([sys.executable, "-X", "dev", "-W", "error", "-m", "cochar.cli", *argv],
+                          env=env, cwd=tmp_path, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 1
+    assert err == b""
+
+
 def test_only_the_entry_point_freezes(tmp_path):
     # import and main() leave the heap alone; run() freezes it, also when
     # argparse exits

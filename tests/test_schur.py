@@ -23,7 +23,6 @@ from cochar.hooks import (
 )
 from cochar.partitions import partitions_of, partitions_upto
 from cochar.schur import (
-    convert_mult_series,
     from_mult_series,
     MultSeries,
     to_mult_series,
@@ -234,7 +233,7 @@ def test_mult_series_forms():
     assert v.series.terms == {(2, 1): 5, (0, 1): 1, (2, 0): 2}
     assert from_mult_series(t) == e
     assert from_mult_series(v) == e
-    assert convert_mult_series(v, "T") == t
+    assert to_mult_series(from_mult_series(v), "T") == t
     assert t.coefficient((3, 1)) == 5 and v.coefficient((3, 1)) == 5
     assert t.coefficient((9, 9)) == 0
 
