@@ -1,3 +1,4 @@
+import json
 import math
 from functools import lru_cache
 
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from cochar.hooks import _derived, HookExpansion
 from cochar.partitions import (
+    _format_partition,
     _horizontal_walk,
     _vertical_walk,
     assemble_hook,
@@ -483,3 +485,24 @@ def test_strip_conjugate_duality(lam, size):
     vert = set(vertical_strips(lam, size))
     horiz_conj = {conjugate(m) for m in horizontal_strips(conjugate(lam), size)}
     assert vert == horiz_conj
+
+
+# -- parsing -------------------------------------------------------------
+
+
+def test_parse_and_format():
+    # The CLI prints a partition as a JSON list; a reader parses it back
+    # with json.loads and partition().
+    def parse(text):
+        return partition(json.loads(text))
+
+    assert _format_partition((4, 2, 1)) == "[4,2,1]"
+    assert _format_partition(()) == "[]"
+    assert parse("[4,2,1]") == (4, 2, 1)
+    assert parse("[]") == ()
+    assert parse(" [ ] ") == ()
+    assert parse(_format_partition((9, 9, 1))) == (9, 9, 1)
+    with pytest.raises(ValueError):
+        parse("[1,2]")
+    with pytest.raises(ValueError):
+        parse("abc")
