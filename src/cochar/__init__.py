@@ -1,11 +1,9 @@
 """Exact cocharacter series for the Grassmann algebra and its triangular relatives."""
 
 from cochar.partitions import (
-    assemble_hook,
     char_degree,
     conjugate,
     hook_partitions_of,
-    HookSplit,
     horizontal_strips,
     in_extended_hook,
     in_hook,
@@ -13,7 +11,6 @@ from cochar.partitions import (
     partition,
     partitions_of,
     partitions_upto,
-    split_hook,
     vertical_strips,
     weight,
 )

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Sequence
 from .closed_forms import closed_table
 from .hilbert import _graded_terms, _sorted_coefficients
 from .hooks import _symmetric_decompose, _utn_hook_expansion, HookExpansion
-from .partitions import _format_partition, _split_exps, hook_partitions_of
+from .partitions import _format_partition, _hook_partitions_upto, _split_exps
 from .schur import to_mult_series
 from .series import VarSet
 
@@ -265,12 +265,15 @@ def _render_rows(rows: list, names: list[str], fmt: str, job: dict,
 
 def _check_out(out: str | None) -> None:
     """Refuse an ``--out`` path that cannot be written, before any route runs:
-    a directory, a path whose directory is missing or not writable, or a file
-    that is not writable.  The file itself is opened only by :func:`_emit`."""
+    an empty path, a directory, a path whose directory is missing or not
+    writable, or a file that is not writable.  The file itself is opened only
+    by :func:`_emit`."""
     if out is None:
         return
     parent = os.path.dirname(out) or "."
-    if os.path.isdir(out):
+    if not out:
+        err = errno.ENOENT
+    elif os.path.isdir(out):
         err = errno.EISDIR
     elif os.path.lexists(out):
         err = 0 if os.access(out, os.W_OK) else errno.EACCES
@@ -343,7 +346,7 @@ def _table_driver(args, n: int,
     """Run the selected routes over the domain and write the rows they agree
     on; a JSON job also writes ``series`` of the pipeline expansion."""
     k, l = _alphabets(args)
-    domain = [lam for w in range(args.trunc + 1) for lam in hook_partitions_of(w, k, l)]
+    domain = _hook_partitions_upto(args.trunc, k, l)
     # one pipeline run serves both the route and the JSON embed
     expansion = cache(lambda: _utn_hook_expansion(n, k, l, args.trunc))
     selected = _select_routes(_routes(n, k, l, args.trunc, domain, expansion), args.method)

@@ -28,10 +28,10 @@ Products of hook Schur functions expand by the ordinary Littlewood-Richardson
 rule with every summand outside the hook discarded, so the one-row and
 one-column Pieri steps below add the ordinary strips that stay in the hook.
 The derivations add strips of every size at once, walking each partition
-once, run of equal parts by run, into one dict.
+once, run of equal parts by run, into one dict, by the one strip walk.
 
 Internal paths pass canonical partition tuples: results are built with
-``_raw=True`` and the split encoding is computed from them directly.
+``_raw=True`` and the split exponent vector is computed from them directly.
 Validation happens at the public functions and constructors.
 """
 
@@ -41,20 +41,17 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from cochar.partitions import (
     _assemble_exps,
     _conjugate,
-    _horizontal_walk,
     _split_exps,
-    _vertical_walk,
-    assemble_hook,
+    _walk,
     in_hook,
     partition,
     partitions_of,
     weight,
-    HookSplit,
 )
 from cochar.series import norm_coeff, Coeff, Exps, Series, VarSet
 
@@ -517,17 +514,17 @@ def _peel(slices: Iterable[tuple[int, Slice]], k: int, l: int, bound: int) -> Ho
 # -- Pieri steps and derived operators ---------------------------------------
 
 
-def _pieri(e: HookExpansion, size: int, walk: Callable) -> HookExpansion:
-    """e times the one-row or one-column hook Schur function of ``size``
-    boxes: each lam's walk to that budget, keeping its strips of exactly
-    ``size`` boxes, in the walk's order."""
+def _pieri(e: HookExpansion, size: int, vertical: bool) -> HookExpansion:
+    """e times the one-row or (``vertical``) one-column hook Schur function of
+    ``size`` boxes: each lam's strip walk to that budget, keeping its strips
+    of exactly ``size`` boxes, in the walk's order."""
     k, l, bound = e.k, e.l, e.bound
     acc: dict[tuple[int, ...], Coeff] = {}
     for lam, c in e.coeffs.items():
         target = sum(lam) + size
         if size >= 0 and target <= bound:
             strips: dict[tuple[int, ...], Coeff] = {}
-            walk(lam, k, l, size, c, strips)
+            _walk(lam, k, l, size, c, strips, False, vertical)
             for nu in strips:
                 if sum(nu) == target:
                     acc[nu] = acc.get(nu, 0) + c
@@ -537,16 +534,17 @@ def _pieri(e: HookExpansion, size: int, walk: Callable) -> HookExpansion:
 
 def hook_pieri_row(e: HookExpansion, n: int) -> HookExpansion:
     """Expansion of e times the one-row hook Schur function of size n."""
-    return _pieri(e, n, _horizontal_walk)
+    return _pieri(e, n, False)
 
 
 def hook_pieri_col(e: HookExpansion, m: int) -> HookExpansion:
     """Expansion of e times the one-column hook Schur function of size m."""
-    return _pieri(e, m, _vertical_walk)
+    return _pieri(e, m, True)
 
 
-def _derived(e: HookExpansion, walk: Callable, even: bool = False) -> HookExpansion:
-    """Multiply by the sum of the strips the walk adds, of every size or of even sizes.
+def _derived(e: HookExpansion, vertical: bool, even: bool = False) -> HookExpansion:
+    """Multiply by the sum of the horizontal or (``vertical``) vertical strips,
+    of every size or of even sizes.
 
     Each partition is walked once, run of equal parts by run, for every strip
     size up to the bound; the walk adds the partition's coefficient at each
@@ -557,7 +555,7 @@ def _derived(e: HookExpansion, walk: Callable, even: bool = False) -> HookExpans
     k, l, bound = e.k, e.l, e.bound
     acc: dict[tuple[int, ...], Coeff] = {}
     for lam, c in e.coeffs.items():
-        walk(lam, k, l, bound - sum(lam), c, acc, even)
+        _walk(lam, k, l, bound - sum(lam), c, acc, even, vertical)
     return HookExpansion(k, l, bound,
                          {nu: norm_coeff(c) for nu, c in acc.items() if c}, _raw=True)
 
@@ -567,7 +565,7 @@ def hook_row_derived(e: HookExpansion) -> HookExpansion:
 
     R = prod_j (1+y_j) / prod_i (1-t_i); at l = 0 it is prod 1/(1-t_i).
     """
-    return _derived(e, _horizontal_walk)
+    return _derived(e, False)
 
 
 def hook_col_derived(e: HookExpansion) -> HookExpansion:
@@ -575,7 +573,7 @@ def hook_col_derived(e: HookExpansion) -> HookExpansion:
 
     C = prod_i (1+t_i) / prod_j (1-y_j); at l = 0 it is e_0 + e_1 + ... + e_d.
     """
-    return _derived(e, _vertical_walk)
+    return _derived(e, True)
 
 
 def hook_even_col_derived(e: HookExpansion) -> HookExpansion:
@@ -585,7 +583,7 @@ def hook_even_col_derived(e: HookExpansion) -> HookExpansion:
     is 1/R, so this factor is (1/R + C)/2; at l = 0 it is
     (prod (1-t_i) + prod (1+t_i))/2.
     """
-    return _derived(e, _vertical_walk, even=True)
+    return _derived(e, True, even=True)
 
 
 def hook_grassmann_derived(e: HookExpansion) -> HookExpansion:
@@ -613,9 +611,9 @@ class HookMultSeries:
 
     A partition lam splits into the part inside the (l^k) rectangle, the arm
     rows sticking out to the right, and the conjugated leg below; the encoded
-    monomial is v^rectangle t^arm y^leg.  The constructor checks every
-    monomial; :func:`encode_hook_mult` passes ``_raw=True`` instead, for a
-    series it split from a hook expansion itself.
+    monomial is v^rectangle t^arm y^leg.  The constructor checks that the rows
+    of every monomial split back to it; :func:`encode_hook_mult` passes
+    ``_raw=True`` instead, for a series it split from a hook expansion itself.
     """
 
     __slots__ = ("k", "l", "bound", "series")
@@ -625,8 +623,9 @@ class HookMultSeries:
         if not _raw:
             if series.vars.names != VarSet.vty(k, l).names:
                 raise ValueError("series variables do not match the split encoding")
-            for e in series.terms:  # assemble_hook raises on a malformed monomial
-                assemble_hook(HookSplit(k, l, e[:k], e[k:2 * k], e[2 * k:]))
+            for e in series.terms:
+                if _split_exps(partition(_assemble_exps(e, k, l)), k, l) != e:
+                    raise ValueError(f"{e} is not a valid ({k}, {l}) split")
             series = series.truncate(bound)
         self.k = k
         self.l = l

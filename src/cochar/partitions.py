@@ -4,18 +4,23 @@ Partitions are plain tuples of weakly decreasing positive integers; the empty
 partition is ``()``.  The public functions validate and normalize their input
 through :func:`partition`, which strips trailing zeros.  Internal paths pass
 canonical tuples: the private strip walks trust theirs and call no
-:func:`partition`.  A walk steps over the runs of equal parts of a partition,
-not its rows, and adds a coefficient at each strip it reaches straight into
-the caller's dict, in increasing lexicographic order, of every size up to a
-budget or of the even sizes only.  The public strip generators validate
-once and keep a walk's results of one size.
+:func:`partition`.  Every enumerator lists the partitions of a (k, l) hook
+from a memo of their tails; at most d parts is the (d, 0) hook.  A hook
+partition is encoded by the one flat exponent vector of :func:`_split_exps`.
+
+One walk adds horizontal or vertical strips.  It steps over the runs of
+equal parts of a partition, not its rows, and adds a coefficient at each
+strip it reaches straight into the caller's dict, in increasing
+lexicographic order, of every size up to a budget or of the even sizes
+only.  The public strip generators validate once and keep a walk's results
+of one size.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 
 def partition(parts: Sequence[int]) -> tuple[int, ...]:
@@ -97,48 +102,6 @@ def in_extended_hook(lam: Sequence[int], n: int) -> bool:
     return part_at(lam, n + 1) <= 2 * n and part_at(lam, 2 * n + 1) <= n
 
 
-class HookSplit(NamedTuple):
-    """Hook coordinates of a partition inside the (k, l) hook.
-
-    ``lambda0`` is the intersection with the l^k rectangle, ``mu`` collects
-    the row overhangs right of the rectangle, and ``nu`` is the conjugate of
-    the rows below it (so ``nu`` has at most ``l`` parts).
-    """
-
-    k: int
-    l: int
-    lambda0: tuple[int, ...]
-    mu: tuple[int, ...]
-    nu: tuple[int, ...]
-
-
-def split_hook(lam: Sequence[int], k: int, l: int) -> HookSplit:
-    """Split ``lam`` in H(k, l) into rectangle part, arm, and conjugated leg:
-    the blocks of :func:`_split_exps` without their zeros."""
-    lam = partition(lam)
-    if not in_hook(lam, k, l):
-        raise ValueError(f"{lam} is not inside the ({k}, {l}) hook")
-    exps = _split_exps(lam, k, l)
-    blocks = (exps[:k], exps[k:2 * k], exps[2 * k:])
-    return HookSplit(k, l, *(tuple(p for p in block if p) for block in blocks))
-
-
-def assemble_hook(split: HookSplit) -> tuple[int, ...]:
-    """Inverse of :func:`split_hook`: the partition whose :func:`_split_exps`
-    are the blocks padded to k, k and l entries, or ``ValueError``."""
-    k, l, *blocks = split
-    exps: tuple[int, ...] = ()
-    for name, block, width in zip(("lambda0", "arm", "leg conjugate"), blocks, (k, k, l)):
-        block = partition(block)
-        if len(block) > width:
-            raise ValueError(f"{name} {block} has more than {width} parts")
-        exps += block + (0,) * (width - len(block))
-    lam = partition(_assemble_exps(exps, k, l))
-    if _split_exps(lam, k, l) != exps:
-        raise ValueError(f"{tuple(blocks)} is not a valid ({k}, {l}) split")
-    return lam
-
-
 def _split_exps(lam: tuple[int, ...], k: int, l: int) -> tuple[int, ...]:
     """Exponents v^rectangle t^arm y^leg of a canonical partition in the
     (k, l) hook: its first k rows cut at l, their overhangs past l, and the
@@ -157,31 +120,15 @@ def _assemble_exps(exps: tuple[int, ...], k: int, l: int) -> tuple[int, ...]:
     return rows + tuple(sum(1 for v in nu if v > i) for i in range(nu[0] if nu else 0))
 
 
-def partitions_of(n: int, max_parts: int | None = None) -> Iterator[tuple[int, ...]]:
-    """All partitions of ``n`` into at most ``max_parts`` parts, in descending lex order."""
-    if n < 0:
-        return
-    yield from _partitions(n, n, n if max_parts is None else max_parts, [])
+def partitions_of(n: int, max_parts: int | None = None) -> list[tuple[int, ...]]:
+    """All partitions of ``n`` into at most ``max_parts`` parts, in descending
+    lex order: those of the (max_parts, 0) hook."""
+    return hook_partitions_of(n, max(n, 0) if max_parts is None else max_parts, 0)
 
 
-def _partitions(rem: int, cap: int, slots: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-    """Each ``acc`` + a partition of ``rem`` into at most ``slots`` parts of at
-    most ``cap``, in descending lex order."""
-    if rem == 0:
-        yield tuple(acc)
-        return
-    if slots == 0 or cap == 0:
-        return
-    for p in range(min(cap, rem), 0, -1):
-        acc.append(p)
-        yield from _partitions(rem - p, p, slots - 1, acc)
-        acc.pop()
-
-
-def partitions_upto(n: int, max_parts: int | None = None) -> Iterator[tuple[int, ...]]:
+def partitions_upto(n: int, max_parts: int | None = None) -> list[tuple[int, ...]]:
     """All partitions of weight at most ``n``, ordered by weight."""
-    for w in range(n + 1):
-        yield from partitions_of(w, max_parts)
+    return _hook_partitions_upto(n, max(n, 0) if max_parts is None else max_parts, 0)
 
 
 def hook_partitions_of(n: int, k: int, l: int) -> list[tuple[int, ...]]:
@@ -193,6 +140,15 @@ def hook_partitions_of(n: int, k: int, l: int) -> list[tuple[int, ...]]:
     if k < 0 or l < 0:
         raise ValueError("hook parameters must be nonnegative")
     return _hook_tails(n, n, 0, k, l, {})
+
+
+def _hook_partitions_upto(bound: int, k: int, l: int) -> list[tuple[int, ...]]:
+    """:func:`hook_partitions_of` of each weight up to ``bound`` in turn, from
+    one memo of tails."""
+    if k < 0 or l < 0:
+        raise ValueError("hook parameters must be nonnegative")
+    memo: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
+    return [lam for n in range(bound + 1) for lam in _hook_tails(n, n, 0, k, l, memo)]
 
 
 def _hook_tails(rem: int, cap: int, row: int, k: int, l: int,
@@ -288,21 +244,9 @@ def _walk_runs(j: int, rem: int, head: tuple[int, ...], steps: list, tails: list
         acc[nu] = acc.get(nu, 0) + c
 
 
-def _horizontal_walk(lam: tuple[int, ...], k: int, l: int, budget: int, c,
-                     acc: dict, even: bool = False) -> None:
-    """:func:`_walk` over horizontal strips."""
-    _walk(lam, k, l, budget, c, acc, even, False)
-
-
-def _vertical_walk(lam: tuple[int, ...], k: int, l: int, budget: int, c,
-                   acc: dict, even: bool = False) -> None:
-    """:func:`_walk` over vertical strips."""
-    _walk(lam, k, l, budget, c, acc, even, True)
-
-
-def _strips(walk: Callable, lam: Sequence[int], size: int,
+def _strips(vertical: bool, lam: Sequence[int], size: int,
             hook: tuple[int, int] | None) -> Iterator[tuple[int, ...]]:
-    """The walk's results of exactly ``size`` boxes.
+    """The results of :func:`_walk` of exactly ``size`` boxes.
 
     Without a hook, a (k, 0) hook with more rows than any result stands in.
     """
@@ -313,7 +257,7 @@ def _strips(walk: Callable, lam: Sequence[int], size: int,
     if len(lam) > k and lam[k] > l:
         return
     acc: dict[tuple[int, ...], int] = {}
-    walk(lam, k, l, size, 1, acc)
+    _walk(lam, k, l, size, 1, acc, False, vertical)
     target = sum(lam) + size
     yield from (nu for nu in acc if sum(nu) == target)
 
@@ -327,7 +271,7 @@ def horizontal_strips(lam: Sequence[int], size: int,
     allows at most d rows and ``(0, m)`` parts at most m.  The walk never
     builds a row outside the hook.
     """
-    return _strips(_horizontal_walk, lam, size, hook)
+    return _strips(False, lam, size, hook)
 
 
 def vertical_strips(lam: Sequence[int], size: int,
@@ -337,7 +281,7 @@ def vertical_strips(lam: Sequence[int], size: int,
     No two added boxes share a row, i.e. each row grows by at most one box.
     ``hook`` restricts the results as in :func:`horizontal_strips`.
     """
-    return _strips(_vertical_walk, lam, size, hook)
+    return _strips(True, lam, size, hook)
 
 
 def _format_partition(lam: tuple[int, ...]) -> str:

@@ -162,6 +162,8 @@ class Series:
             raise ValueError("mismatched variable sets")
 
     def __add__(self, other: "Series") -> "Series":
+        if not isinstance(other, Series):
+            return NotImplemented
         self._check_compatible(other)
         bound = min(self.bound, other.bound)
         out = dict(self.terms) if self.bound == bound else \
@@ -195,6 +197,7 @@ class Series:
 
             if isinstance(other, (int, Fraction)):
                 return self.scale(other)
+            return NotImplemented
         self._check_compatible(other)
         bound = min(self.bound, other.bound)
         # grade by total degree so high-degree pairs are pruned early

@@ -392,6 +392,17 @@ def test_out_to_an_unopenable_path_is_a_bad_request(tmp_path, capsys):
     assert not target.parent.exists()
 
 
+def test_empty_out_fails_before_the_routes(capsys, monkeypatch):
+    def route(*args):
+        raise AssertionError("a route ran")
+
+    monkeypatch.setattr(cli, "_utn_hook_expansion", route)
+    code, out, err = run(["hookmult", "--algebra", "UT2E", "--hook", "1,1", "--trunc", "4",
+                          "--method", "pipeline", "--out", ""], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: cannot write : No such file or directory\n"
+
+
 def test_unwritable_out_fails_before_the_routes(tmp_path, capsys):
     # the job takes half a minute; each refusal gives the reason open() gives
     (tmp_path / "file").write_text("")

@@ -40,7 +40,7 @@ from cochar.hooks import (
     HookExpansion,
     HookMultSeries,
 )
-from cochar.partitions import (assemble_hook, char_degree, conjugate, partition, HookSplit,
+from cochar.partitions import (_assemble_exps, _split_exps, char_degree, conjugate, partition,
                                horizontal_strips, in_hook, partitions_of, partitions_upto,
                                vertical_strips)
 from cochar.schur import to_mult_series
@@ -733,13 +733,58 @@ def test_encode_matches_validating_constructor():
             assert m.series.vars == checked.series.vars
 
 
+def split_tuple_assemble(e, k, l):
+    """Oracle: the partition of the split monomial e, or ``ValueError``, by
+    the rule of the split-tuple form of the encoding (``assemble_hook``):
+    each block a partition, whose rows split back to the blocks.  Its check
+    of each block's width cannot fail on a vector of 2k + l entries."""
+    exps = ()
+    for block, width in zip((e[:k], e[k:2 * k], e[2 * k:]), (k, k, l)):
+        block = partition(block)
+        exps += block + (0,) * (width - len(block))
+    lam = partition(_assemble_exps(exps, k, l))
+    if _split_exps(lam, k, l) != exps:
+        raise ValueError(f"{e} is not a valid ({k}, {l}) split")
+    return lam
+
+
+def small_vectors(length, budget):
+    """Every vector of ``length`` entries in -1..3 with |e|_1 <= budget."""
+    if not length:
+        yield ()
+        return
+    for x in range(-1, 4):
+        if abs(x) <= budget:
+            for rest in small_vectors(length - 1, budget - abs(x)):
+                yield (x,) + rest
+
+
+def test_constructor_accepts_exactly_the_split_tuple_monomials():
+    # every vector with entries -1..3 and |e|_1 <= 6 at each hook with k, l <= 3
+    count = 0
+    for k, l in ((k, l) for k in range(4) for l in range(4) if k + l):
+        vars_ = VarSet.vty(k, l)
+        for e in small_vectors(2 * k + l, 6):
+            count += 1
+            try:
+                split_tuple_assemble(e, k, l)
+                want = True
+            except ValueError:
+                want = False
+            try:
+                HookMultSeries(k, l, 6, Series(vars_, 6, {e: 1}, _raw=True))
+                got = True
+            except ValueError:
+                got = False
+            assert got == want, (k, l, e)
+    assert count == 84279
+
+
 def validating_decode(m):
     """decode_hook_mult as it was before it trusted its input."""
     k, l = m.k, m.l
-    return HookExpansion(k, l, m.bound, {
-        assemble_hook(HookSplit(k, l, partition(e[:k]), partition(e[k:2 * k]),
-                                partition(e[2 * k:]))): c
-        for e, c in m.series.terms.items()})
+    return HookExpansion(k, l, m.bound, {split_tuple_assemble(e, k, l): c
+                                         for e, c in m.series.terms.items()})
 
 
 def test_trusted_decode_matches_validating_decode():

@@ -5,16 +5,16 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
-from cochar.hooks import _derived, HookExpansion
+from cochar.hooks import _derived, HookExpansion, HookMultSeries
 from cochar.partitions import (
+    _assemble_exps,
     _format_partition,
-    _horizontal_walk,
-    _vertical_walk,
-    assemble_hook,
+    _hook_partitions_upto,
+    _split_exps,
+    _walk,
     char_degree,
     conjugate,
     hook_partitions_of,
-    HookSplit,
     horizontal_strips,
     in_extended_hook,
     in_hook,
@@ -22,10 +22,10 @@ from cochar.partitions import (
     partition,
     partitions_of,
     partitions_upto,
-    split_hook,
     vertical_strips,
     weight,
 )
+from cochar.series import Series, VarSet
 
 
 # -- independent oracles -------------------------------------------------
@@ -42,6 +42,25 @@ def syt_count(lam):
             smaller = lam[:i] + (lam[i] - 1,) + lam[i + 1:]
             total += syt_count(tuple(p for p in smaller if p))
     return total
+
+
+@lru_cache(maxsize=None)
+def brute_partitions(n):
+    """Oracle: the compositions of n, one per set of cuts among its n - 1
+    gaps, that weakly decrease, in descending lex order."""
+    if n == 0:
+        return [()]
+    found = []
+    for cuts in range(2 ** (n - 1)):
+        ends = [0] + [i + 1 for i in range(n - 1) if cuts >> i & 1] + [n]
+        parts = [b - a for a, b in zip(ends, ends[1:])]
+        if parts == sorted(parts, reverse=True):
+            found.append(tuple(parts))
+    return sorted(found, reverse=True)
+
+
+def brute_in_hook(lam, k, l):
+    return len(lam) <= k or lam[k] <= l
 
 
 def contains(outer, inner):
@@ -186,59 +205,46 @@ def test_extended_hook_contains_plain_hook():
 # -- hook splitting ------------------------------------------------------
 
 
-def test_split_hook_frozen():
-    assert split_hook((2, 1, 1), 2, 1) == HookSplit(2, 1, (1, 1), (1,), (1,))
-    assert split_hook((2, 1, 1), 3, 1) == HookSplit(3, 1, (1, 1, 1), (1,), ())
-    assert split_hook((3, 3, 2, 1), 2, 3) == HookSplit(2, 3, (3, 3), (), (2, 1))
-    assert split_hook((5, 1, 1), 2, 2) == HookSplit(2, 2, (2, 1), (3,), (1,))
-    assert split_hook((4,), 1, 0) == HookSplit(1, 0, (), (4,), ())
-    assert split_hook((2, 2, 2), 1, 2) == HookSplit(1, 2, (2,), (), (2, 2))
-    assert split_hook((), 2, 3) == HookSplit(2, 3, (), (), ())
-    assert split_hook((3, 1), 0, 4) == HookSplit(0, 4, (), (), (2, 1, 1))
+def test_split_exps_frozen():
+    assert _split_exps((2, 1, 1), 2, 1) == (1, 1, 1, 0, 1)
+    assert _split_exps((2, 1, 1), 3, 1) == (1, 1, 1, 1, 0, 0, 0)
+    assert _split_exps((3, 3, 2, 1), 2, 3) == (3, 3, 0, 0, 2, 1, 0)
+    assert _split_exps((5, 1, 1), 2, 2) == (2, 1, 3, 0, 1, 0)
+    assert _split_exps((4,), 1, 0) == (0, 4)
+    assert _split_exps((2, 2, 2), 1, 2) == (2, 0, 2, 2)
+    assert _split_exps((), 2, 3) == (0,) * 7
+    assert _split_exps((3, 1), 0, 4) == (2, 1, 1, 0)
 
 
-def test_split_hook_rejects_outside():
-    with pytest.raises(ValueError):
-        split_hook((4, 4, 4), 2, 3)
-    with pytest.raises(ValueError):
-        split_hook((1, 1), 1, 0)
+def test_hook_mult_series_rejects_invalid_splits():
+    for k, l, e in (
+        (2, 2, (1, 0, 1, 0, 0, 0)),  # arm row not backed by a full rectangle row
+        (1, 2, (1, 0, 2, 2)),  # leg wider than the seam allows
+        (2, 2, (1, 0, 0, 0, 1, 0)),  # boxes below an empty rectangle region
+        (2, 2, (0, 1, 0, 0, 0, 0)),  # a rectangle block that is no partition
+        (2, 2, (1, 2, 0, 0, 0, 0)),  # rows that increase
+    ):
+        with pytest.raises(ValueError):
+            HookMultSeries(k, l, 8, Series(VarSet.vty(k, l), 8, {e: 1}))
 
 
-def test_assemble_hook_rejects_invalid():
-    # arm row not backed by a full rectangle row
-    with pytest.raises(ValueError):
-        assemble_hook(HookSplit(2, 2, (1,), (1,), ()))
-    # leg wider than the seam allows
-    with pytest.raises(ValueError):
-        assemble_hook(HookSplit(1, 2, (1,), (), (2, 2)))
-    # too many arm rows
-    with pytest.raises(ValueError):
-        assemble_hook(HookSplit(1, 1, (1,), (2, 1), ()))
-    # nu must fit in l parts
-    with pytest.raises(ValueError):
-        assemble_hook(HookSplit(2, 1, (1, 1), (), (1, 1)))
-    # boxes below an empty rectangle region
-    with pytest.raises(ValueError):
-        assemble_hook(HookSplit(2, 2, (1,), (), (1,)))
-
-
-def test_assemble_hook_examples():
-    assert assemble_hook(HookSplit(2, 1, (1, 1), (1,), (1,))) == (2, 1, 1)
-    assert assemble_hook(HookSplit(0, 4, (), (), (3, 1))) == (2, 1, 1)
-    assert assemble_hook(HookSplit(1, 0, (), (4,), ())) == (4,)
+def test_assemble_exps_examples():
+    assert _assemble_exps((1, 1, 1, 0, 1), 2, 1) == (2, 1, 1)
+    assert _assemble_exps((3, 1, 0, 0), 0, 4) == (2, 1, 1)
+    assert _assemble_exps((0, 4), 1, 0) == (4,)
 
 
 def test_split_weight_identity():
+    # outside the hook the boxes right of column l below row k are lost
     for w in range(12):
         for lam in partitions_of(w):
             for k, l in ((1, 1), (2, 1), (1, 2), (2, 3), (0, 4), (3, 0)):
+                exps = _split_exps(lam, k, l)
                 if in_hook(lam, k, l):
-                    s = split_hook(lam, k, l)
-                    assert weight(s.lambda0) + weight(s.mu) + weight(s.nu) == w
-                    assert assemble_hook(s) == lam
+                    assert sum(exps) == w
+                    assert _assemble_exps(exps, k, l) == lam
                 else:
-                    with pytest.raises(ValueError):
-                        split_hook(lam, k, l)
+                    assert sum(exps) < w
 
 
 def test_split_roundtrip_to_weight_twenty():
@@ -247,7 +253,7 @@ def test_split_roundtrip_to_weight_twenty():
             for k in range(4):
                 for l in range(4):
                     if in_hook(lam, k, l):
-                        assert assemble_hook(split_hook(lam, k, l)) == lam
+                        assert _assemble_exps(_split_exps(lam, k, l), k, l) == lam
 
 
 def test_in_hook_conjugate_duality():
@@ -261,7 +267,7 @@ def test_in_hook_conjugate_duality():
 @given(partitions_strategy(), st.integers(0, 4), st.integers(0, 4))
 def test_split_assemble_roundtrip(lam, k, l):
     if in_hook(lam, k, l):
-        assert assemble_hook(split_hook(lam, k, l)) == lam
+        assert _assemble_exps(_split_exps(lam, k, l), k, l) == lam
 
 
 # -- partition generation ------------------------------------------------
@@ -273,9 +279,13 @@ def test_partitions_of_counts():
 
 
 def test_partitions_of_bounds():
-    assert list(partitions_of(6, max_parts=2)) == [(6,), (5, 1), (4, 2), (3, 3)]
-    assert list(partitions_of(0)) == [()]
-    assert list(partitions_of(3, max_parts=0)) == []
+    assert partitions_of(6, max_parts=2) == [(6,), (5, 1), (4, 2), (3, 3)]
+    assert partitions_of(0) == [()]
+    assert partitions_of(3, max_parts=0) == []
+    assert partitions_of(-1) == partitions_upto(-1) == []
+    for enumerate_ in (partitions_of, partitions_upto):
+        with pytest.raises(ValueError):
+            enumerate_(3, -1)
 
 
 def test_partitions_of_conjugate_duality():
@@ -286,8 +296,8 @@ def test_partitions_of_conjugate_duality():
 
 
 def test_partitions_upto():
-    assert list(partitions_upto(2)) == [(), (1,), (2,), (1, 1)]
-    assert len(list(partitions_upto(8))) == sum(len(list(partitions_of(n))) for n in range(9))
+    assert partitions_upto(2) == [(), (1,), (2,), (1, 1)]
+    assert len(partitions_upto(8)) == sum(len(partitions_of(n)) for n in range(9))
 
 
 def test_hook_partitions_of():
@@ -296,9 +306,31 @@ def test_hook_partitions_of():
     for k, l in ((1, 1), (2, 3), (3, 0), (0, 2)):
         for n in range(13):
             assert hook_partitions_of(n, k, l) == \
-                [lam for lam in partitions_of(n) if in_hook(lam, k, l)]
-    with pytest.raises(ValueError):
-        hook_partitions_of(4, -1, 2)
+                [lam for lam in brute_partitions(n) if brute_in_hook(lam, k, l)]
+    for enumerate_ in (hook_partitions_of, _hook_partitions_upto):
+        with pytest.raises(ValueError):
+            enumerate_(4, -1, 2)
+
+
+def test_enumerators_match_brute_force():
+    # content and order, every count of parts and hook with k, l <= 4
+    for n in range(13):
+        every = brute_partitions(n)
+        assert partitions_of(n) == partitions_of(n, None) == every
+        for k in range(5):
+            assert partitions_of(n, k) == [lam for lam in every if len(lam) <= k]
+            for l in range(5):
+                assert hook_partitions_of(n, k, l) == \
+                    [lam for lam in every if brute_in_hook(lam, k, l)]
+    for bound in range(13):
+        upto = [lam for n in range(bound + 1) for lam in brute_partitions(n)]
+        for max_parts in (None, 0, 1, 2, 4):
+            assert partitions_upto(bound, max_parts) == \
+                [lam for lam in upto if max_parts is None or len(lam) <= max_parts]
+        for k in range(5):
+            for l in range(5):
+                assert _hook_partitions_upto(bound, k, l) == \
+                    [lam for lam in upto if brute_in_hook(lam, k, l)]
 
 
 # -- strip generators ----------------------------------------------------
@@ -448,7 +480,7 @@ def oracle_derived(e, oracle, even):
 
 
 WALK_HOOKS = [(k, l) for k in range(5) for l in range(4) if k + l]
-WALKS = ((_horizontal_walk, row_walk), (_vertical_walk, column_walk))
+WALKS = ((False, row_walk), (True, column_walk))
 
 
 def test_walks_match_row_by_row_oracles():
@@ -456,13 +488,13 @@ def test_walks_match_row_by_row_oracles():
     # included; a smaller budget keeps the strips of budget 6 that fit it
     for k, l in WALK_HOOKS:
         for lam in (lam for w in range(13) for lam in hook_partitions_of(w, k, l)):
-            for walk, oracle in WALKS:
+            for vertical, oracle in WALKS:
                 sizes = [(nu, sum(nu) - sum(lam)) for nu in oracle(lam, k, l, 6)]
                 for budget in range(7):
                     acc = {}
-                    walk(lam, k, l, budget, 1, acc)
+                    _walk(lam, k, l, budget, 1, acc, False, vertical)
                     assert list(acc) == [nu for nu, s in sizes if s <= budget], \
-                        (walk.__name__, lam, k, l, budget)
+                        (vertical, lam, k, l, budget)
                     assert set(acc.values()) <= {1}
 
 
@@ -473,11 +505,11 @@ def test_derived_matches_oracle():
             domain = [lam for w in range(low, bound + 1) for lam in hook_partitions_of(w, k, l)]
             e = HookExpansion(k, l, bound, {lam: (-1) ** i * (i % 3 + 1)
                                             for i, lam in enumerate(domain)})
-            for walk, oracle in WALKS:
+            for vertical, oracle in WALKS:
                 for even in (False, True):
-                    got = _derived(e, walk, even)
+                    got = _derived(e, vertical, even)
                     assert list(got.coeffs.items()) == oracle_derived(e, oracle, even), \
-                        (walk.__name__, k, l, bound, even)
+                        (vertical, k, l, bound, even)
 
 
 @given(partitions_strategy(max_weight=6, max_parts=4), st.integers(0, 3))

@@ -85,6 +85,15 @@ def test_series_mul_contract():
         a * Series.one(T2, 5)
 
 
+def test_foreign_operands_raise_type_error():
+    # a float, a str or a plain int is no series: Python's TypeError, not an AttributeError
+    a = Series(T1, 5, {(0,): 1, (1,): 1})
+    for op in (lambda: 2.5 * a, lambda: a * "x", lambda: a + 1):
+        with pytest.raises(TypeError):
+            op()
+    assert a * Fraction(1, 2) == Fraction(1, 2) * a == a.scale(Fraction(1, 2))
+
+
 def test_expand_factor_geometric():
     s = expand_factor(T1, [("t1", -1, -1)], 4)  # 1/(1 - t1)
     assert s.terms == {(0,): 1, (1,): 1, (2,): 1, (3,): 1, (4,): 1}

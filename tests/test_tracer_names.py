@@ -1,4 +1,5 @@
-"""Every name that ``bench/tracer.py`` wraps or reads still resolves.
+"""Every name that ``bench/tracer.py`` wraps or reads, and every public name
+of the package, still resolves.
 
 The tracer installs its wrappers by name at run time, so a cleanup that
 removes one of those names breaks ``bench/run.py --trace 1`` without failing
@@ -9,6 +10,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import cochar
 from cochar import cli, partitions
 from cochar.hooks import _hs_terms
 from cochar.schur import _schur_terms
@@ -35,3 +37,11 @@ def test_every_name_the_tracer_resolves_exists():
     assert callable(cli._select_routes)
     for cached in (_hs_terms, _schur_terms):
         assert callable(cached.cache_clear) and callable(cached.cache_info)
+
+
+def test_every_public_name_resolves():
+    # the check suites resolve lazily, through the package's __getattr__
+    assert {"verify", *cochar._VERIFY_NAMES} <= set(cochar.__all__)
+    for name in cochar.__all__:
+        assert getattr(cochar, name) is not None, name
+    assert len(cochar.__all__) == 52
