@@ -5,10 +5,11 @@ Subcommands:
 * ``hilbert``  — raw series of an algebra in one alphabet (``--vars``) or a
   split pair of alphabets (``--hook``).
 * ``mult``     — multiplicity table in ``--vars`` variables, computed along
-  one or several routes.
-* ``hookmult`` — multiplicity table over a (k,l) hook.
-* ``table``    — route-agreement table; accepts either ``--vars`` or
-  ``--hook`` and defaults to comparing every available route.
+  one or several routes; JSON also holds the series M(A; T_d).
+* ``hookmult`` — multiplicity table over a (k,l) hook; JSON also holds its
+  split-encoded series.
+* ``table``    — the same table job without the series; accepts either
+  ``--vars`` or ``--hook``.
 * ``verify``   — run a named check suite and report pass/fail per check.
 
 Every route is exact (integer / rational arithmetic throughout); whenever
@@ -24,14 +25,14 @@ import gc
 import os
 import re
 import sys
-from functools import cache
+from functools import cache, partial
 from itertools import chain
 from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence
 
 from .closed_forms import closed_table
 from .hilbert import _graded_terms, _sorted_coefficients
-from .hooks import _symmetric_decompose, _utn_hook_expansion, HookExpansion
+from .hooks import _peel, _symmetric_slices, _utn_hook_expansion, HookExpansion
 from .partitions import _format_partition, _hook_partitions_upto, _split_exps
 from .schur import to_mult_series
 from .series import VarSet
@@ -117,7 +118,7 @@ def _closed_tag(n: int, k: int, l: int) -> str | None:
 
 def _raw_expansion(n: int, k: int, l: int, trunc: int) -> HookExpansion:
     """The decompose route, peeling the raw series at its sorted coefficients."""
-    return _symmetric_decompose(_sorted_coefficients(n, k + l, trunc), k, l, trunc)
+    return _peel(_symmetric_slices(_sorted_coefficients(n, k + l, trunc), k, l), k, l, trunc)
 
 
 def _routes(n: int, k: int, l: int, trunc: int, domain: list[tuple[int, ...]],
@@ -341,10 +342,24 @@ def _cmd_hilbert(args) -> int:
     return 0
 
 
-def _table_driver(args, n: int,
-                  series: Callable[[HookExpansion], str] | None = None) -> int:
+def _mult_series_json(e: HookExpansion) -> str:
+    """The ``series`` member of a mult job's JSON document: what ``json.dumps``
+    writes for {"bound", "d", "form": "T", "terms": ``series.to_obj()``} of
+    ``to_mult_series(e)``."""
+    ms = to_mult_series(e)
+    terms = "".join(_terms_json(ms.series.sorted_terms(), ms.d, "    "))
+    return (f'{{\n    "bound": {ms.bound},\n    "d": {ms.d},\n    "form": "T",\n'
+            f'    "terms": {terms}\n  }}')
+
+
+def _cmd_table(args, series: Callable[[HookExpansion], str] | None = None) -> int:
     """Run the selected routes over the domain and write the rows they agree
     on; a JSON job also writes ``series`` of the pipeline expansion."""
+    n = _parse_algebra(args.algebra)
+    _check_guardrails(args, n)
+    # the mult and hookmult parsers require their one option
+    if (getattr(args, "vars", None) is None) == (getattr(args, "hook", None) is None):
+        raise SpecError("table needs exactly one of --vars or --hook")
     k, l = _alphabets(args)
     domain = _hook_partitions_upto(args.trunc, k, l)
     # one pipeline run serves both the route and the JSON embed
@@ -366,33 +381,6 @@ def _table_driver(args, n: int,
     embed = series(expansion()) if series and args.format == "json" else None
     _emit((_render_rows(rows, names, args.format, _job_fields(args), embed),), args.out)
     return 0
-
-
-def _cmd_mult(args) -> int:
-    n = _parse_algebra(args.algebra)
-    _check_guardrails(args, n)
-
-    def embed(e: HookExpansion) -> str:  # the one-alphabet series in T-form
-        ms = to_mult_series(e)
-        terms = "".join(_terms_json(ms.series.sorted_terms(), ms.d, "    "))
-        return (f'{{\n    "bound": {ms.bound},\n    "d": {ms.d},\n    "form": {_quote(ms.form)},\n'
-                f'    "terms": {terms}\n  }}')
-
-    return _table_driver(args, n, embed)
-
-
-def _cmd_hookmult(args) -> int:
-    n = _parse_algebra(args.algebra)
-    _check_guardrails(args, n)
-    return _table_driver(args, n, _hook_series_json)
-
-
-def _cmd_table(args) -> int:
-    n = _parse_algebra(args.algebra)
-    _check_guardrails(args, n)
-    if (args.vars is None) == (args.hook is None):
-        raise SpecError("table needs exactly one of --vars or --hook")
-    return _table_driver(args, n)
 
 
 def _cmd_verify(args) -> int:
@@ -443,9 +431,11 @@ def _required(option: tuple[str, dict]) -> tuple[str, dict]:
 COMMANDS = {
     "hilbert": ("raw series of an algebra", _cmd_hilbert,
                 (_ALGEBRA, _VARS, _HOOK, _TRUNC, _FORMAT, _OUT, _FORCE)),
-    "mult": ("multiplicity table in d variables", _cmd_mult,
+    "mult": ("multiplicity table in d variables",
+             partial(_cmd_table, series=_mult_series_json),
              (_ALGEBRA, _required(_VARS), _TRUNC, _METHOD, _FORMAT, _OUT, _FORCE)),
-    "hookmult": ("multiplicity table over a hook", _cmd_hookmult,
+    "hookmult": ("multiplicity table over a hook",
+                 partial(_cmd_table, series=_hook_series_json),
                  (_ALGEBRA, _required(_HOOK), _TRUNC, _METHOD, _FORMAT, _OUT, _FORCE)),
     "table": ("route-agreement table", _cmd_table,
               (_ALGEBRA, _VARS, _HOOK, _TRUNC, _METHOD, _FORMAT, _OUT, _FORCE)),

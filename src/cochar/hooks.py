@@ -22,7 +22,7 @@ With an empty second alphabet the hook Schur functions are the ordinary
 Schur functions: hs_poly(lam, d, 0, bound) is s_lam(t_1..t_d), and
 ``HookExpansion(d, 0, ...)`` is an ordinary Schur expansion in d variables.
 Every function below serves that case too; the one-alphabet
-multiplicity-series encodings live in :mod:`cochar.schur`.
+multiplicity series lives in :mod:`cochar.schur`.
 
 Products of hook Schur functions expand by the ordinary Littlewood-Richardson
 rule with every summand outside the hook discarded, so the one-row and
@@ -264,13 +264,6 @@ def _symmetric_slices(coeffs: Mapping[tuple[int, ...], Coeff], k: int,
         for b, drop in zip(combinations(padded, low), combinations(bits, low)):
             grouped.setdefault(b, {})[whole - sum(drop)] = c
     return sorted(slices.items())
-
-
-def _symmetric_decompose(coeffs: Mapping[tuple[int, ...], Coeff], k: int, l: int,
-                         bound: int) -> HookExpansion:
-    """:func:`hs_decompose` of the series symmetric in all k + l variables
-    with these coefficients at partitions, truncated at bound."""
-    return _peel(_symmetric_slices(coeffs, k, l), k, l, bound)
 
 
 def hs_decompose(g: Series, k: int, l: int) -> HookExpansion:
@@ -624,7 +617,11 @@ class HookMultSeries:
             if series.vars.names != VarSet.vty(k, l).names:
                 raise ValueError("series variables do not match the split encoding")
             for e in series.terms:
-                if _split_exps(partition(_assemble_exps(e, k, l)), k, l) != e:
+                try:
+                    valid = _split_exps(partition(_assemble_exps(e, k, l)), k, l) == e
+                except ValueError:  # rows that are no partition
+                    valid = False
+                if not valid:
                     raise ValueError(f"{e} is not a valid ({k}, {l}) split")
             series = series.truncate(bound)
         self.k = k
@@ -679,7 +676,10 @@ class HookMultSeries:
             exps = tuple(lam0) + tuple(mu) + tuple(nu)
             if sum(exps) > bound:
                 raise ValueError(f"term {exps} is heavier than the bound {bound}")
-            terms[exps] = norm_coeff(row["coeff"])
+            try:
+                terms[exps] = norm_coeff(row["coeff"])
+            except ZeroDivisionError:
+                raise ValueError(f"term {exps} has a zero denominator") from None
         series = Series(VarSet.vty(k, l), bound, terms)
         return cls(k, l, bound, series)
 

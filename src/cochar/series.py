@@ -292,8 +292,11 @@ class Series:
 
         terms: dict[Exps, Coeff] = {}
         for row in obj:
-            c = Fraction(int(row["num"]), int(row["den"]))
             exps = tuple(int(e) for e in row["exp"])
+            den = int(row["den"])
+            if not den:
+                raise ValueError(f"term {exps} has a zero denominator")
+            c = Fraction(int(row["num"]), den)
             if c:
                 terms[exps] = terms.get(exps, 0) + c
         return cls(vars_, bound, terms)

@@ -114,7 +114,7 @@ def test_json_embed_runs_the_pipeline_once(capsys, monkeypatch, argv, pipeline):
     assert json.loads(alone)["series"] == json.loads(full)["series"]
     if pipeline == "utn_mult_series":
         ms = utn_mult_series(2, 2, 5)
-        want = {"form": ms.form, "d": ms.d, "bound": ms.bound, "terms": ms.series.to_obj()}
+        want = {"form": "T", "d": ms.d, "bound": ms.bound, "terms": ms.series.to_obj()}
     else:
         want = utn_hook_mult_series(2, 1, 1, 5).to_obj()
     assert json.loads(full)["series"] == want
@@ -166,7 +166,7 @@ def _old_table_object(rows, names, job, pipeline):
             obj["series"] = utn_hook_mult_series(n, k, l, trunc).to_obj()
         else:
             ms = utn_mult_series(n, k, trunc)
-            obj["series"] = {"form": ms.form, "d": ms.d, "bound": ms.bound,
+            obj["series"] = {"form": "T", "d": ms.d, "bound": ms.bound,
                              "terms": ms.series.to_obj()}
     return obj
 
@@ -649,7 +649,8 @@ def test_only_the_entry_point_disables_the_collector(tmp_path):
 
 def _hand_written_parser():
     """The parser as it was written before the command table: the reference
-    for the help, usage and error bytes of the parser built from the table."""
+    for the help, usage and error bytes of the parser built from the table.
+    Its drivers are those of the table."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -676,21 +677,19 @@ def _hand_written_parser():
         p.add_argument("--force", action="store_true",
                        help="proceed past the default size guardrails")
 
-    for name, summary, driver, kinds in (
-            ("hilbert", "raw series of an algebra", cli._cmd_hilbert,
-             dict(methods=False, free=True)),
-            ("mult", "multiplicity table in d variables", cli._cmd_mult, dict(needs_vars=True)),
-            ("hookmult", "multiplicity table over a hook", cli._cmd_hookmult,
-             dict(needs_hook=True)),
-            ("table", "route-agreement table", cli._cmd_table, dict(free=True))):
+    for name, summary, kinds in (
+            ("hilbert", "raw series of an algebra", dict(methods=False, free=True)),
+            ("mult", "multiplicity table in d variables", dict(needs_vars=True)),
+            ("hookmult", "multiplicity table over a hook", dict(needs_hook=True)),
+            ("table", "route-agreement table", dict(free=True))):
         p = sub.add_parser(name, help=summary)
         common(p, **kinds)
-        p.set_defaults(driver=driver)
+        p.set_defaults(driver=cli.COMMANDS[name][1])
     p = sub.add_parser("verify", help="run a check suite")
     p.add_argument("--suite", choices=("invariants", "acceptance", "all"), default="invariants")
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--out", default=None)
-    p.set_defaults(driver=cli._cmd_verify)
+    p.set_defaults(driver=cli.COMMANDS["verify"][1])
     return parser
 
 

@@ -721,6 +721,9 @@ def test_hook_mult_series_json_roundtrip():
     assert decode_hook_mult(back) == e
     with pytest.raises(ValueError):
         HookMultSeries.from_obj(obj, 5)  # (4, 2) weighs 6
+    obj["terms"][0]["coeff"] = "1/0"
+    with pytest.raises(ValueError, match=r"term \(0, 0, 0, 0, 0\) has a zero denominator"):
+        HookMultSeries.from_obj(obj, 8)
 
 
 def test_encode_matches_validating_constructor():

@@ -18,7 +18,7 @@ from cochar.hooks import (
     HookExpansion,
 )
 from cochar.partitions import partitions_upto
-from cochar.schur import MultSeries, to_mult_series
+from cochar.schur import to_mult_series
 from cochar.series import expand_factor, Series, VarSet
 
 
@@ -30,13 +30,27 @@ def random_expansions(d, bound, count, seed):
         yield HookExpansion(d, 0, bound, coeffs)
 
 
-def v_expansion(factors, numerator_terms, bound, d=2):
-    """Expand a rational display in difference coordinates, weight-filtered."""
-    vars_ = VarSet.v(d)
+def at_differences(display, bound):
+    """A two-variable display in Drensky's difference coordinates read at
+    every partition lam of weight at most bound, as the coefficient of
+    v1^(lam1 - lam2) v2^lam2: the nonzero ones, keyed by lam."""
+    out = {}
+    for lam in partitions_upto(bound, max_parts=2):
+        a, b = lam + (0,) * (2 - len(lam))
+        c = display.coefficient((a - b, b))
+        if c:
+            out[lam] = c
+    return out
+
+
+def v_expansion(factors, numerator_terms, bound):
+    """Expand a rational display in difference coordinates and read it at
+    every partition of weight at most bound."""
+    vars_ = VarSet.v(2)
     s = expand_factor(vars_, factors, bound)
     if numerator_terms is not None:
         s = s * Series(vars_, bound, numerator_terms)
-    return MultSeries("V", d, bound, s).series.terms
+    return at_differences(s, bound)
 
 
 # -- frozen single steps ---------------------------------------------------
@@ -105,17 +119,17 @@ def test_grassmann_power_frozen_v_forms():
     n = 10
     z1 = hook_grassmann_derived_power(HookExpansion.unit(2, 0, n), 1)
     expected = v_expansion([("v2", 1, 1), ("v1", -1, -1)], None, n)
-    assert to_mult_series(z1, "V").series.terms == expected
+    assert z1.coeffs == expected
 
     z2 = hook_grassmann_derived_power(HookExpansion.unit(2, 0, n), 2)
     expected = v_expansion([("v2", 1, 2), ("v1", -1, -2), ("v2", -1, -1)], None, n)
-    assert to_mult_series(z2, "V").series.terms == expected
+    assert z2.coeffs == expected
 
     seed = HookExpansion(2, 0, n, {(1,): 1})
     z2t = hook_grassmann_derived_power(seed, 2)
     expected = v_expansion([("v2", 1, 2), ("v1", -1, -2), ("v2", -1, -1)],
                            {(1, 0): 1, (0, 1): 2, (1, 1): -1}, n)
-    assert to_mult_series(z2t, "V").series.terms == expected
+    assert z2t.coeffs == expected
 
 
 # -- operator identities -----------------------------------------------------
@@ -141,8 +155,8 @@ def test_two_variable_closed_step():
     # at d=2 the even-column step is multiplication by (1 + t1 t2)
     tv = VarSet.t(2)
     for e in random_expansions(2, 9, 6, seed=29):
-        m = to_mult_series(e, "T").series
-        stepped = to_mult_series(hook_even_col_derived(e), "T").series
+        m = to_mult_series(e).series
+        stepped = to_mult_series(hook_even_col_derived(e)).series
         assert stepped == m * Series(tv, 9, {(0, 0): 1, (1, 1): 1})
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from functools import lru_cache
 
 import pytest
@@ -224,7 +225,7 @@ def test_hook_mult_series_rejects_invalid_splits():
         (2, 2, (0, 1, 0, 0, 0, 0)),  # a rectangle block that is no partition
         (2, 2, (1, 2, 0, 0, 0, 0)),  # rows that increase
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(f"{e} is not a valid ({k}, {l}) split")):
             HookMultSeries(k, l, 8, Series(VarSet.vty(k, l), 8, {e: 1}))
 
 

@@ -227,35 +227,34 @@ def test_schur_decompose_rejects_asymmetric():
 
 def test_mult_series_forms():
     e = HookExpansion(2, 0, 8, {(3, 1): 5, (1, 1): 1, (2,): 2})
-    t = to_mult_series(e, "T")
+    t = to_mult_series(e)
     assert t.series.terms == {(3, 1): 5, (1, 1): 1, (2, 0): 2}
-    v = to_mult_series(e, "V")
-    assert v.series.terms == {(2, 1): 5, (0, 1): 1, (2, 0): 2}
     assert from_mult_series(t) == e
-    assert from_mult_series(v) == e
-    assert to_mult_series(from_mult_series(v), "T") == t
-    assert t.coefficient((3, 1)) == 5 and v.coefficient((3, 1)) == 5
-    assert t.coefficient((9, 9)) == 0
+    assert to_mult_series(from_mult_series(t)) == t
+    assert t.coefficient((3, 1)) == 5 and t.coefficient((2,)) == 2
+    assert t.coefficient((9, 9)) == 0 and t.coefficient((1, 1, 1)) == 0
 
 
 def test_mult_series_validation():
     bad = Series(VarSet.t(2), 6, {(1, 2): 1})
-    with pytest.raises(ValueError):
-        MultSeries("T", 2, 6, bad)
-    with pytest.raises(ValueError):
-        MultSeries("X", 2, 6, Series.one(VarSet.t(2), 6))
-    # V-form terms beyond the weight bound are dropped on construction
-    deep = Series(VarSet.v(2), 6, {(0, 5): 1, (1, 1): 2})
-    m = MultSeries("V", 2, 6, deep)
+    with pytest.raises(ValueError, match="not a partition shape"):
+        MultSeries(2, 6, bad)
+    with pytest.raises(ValueError, match="do not match T-form"):
+        MultSeries(2, 6, Series.one(VarSet.v(2), 6))
+    with pytest.raises(ValueError, match=r"\(d, 0\) expansions"):
+        to_mult_series(HookExpansion(1, 1, 6, {(1,): 1}))
+    # terms beyond the weight bound are dropped on construction
+    deep = Series(VarSet.t(2), 8, {(5, 2): 1, (1, 1): 2})
+    m = MultSeries(2, 6, deep)
     assert m.series.terms == {(1, 1): 2}
 
 
-def test_mult_series_geometric_v_form():
-    # all single-row partitions <=> 1/(1 - v1)
+def test_mult_series_geometric_t_form():
+    # all single-row partitions <=> 1/(1 - t1)
     e = HookExpansion(2, 0, 7, {(m,): 1 for m in range(8)})
-    v = to_mult_series(e, "V")
-    geo = expand_factor(VarSet.v(2), [("v1", -1, -1)], 7)
-    assert v.series.terms == geo.terms
+    t = to_mult_series(e)
+    geo = expand_factor(VarSet.t(2), [("t1", -1, -1)], 7)
+    assert t.series.terms == geo.terms
 
 
 def test_decompose_synthesize_identity():

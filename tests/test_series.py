@@ -142,6 +142,8 @@ def test_sorted_terms_and_json():
     assert {"exp": [2, 0], "num": "1", "den": "3"} in obj
     back = Series.from_obj(T2, 4, obj)
     assert back == s
+    with pytest.raises(ValueError, match=r"term \(2, 0\) has a zero denominator"):
+        Series.from_obj(T2, 4, [{"exp": [2, 0], "num": "1", "den": "0"}])
 
 
 def test_truncate():
