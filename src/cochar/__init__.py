@@ -36,11 +36,6 @@ from cochar.hooks import (
     hs_poly,
     utn_hook_mult_series,
 )
-from cochar.schur import (
-    from_mult_series,
-    MultSeries,
-    to_mult_series,
-)
 from cochar.hilbert import (
     grassmann_double_hilbert,
     grassmann_hilbert,
@@ -49,7 +44,7 @@ from cochar.hilbert import (
     utn_mult_series,
 )
 from cochar.closed_forms import closed_multiplicity, reference_series
-from cochar import operators  # noqa: F401  (stubs resolved by bench/tracer.py)
+from cochar import operators, schur  # noqa: F401  (stubs resolved by bench/tracer.py)
 
 # The check suites load on first use, so that a job that runs none of them
 # does not import them: ``cochar.verify`` and these names resolve lazily.

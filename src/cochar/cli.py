@@ -5,7 +5,8 @@ Subcommands:
 * ``hilbert``  — raw series of an algebra in one alphabet (``--vars``) or a
   split pair of alphabets (``--hook``).
 * ``mult``     — multiplicity table in ``--vars`` variables, computed along
-  one or several routes; JSON also holds the series M(A; T_d).
+  one or several routes; JSON also holds the series M(A; T_d), with the
+  partitions as exponents (T-form), written from the (d, 0) expansion.
 * ``hookmult`` — multiplicity table over a (k,l) hook; JSON also holds its
   split-encoded series.
 * ``table``    — the same table job without the series; accepts either
@@ -34,7 +35,6 @@ from .closed_forms import closed_table
 from .hilbert import _graded_terms, _sorted_coefficients
 from .hooks import _peel, _symmetric_slices, _utn_hook_expansion, HookExpansion
 from .partitions import _format_partition, _hook_partitions_upto, _split_exps
-from .schur import to_mult_series
 from .series import VarSet
 
 # Soft limits.  Past these the computations still work, they just get slow;
@@ -207,13 +207,14 @@ def _terms_json(terms: Iterable, arity: int, pad: str) -> Iterable[str]:
     yield close
 
 
-def _hook_series_json(e: HookExpansion) -> str:
+def _hook_series_json(e: HookExpansion, domain: list[tuple[int, ...]]) -> str:
     """The ``series`` member of a hookmult job's JSON document: what
     ``json.dumps`` writes for ``encode_hook_mult(e).to_obj()``.
 
     to_obj sorts its terms by (|lam|, lam), since the split exponents of lam
     sum to |lam| and assemble back to lam, so each partition of e is split
     once, in that order, and written by one template of 2k + l int slots.
+    That order is not the domain's, so ``domain`` goes unread.
     """
     k, l = e.k, e.l
     pad = "        "
@@ -342,19 +343,26 @@ def _cmd_hilbert(args) -> int:
     return 0
 
 
-def _mult_series_json(e: HookExpansion) -> str:
+def _mult_series_json(e: HookExpansion, domain: list[tuple[int, ...]]) -> str:
     """The ``series`` member of a mult job's JSON document: what ``json.dumps``
-    writes for {"bound", "d", "form": "T", "terms": ``series.to_obj()``} of
-    ``to_mult_series(e)``."""
-    ms = to_mult_series(e)
-    terms = "".join(_terms_json(ms.series.sorted_terms(), ms.d, "    "))
-    return (f'{{\n    "bound": {ms.bound},\n    "d": {ms.d},\n    "form": "T",\n'
-            f'    "terms": {terms}\n  }}')
+    writes for {"bound", "d", "form": "T", "terms": ``s.to_obj()``} of the
+    series s over t_1..t_d of the (d, 0) expansion e: t^lam, lam padded with
+    zeros to d parts, at each partition lam of e.
+
+    to_obj orders terms by weight, then descending lex, which on partitions
+    of at most d parts is the order of ``domain``, so the walk of the domain
+    writes them in order, unsorted.
+    """
+    d, coeffs = e.k, e.coeffs
+    terms = ((lam + (0,) * (d - len(lam)), coeffs[lam]) for lam in domain if lam in coeffs)
+    return (f'{{\n    "bound": {e.bound},\n    "d": {d},\n    "form": "T",\n'
+            f'    "terms": {"".join(_terms_json(terms, d, "    "))}\n  }}')
 
 
-def _cmd_table(args, series: Callable[[HookExpansion], str] | None = None) -> int:
+def _cmd_table(args, series: Callable[[HookExpansion, list], str] | None = None) -> int:
     """Run the selected routes over the domain and write the rows they agree
-    on; a JSON job also writes ``series`` of the pipeline expansion."""
+    on; a JSON job also writes ``series`` of the pipeline expansion and the
+    domain, which holds every partition of the expansion."""
     n = _parse_algebra(args.algebra)
     _check_guardrails(args, n)
     # the mult and hookmult parsers require their one option
@@ -378,7 +386,7 @@ def _cmd_table(args, series: Callable[[HookExpansion], str] | None = None) -> in
     names = list(results)
     first = results[names[0]]
     rows = [(lam, first[lam]) for lam in domain if first[lam]]
-    embed = series(expansion()) if series and args.format == "json" else None
+    embed = series(expansion(), domain) if series and args.format == "json" else None
     _emit((_render_rows(rows, names, args.format, _job_fields(args), embed),), args.out)
     return 0
 

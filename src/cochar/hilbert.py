@@ -20,8 +20,7 @@ from itertools import accumulate
 from math import comb
 from operator import add, mul
 
-from cochar.hooks import _utn_hook_expansion
-from cochar.schur import MultSeries, to_mult_series
+from cochar.hooks import HookMultSeries, utn_hook_mult_series
 from cochar.series import Series, VarSet
 
 
@@ -98,15 +97,14 @@ def utn_hilbert(n: int, d: int, bound: int) -> Series:
     return utn_double_hilbert(n, d, 0, bound)
 
 
-def utn_mult_series(n: int, d: int, bound: int) -> MultSeries:
-    """T-form multiplicity series of the n-by-n triangular algebra over E.
+def utn_mult_series(n: int, d: int, bound: int) -> HookMultSeries:
+    """Multiplicity series M(UT_n(E); T_d) of the triangular algebra over E.
 
     Schur functions in d variables are the hook Schur functions of the (d, 0)
-    hook, so this is the operator route of
-    :func:`cochar.hooks.utn_hook_mult_series` with ``l = 0``, packed straight
-    into T-form.
+    hook, so this is :func:`cochar.hooks.utn_hook_mult_series` with ``l = 0``,
+    whose split monomial at lam is t^lam.
     """
-    return to_mult_series(_utn_hook_expansion(n, d, 0, bound))
+    return utn_hook_mult_series(n, d, 0, bound)
 
 
 def grassmann_double_hilbert(k: int, l: int, bound: int) -> Series:

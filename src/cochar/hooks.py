@@ -21,8 +21,8 @@ the series is symmetric in all the variables.
 With an empty second alphabet the hook Schur functions are the ordinary
 Schur functions: hs_poly(lam, d, 0, bound) is s_lam(t_1..t_d), and
 ``HookExpansion(d, 0, ...)`` is an ordinary Schur expansion in d variables.
-Every function below serves that case too; the one-alphabet
-multiplicity series lives in :mod:`cochar.schur`.
+Every function below serves that case too, and ``HookMultSeries(d, 0, ...)``
+is the one-alphabet multiplicity series M(A; T_d): its monomial at lam is t^lam.
 
 Products of hook Schur functions expand by the ordinary Littlewood-Richardson
 rule with every summand outside the hook discarded, so the one-row and
@@ -665,21 +665,24 @@ class HookMultSeries:
     @classmethod
     def from_obj(cls, obj: Mapping, bound: int) -> "HookMultSeries":
         """Inverse of :meth:`to_obj`; the object does not carry the bound."""
-        k, l = (int(x) for x in obj["hook"])
         terms: dict[Exps, Coeff] = {}
-        for row in obj["terms"]:
-            lam0 = [int(x) for x in row["lambda0"]]
-            mu = [int(x) for x in row["mu"]]
-            nu = [int(x) for x in row["nu"]]
-            if len(lam0) != k or len(mu) != k or len(nu) != l:
-                raise ValueError("split widths do not match the hook")
-            exps = tuple(lam0) + tuple(mu) + tuple(nu)
-            if sum(exps) > bound:
-                raise ValueError(f"term {exps} is heavier than the bound {bound}")
-            try:
-                terms[exps] = norm_coeff(row["coeff"])
-            except ZeroDivisionError:
-                raise ValueError(f"term {exps} has a zero denominator") from None
+        try:
+            k, l = (int(x) for x in obj["hook"])
+            for row in obj["terms"]:
+                lam0 = [int(x) for x in row["lambda0"]]
+                mu = [int(x) for x in row["mu"]]
+                nu = [int(x) for x in row["nu"]]
+                if len(lam0) != k or len(mu) != k or len(nu) != l:
+                    raise ValueError("split widths do not match the hook")
+                exps = tuple(lam0) + tuple(mu) + tuple(nu)
+                if sum(exps) > bound:
+                    raise ValueError(f"term {exps} is heavier than the bound {bound}")
+                try:
+                    terms[exps] = norm_coeff(row["coeff"])
+                except ZeroDivisionError:
+                    raise ValueError(f"term {exps} has a zero denominator") from None
+        except KeyError as exc:
+            raise ValueError(f"missing field {exc.args[0]!r}") from None
         series = Series(VarSet.vty(k, l), bound, terms)
         return cls(k, l, bound, series)
 

@@ -2,7 +2,7 @@
 
 They are the hook operators of :mod:`cochar.hooks` at ``l = 0``.  The module
 stays only because bench/tracer.py resolves ``cochar.operators`` when it
-installs its span table; see the end of :mod:`cochar.schur`.
+installs its span table; see :mod:`cochar.schur`.
 """
 
 from cochar.schur import _removed

@@ -105,11 +105,10 @@ def in_extended_hook(lam: Sequence[int], n: int) -> bool:
 def _split_exps(lam: tuple[int, ...], k: int, l: int) -> tuple[int, ...]:
     """Exponents v^rectangle t^arm y^leg of a canonical partition in the
     (k, l) hook: its first k rows cut at l, their overhangs past l, and the
-    l column lengths below row k."""
+    first l column lengths below row k, padded with zeros."""
     head = lam[:k] + (0,) * (k - len(lam))
-    below = lam[k:]
     return (tuple(min(p, l) for p in head) + tuple(max(p - l, 0) for p in head)
-            + tuple(sum(1 for p in below if p > j) for j in range(l)))
+            + (_conjugate(lam[k:]) + (0,) * l)[:l])
 
 
 def _assemble_exps(exps: tuple[int, ...], k: int, l: int) -> tuple[int, ...]:

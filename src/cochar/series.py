@@ -11,6 +11,7 @@ that integer-only work does not load it (nor ``decimal`` through it).
 
 from __future__ import annotations
 
+from functools import cache
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
 if TYPE_CHECKING:
@@ -31,7 +32,7 @@ def norm_coeff(c: Coeff | str) -> Coeff:
 
 
 class VarSet:
-    """Ordered variable names; immutable."""
+    """Ordered variable names; immutable, so the named sets are built once each."""
 
     __slots__ = ("names",)
     names: tuple[str, ...]
@@ -72,19 +73,23 @@ class VarSet:
             raise ValueError(f"unknown variable {name!r}") from None
 
     @staticmethod
+    @cache
     def t(d: int) -> "VarSet":
         return VarSet(tuple(f"t{i}" for i in range(1, d + 1)))
 
     @staticmethod
+    @cache
     def v(d: int) -> "VarSet":
         return VarSet(tuple(f"v{i}" for i in range(1, d + 1)))
 
     @staticmethod
+    @cache
     def ty(k: int, l: int) -> "VarSet":
         return VarSet(tuple(f"t{i}" for i in range(1, k + 1))
                       + tuple(f"y{j}" for j in range(1, l + 1)))
 
     @staticmethod
+    @cache
     def vty(k: int, l: int) -> "VarSet":
         return VarSet(tuple(f"v{i}" for i in range(1, k + 1))
                       + tuple(f"t{i}" for i in range(1, k + 1))
@@ -291,14 +296,17 @@ class Series:
         from fractions import Fraction
 
         terms: dict[Exps, Coeff] = {}
-        for row in obj:
-            exps = tuple(int(e) for e in row["exp"])
-            den = int(row["den"])
-            if not den:
-                raise ValueError(f"term {exps} has a zero denominator")
-            c = Fraction(int(row["num"]), den)
-            if c:
-                terms[exps] = terms.get(exps, 0) + c
+        try:
+            for row in obj:
+                exps = tuple(int(e) for e in row["exp"])
+                den = int(row["den"])
+                if not den:
+                    raise ValueError(f"term {exps} has a zero denominator")
+                c = Fraction(int(row["num"]), den)
+                if c:
+                    terms[exps] = terms.get(exps, 0) + c
+        except KeyError as exc:
+            raise ValueError(f"missing field {exc.args[0]!r}") from None
         return cls(vars_, bound, terms)
 
 

@@ -9,8 +9,8 @@ import pytest
 
 from cochar import verify
 from cochar.hilbert import utn_mult_series
-from cochar.hooks import hook_row_derived, HookExpansion, utn_hook_mult_series
-from cochar.schur import from_mult_series, to_mult_series
+from cochar.hooks import (decode_hook_mult, encode_hook_mult, hook_row_derived, HookExpansion,
+                          utn_hook_mult_series)
 from cochar.verify import ACCEPTANCE_CHECKS
 
 
@@ -55,7 +55,7 @@ def test_operator_identities_catch_a_wrong_multiplicity(monkeypatch, wrong_n):
         m = utn_mult_series(n, d, bound)
         if n != wrong_n:
             return m
-        return to_mult_series(from_mult_series(m) + HookExpansion(d, 0, bound, {(5, 2): 1}))
+        return encode_hook_mult(decode_hook_mult(m) + HookExpansion(d, 0, bound, {(5, 2): 1}))
 
     monkeypatch.setattr(verify, "utn_mult_series", off_by_one_at_52)
     result = verify.operator_identities()

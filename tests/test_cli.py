@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cochar import cli
 from cochar.hilbert import utn_double_hilbert, utn_hilbert, utn_mult_series
-from cochar.hooks import encode_hook_mult, utn_hook_mult_series, HookExpansion
+from cochar.hooks import decode_hook_mult, encode_hook_mult, utn_hook_mult_series, HookExpansion
 from cochar.series import Series, VarSet
 from test_hooks import time_limit
 
@@ -113,8 +113,7 @@ def test_json_embed_runs_the_pipeline_once(capsys, monkeypatch, argv, pipeline):
     assert code == 0 and len(calls) == 2
     assert json.loads(alone)["series"] == json.loads(full)["series"]
     if pipeline == "utn_mult_series":
-        ms = utn_mult_series(2, 2, 5)
-        want = {"form": "T", "d": ms.d, "bound": ms.bound, "terms": ms.series.to_obj()}
+        want = _t_form_object(2, 2, 5)
     else:
         want = utn_hook_mult_series(2, 1, 1, 5).to_obj()
     assert json.loads(full)["series"] == want
@@ -122,7 +121,7 @@ def test_json_embed_runs_the_pipeline_once(capsys, monkeypatch, argv, pipeline):
 
 # table jobs of every shape the writers meet: the pipeline series embedded
 # for hookmult and mult, none for table; multi-part and empty partitions,
-# l > k, the decompose route alone, and E at trunc 0
+# l > k, the decompose route alone, E at trunc 0, and one variable at trunc 0
 TABLE_JOBS = [
     (["hookmult", "--algebra", "UT3E", "--hook", "1,1", "--trunc", "8"], (3, 1, 1, 8)),
     (["hookmult", "--algebra", "UT2E", "--hook", "1,2", "--trunc", "8"], (2, 1, 2, 8)),
@@ -131,6 +130,9 @@ TABLE_JOBS = [
     (["hookmult", "--algebra", "UT2E", "--hook", "3,4", "--trunc", "8"], (2, 3, 4, 8)),
     (["hookmult", "--algebra", "E", "--hook", "1,1", "--trunc", "0"], (1, 1, 1, 0)),
     (["mult", "--algebra", "UT2E", "--vars", "3", "--trunc", "8"], (2, 3, 0, 8)),
+    (["mult", "--algebra", "UT2E", "--vars", "1", "--trunc", "0"], (2, 1, 0, 0)),
+    (["mult", "--algebra", "UT3E", "--vars", "4", "--trunc", "10",
+      "--method", "decompose"], (3, 4, 0, 10)),
     (["table", "--algebra", "UT2E", "--vars", "4", "--trunc", "8"], None),
     (["table", "--algebra", "UT2E", "--hook", "2,3", "--trunc", "8"], None),
 ]
@@ -154,6 +156,15 @@ def _table_job(argv, fmt, capsys, monkeypatch):
     return out, rows, names, job
 
 
+def _t_form_object(n, d, bound):
+    """The mult embed as a generic writer makes it: the T-form series over
+    t_1..t_d, t^lam at each partition lam of the pipeline padded with zeros
+    to d parts, serialised by Series.to_obj."""
+    e = decode_hook_mult(utn_mult_series(n, d, bound))
+    s = Series(VarSet.t(d), bound, {lam + (0,) * (d - len(lam)): c for lam, c in e.coeffs.items()})
+    return {"form": "T", "d": d, "bound": bound, "terms": s.to_obj()}
+
+
 def _old_table_object(rows, names, job, pipeline):
     """The object that table jobs serialised before they wrote their rows and
     the hookmult series themselves: a dict per row, and the embed of the
@@ -165,9 +176,7 @@ def _old_table_object(rows, names, job, pipeline):
         if job["command"] == "hookmult":
             obj["series"] = utn_hook_mult_series(n, k, l, trunc).to_obj()
         else:
-            ms = utn_mult_series(n, k, trunc)
-            obj["series"] = {"form": "T", "d": ms.d, "bound": ms.bound,
-                             "terms": ms.series.to_obj()}
+            obj["series"] = _t_form_object(n, k, trunc)
     return obj
 
 
@@ -198,7 +207,7 @@ def test_empty_table_matches_the_generic_writer():
     assert cli._render_rows([], ["pipeline"], "csv", job) == "partition,weight,multiplicity,routes\n"
     zero = HookExpansion(2, 3, 10)
     embed = json.dumps(encode_hook_mult(zero).to_obj(), sort_keys=True, indent=2)
-    assert cli._hook_series_json(zero) == embed.replace("\n", "\n  ")
+    assert cli._hook_series_json(zero, []) == embed.replace("\n", "\n  ")
 
 
 @pytest.mark.parametrize("m", [Fraction(1, 2), 1.0])

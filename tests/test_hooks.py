@@ -40,10 +40,9 @@ from cochar.hooks import (
     HookExpansion,
     HookMultSeries,
 )
-from cochar.partitions import (_assemble_exps, _split_exps, char_degree, conjugate, partition,
-                               horizontal_strips, in_hook, partitions_of, partitions_upto,
-                               vertical_strips)
-from cochar.schur import to_mult_series
+from cochar.partitions import (_assemble_exps, _hook_partitions_upto, _split_exps, char_degree,
+                               conjugate, partition, horizontal_strips, in_hook, partitions_of,
+                               partitions_upto, vertical_strips)
 from cochar.series import expand_factor, norm_coeff, Series, VarSet
 
 
@@ -726,6 +725,35 @@ def test_hook_mult_series_json_roundtrip():
         HookMultSeries.from_obj(obj, 8)
 
 
+@pytest.mark.parametrize("k, l", [(1, 0), (3, 0), (2, 1), (1, 3), (0, 2)])
+@settings(max_examples=30, deadline=None)
+@given(bound=st.integers(0, 8),
+       picks=st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                st.fractions(max_denominator=3).filter(bool)), max_size=6))
+@example(bound=0, picks=[])
+@example(bound=8, picks=[])
+def test_hook_mult_series_obj_roundtrip(k, l, bound, picks):
+    # through JSON text and back, at l = 0 (hook [d, 0], every nu empty) and
+    # l > 0, the empty series included
+    pool = _hook_partitions_upto(bound, k, l)
+    m = encode_hook_mult(HookExpansion(k, l, bound, {pool[i % len(pool)]: c for i, c in picks}))
+    obj = json.loads(json.dumps(m.to_obj()))
+    assert obj["hook"] == [k, l] and all(len(t["nu"]) == l for t in obj["terms"])
+    assert len(obj["terms"]) == len(m.series.terms)
+    assert HookMultSeries.from_obj(obj, bound) == m
+
+
+@pytest.mark.parametrize("field", ["hook", "terms", "lambda0", "mu", "nu", "coeff"])
+def test_hook_mult_series_from_obj_names_a_missing_field(field):
+    obj = encode_hook_mult(HookExpansion(2, 1, 6, {(2, 1, 1): 3})).to_obj()
+    if field in obj:
+        del obj[field]
+    else:
+        del obj["terms"][0][field]
+    with pytest.raises(ValueError, match=f"missing field '{field}'"):
+        HookMultSeries.from_obj(obj, 6)
+
+
 def test_encode_matches_validating_constructor():
     for k, l in ((1, 1), (2, 1), (1, 2), (2, 3), (3, 0), (0, 2)):
         for e in random_hook_expansions(k, l, 8, 3, seed=70 * k + l):
@@ -934,7 +962,9 @@ def test_hook_mult_two_blocks_frozen():
         assert m.coefficient(lam) == 3 * extra + 2
 
 
-@pytest.mark.parametrize("n, d, b", [(2, 2, 12), (3, 2, 14), (2, 5, 11), (3, 3, 9)])
+@pytest.mark.parametrize("n, d, b", [(2, 2, 12), (3, 2, 14), (2, 5, 11)]
+                         + [(n, d, 9) for n, d in product(range(1, 4), repeat=2)])
 def test_mult_series_is_the_l0_pipeline(n, d, b):
-    assert utn_mult_series(n, d, b) == \
-        to_mult_series(decode_hook_mult(utn_hook_mult_series(n, d, 0, b)))
+    m = utn_mult_series(n, d, b)
+    assert m == utn_hook_mult_series(n, d, 0, b)
+    assert (m.k, m.l, m.series.vars) == (d, 0, VarSet.vty(d, 0))

@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 from cochar.hooks import (
+    encode_hook_mult,
     hook_col_derived,
     hook_even_col_derived,
     hook_grassmann_derived,
@@ -18,7 +19,6 @@ from cochar.hooks import (
     HookExpansion,
 )
 from cochar.partitions import partitions_upto
-from cochar.schur import to_mult_series
 from cochar.series import expand_factor, Series, VarSet
 
 
@@ -152,12 +152,12 @@ def test_row_derivation_is_the_geometric_product():
 
 
 def test_two_variable_closed_step():
-    # at d=2 the even-column step is multiplication by (1 + t1 t2)
-    tv = VarSet.t(2)
+    # at d=2 the even-column step multiplies the T-form series by (1 + t1 t2)
+    vt = VarSet.vty(2, 0)
     for e in random_expansions(2, 9, 6, seed=29):
-        m = to_mult_series(e).series
-        stepped = to_mult_series(hook_even_col_derived(e)).series
-        assert stepped == m * Series(tv, 9, {(0, 0): 1, (1, 1): 1})
+        m = encode_hook_mult(e).series
+        stepped = encode_hook_mult(hook_even_col_derived(e)).series
+        assert stepped == m * Series(vt, 9, {(0, 0, 0, 0): 1, (0, 0, 1, 1): 1})
 
 
 def test_column_bound_of_iterated_even_steps():

@@ -22,11 +22,6 @@ from cochar.hooks import (
     HookMultSeries,
 )
 from cochar.partitions import partitions_of, partitions_upto
-from cochar.schur import (
-    from_mult_series,
-    MultSeries,
-    to_mult_series,
-)
 from cochar.series import expand_factor, Series, VarSet
 
 
@@ -225,36 +220,40 @@ def test_schur_decompose_rejects_asymmetric():
 # -- multiplicity series -----------------------------------------------------
 
 
+# the (d, 0) split encoding: an empty rectangle v^0 and no leg, so the
+# monomial of lam is t^lam, lam padded with zeros to d parts (T-form)
+
+
 def test_mult_series_forms():
     e = HookExpansion(2, 0, 8, {(3, 1): 5, (1, 1): 1, (2,): 2})
-    t = to_mult_series(e)
-    assert t.series.terms == {(3, 1): 5, (1, 1): 1, (2, 0): 2}
-    assert from_mult_series(t) == e
-    assert to_mult_series(from_mult_series(t)) == t
+    t = encode_hook_mult(e)
+    assert t.series.vars == VarSet.vty(2, 0)
+    assert t.series.terms == {(0, 0, 3, 1): 5, (0, 0, 1, 1): 1, (0, 0, 2, 0): 2}
+    assert decode_hook_mult(t) == e
+    assert encode_hook_mult(decode_hook_mult(t)) == t
     assert t.coefficient((3, 1)) == 5 and t.coefficient((2,)) == 2
     assert t.coefficient((9, 9)) == 0 and t.coefficient((1, 1, 1)) == 0
 
 
 def test_mult_series_validation():
-    bad = Series(VarSet.t(2), 6, {(1, 2): 1})
-    with pytest.raises(ValueError, match="not a partition shape"):
-        MultSeries(2, 6, bad)
-    with pytest.raises(ValueError, match="do not match T-form"):
-        MultSeries(2, 6, Series.one(VarSet.v(2), 6))
-    with pytest.raises(ValueError, match=r"\(d, 0\) expansions"):
-        to_mult_series(HookExpansion(1, 1, 6, {(1,): 1}))
+    vt = VarSet.vty(2, 0)
+    for bad in ((0, 0, 1, 2), (1, 0, 1, 0)):  # no partition; a box in the empty rectangle
+        with pytest.raises(ValueError, match=r"not a valid \(2, 0\) split"):
+            HookMultSeries(2, 0, 6, Series(vt, 6, {bad: 1}))
+    with pytest.raises(ValueError, match="do not match the split encoding"):
+        HookMultSeries(2, 0, 6, Series.one(VarSet.t(2), 6))
     # terms beyond the weight bound are dropped on construction
-    deep = Series(VarSet.t(2), 8, {(5, 2): 1, (1, 1): 2})
-    m = MultSeries(2, 6, deep)
-    assert m.series.terms == {(1, 1): 2}
+    deep = Series(vt, 8, {(0, 0, 5, 2): 1, (0, 0, 1, 1): 2})
+    m = HookMultSeries(2, 0, 6, deep)
+    assert m.series.terms == {(0, 0, 1, 1): 2}
 
 
 def test_mult_series_geometric_t_form():
     # all single-row partitions <=> 1/(1 - t1)
     e = HookExpansion(2, 0, 7, {(m,): 1 for m in range(8)})
-    t = to_mult_series(e)
-    geo = expand_factor(VarSet.t(2), [("t1", -1, -1)], 7)
-    assert t.series.terms == geo.terms
+    t = encode_hook_mult(e)
+    geo = expand_factor(VarSet.vty(2, 0), [("t1", -1, -1)], 7)
+    assert t.series == geo
 
 
 def test_decompose_synthesize_identity():

@@ -146,6 +146,14 @@ def test_sorted_terms_and_json():
         Series.from_obj(T2, 4, [{"exp": [2, 0], "num": "1", "den": "0"}])
 
 
+@pytest.mark.parametrize("field", ["exp", "num", "den"])
+def test_from_obj_names_a_missing_field(field):
+    row = {"exp": [2, 0], "num": "1", "den": "3"}
+    del row[field]
+    with pytest.raises(ValueError, match=f"missing field '{field}'"):
+        Series.from_obj(T2, 4, [row])
+
+
 def test_truncate():
     s = Series(T2, 4, {(1, 0): 1, (0, 1): 2, (2, 1): 5})
     assert s.truncate(1).terms == {(1, 0): 1, (0, 1): 2}
