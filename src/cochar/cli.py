@@ -124,12 +124,18 @@ def _raw_expansion(n: int, k: int, l: int, trunc: int) -> HookExpansion:
 def _routes(n: int, k: int, l: int, trunc: int, domain: list[tuple[int, ...]],
             expansion: Callable[[], HookExpansion]) -> dict[str, Callable]:
     """Each route as a thunk giving its multiplicity at every domain partition;
-    the domain is canonical and in the hook, so the routes read it unvalidated."""
-    def read(exp: HookExpansion) -> dict:
-        return {lam: exp.coeffs.get(lam, 0) for lam in domain}
+    the domain is canonical and in the hook, so the routes read it unvalidated.
+    An expansion stores only nonzero coefficients, so one the domain misses
+    fails its route."""
+    def read(route: str, exp: HookExpansion) -> dict:
+        got = {lam: exp.coeffs.get(lam, 0) for lam in domain}
+        if sum(1 for c in got.values() if c) != len(exp.coeffs):
+            lam = next(lam for lam in exp.support() if lam not in got)
+            raise ValueError(f"{route} route: {_format_partition(lam)} lies outside the domain")
+        return got
 
-    routes = {"pipeline": lambda: read(expansion()),
-              "decompose": lambda: read(_raw_expansion(n, k, l, trunc))}
+    routes = {"pipeline": lambda: read("pipeline", expansion()),
+              "decompose": lambda: read("decompose", _raw_expansion(n, k, l, trunc))}
     tag = _closed_tag(n, k, l)
     if tag is not None:
         table = closed_table(tag)

@@ -53,7 +53,7 @@ from cochar.partitions import (
     partitions_of,
     weight,
 )
-from cochar.series import norm_coeff, Coeff, Exps, Series, VarSet
+from cochar.series import _field, _ints, _list, norm_coeff, Coeff, Exps, Series, VarSet
 
 Slice = dict[Exps, dict[int, Coeff]]  # one degree of the peel's input, see _peel
 
@@ -665,24 +665,22 @@ class HookMultSeries:
     @classmethod
     def from_obj(cls, obj: Mapping, bound: int) -> "HookMultSeries":
         """Inverse of :meth:`to_obj`; the object does not carry the bound."""
+        hook = _field(obj, "hook", _ints)
+        if len(hook) != 2:
+            raise ValueError(f"field 'hook' has a bad value {obj['hook']!r}")
+        k, l = hook
         terms: dict[Exps, Coeff] = {}
-        try:
-            k, l = (int(x) for x in obj["hook"])
-            for row in obj["terms"]:
-                lam0 = [int(x) for x in row["lambda0"]]
-                mu = [int(x) for x in row["mu"]]
-                nu = [int(x) for x in row["nu"]]
-                if len(lam0) != k or len(mu) != k or len(nu) != l:
-                    raise ValueError("split widths do not match the hook")
-                exps = tuple(lam0) + tuple(mu) + tuple(nu)
-                if sum(exps) > bound:
-                    raise ValueError(f"term {exps} is heavier than the bound {bound}")
-                try:
-                    terms[exps] = norm_coeff(row["coeff"])
-                except ZeroDivisionError:
-                    raise ValueError(f"term {exps} has a zero denominator") from None
-        except KeyError as exc:
-            raise ValueError(f"missing field {exc.args[0]!r}") from None
+        for row in _field(obj, "terms", _list):
+            lam0, mu, nu = (_field(row, name, _ints) for name in ("lambda0", "mu", "nu"))
+            if len(lam0) != k or len(mu) != k or len(nu) != l:
+                raise ValueError("split widths do not match the hook")
+            exps = lam0 + mu + nu
+            if sum(exps) > bound:
+                raise ValueError(f"term {exps} is heavier than the bound {bound}")
+            try:
+                terms[exps] = _field(row, "coeff", norm_coeff)
+            except ZeroDivisionError:
+                raise ValueError(f"term {exps} has a zero denominator") from None
         series = Series(VarSet.vty(k, l), bound, terms)
         return cls(k, l, bound, series)
 

@@ -5,6 +5,9 @@ A :class:`Series` is a finite dict mapping exponent vectors to nonzero
 ``bound``.  Every operation is exact: terms of total degree at most ``bound``
 are always correct, and nothing above the bound is stored.
 
+There is one product, :meth:`Series.__mul__`: :func:`expand_factor` builds
+each factor ``(1 + s*x^e)^p`` as its own truncated series and multiplies it in.
+
 ``fractions`` is imported only where a ``Fraction`` is built or parsed, so
 that integer-only work does not load it (nor ``decimal`` through it).
 """
@@ -12,7 +15,8 @@ that integer-only work does not load it (nor ``decimal`` through it).
 from __future__ import annotations
 
 from functools import cache
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
+from math import comb
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, Union
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -71,11 +75,6 @@ class VarSet:
             return self.names.index(name)
         except ValueError:
             raise ValueError(f"unknown variable {name!r}") from None
-
-    @staticmethod
-    @cache
-    def t(d: int) -> "VarSet":
-        return VarSet(tuple(f"t{i}" for i in range(1, d + 1)))
 
     @staticmethod
     @cache
@@ -238,43 +237,6 @@ class Series:
             out = out * self
         return out
 
-    # -- shift multiplication (single-monomial factors) -------------------
-
-    def shift_mul_binomial(self, exps: Exps, sign: int) -> "Series":
-        """Multiply by (1 + sign * x^exps)."""
-        deg = sum(exps)
-        out = dict(self.terms)
-        for e, c in self.terms.items():
-            if sum(e) + deg > self.bound:
-                continue
-            key = tuple(x + y for x, y in zip(e, exps))
-            s = out.get(key, 0) + sign * c
-            if s:
-                out[key] = norm_coeff(s)
-            else:
-                del out[key]
-        return Series(self.vars, self.bound, out, _raw=True)
-
-    def shift_mul_geometric(self, exps: Exps, sign: int) -> "Series":
-        """Multiply by (1 + sign * x^exps)^(-1) = sum_j (-sign)^j x^(j*exps)."""
-        deg = sum(exps)
-        if deg == 0:
-            raise ValueError("geometric factor needs a nonconstant monomial")
-        out: dict[Exps, Coeff] = {}
-        for e, c in self.terms.items():
-            key, d, flip = e, sum(e), 1
-            while d <= self.bound:
-                s = out.get(key, 0) + flip * c
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-                key = tuple(x + y for x, y in zip(key, exps))
-                d += deg
-                flip = -flip if sign > 0 else flip
-        return Series(self.vars, self.bound,
-                      {e: norm_coeff(c) for e, c in out.items() if c}, _raw=True)
-
     # -- serialization -----------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Exps, Coeff]]:
@@ -292,22 +254,45 @@ class Series:
         return out
 
     @classmethod
-    def from_obj(cls, vars_: VarSet, bound: int, obj: Iterable[Mapping]) -> "Series":
+    def from_obj(cls, vars_: VarSet, bound: int, obj: Sequence[Mapping]) -> "Series":
         from fractions import Fraction
 
+        if not isinstance(obj, list):
+            raise ValueError(f"want a list of terms, got {type(obj).__name__}")
         terms: dict[Exps, Coeff] = {}
-        try:
-            for row in obj:
-                exps = tuple(int(e) for e in row["exp"])
-                den = int(row["den"])
-                if not den:
-                    raise ValueError(f"term {exps} has a zero denominator")
-                c = Fraction(int(row["num"]), den)
-                if c:
-                    terms[exps] = terms.get(exps, 0) + c
-        except KeyError as exc:
-            raise ValueError(f"missing field {exc.args[0]!r}") from None
+        for row in obj:
+            exps = _field(row, "exp", _ints)
+            den = _field(row, "den", int)
+            if not den:
+                raise ValueError(f"term {exps} has a zero denominator")
+            c = Fraction(_field(row, "num", int), den)
+            if c:
+                terms[exps] = terms.get(exps, 0) + c
         return cls(vars_, bound, terms)
+
+
+def _list(value: object) -> list:
+    """A JSON list; a TypeError for anything else."""
+    if not isinstance(value, list):
+        raise TypeError(value)
+    return value
+
+
+def _ints(value: object) -> Exps:
+    return tuple(map(int, _list(value)))
+
+
+def _field(obj: object, name: str, convert: Callable):
+    """``convert(obj[name])`` of a parsed JSON object, where a ValueError
+    names the field that is missing or whose value is of the wrong shape."""
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"want an object with field {name!r}, got {type(obj).__name__}")
+    if name not in obj:
+        raise ValueError(f"missing field {name!r}")
+    try:
+        return convert(obj[name])
+    except (TypeError, ValueError):
+        raise ValueError(f"field {name!r} has a bad value {obj[name]!r}") from None
 
 
 def _as_monomial(vars_: VarSet, base) -> Exps:
@@ -339,11 +324,14 @@ def expand_factor(vars_: VarSet, factors: Iterable[tuple], bound: int) -> Series
         if not isinstance(power, int):
             raise ValueError(f"factor power must be an integer, got {power!r}")
         exps = _as_monomial(vars_, base)
-        if sum(exps) == 0:
+        deg = sum(exps)
+        if deg == 0:
             raise ValueError("factor base must be a nonconstant monomial")
-        for _ in range(abs(power)):
-            if power > 0:
-                out = out.shift_mul_binomial(exps, sign)
-            else:
-                out = out.shift_mul_geometric(exps, sign)
+        # C(p, j) s^j at x^(j*base); for p < 0, C(p, j) = (-1)^j C(j - p - 1, j)
+        terms = {}
+        for j in range(bound // deg + 1):
+            c = comb(power, j) * sign**j if power >= 0 else comb(j - power - 1, j) * (-sign)**j
+            if c:
+                terms[tuple(j * e for e in exps)] = c
+        out = out * Series(vars_, bound, terms, _raw=True)
     return out

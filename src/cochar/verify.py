@@ -213,14 +213,14 @@ def operator_identities(samples: int = 100, seed: int = 20260817) -> CheckResult
     for i in range(20):
         d = rng.choice((1, 2, 3))
         e = _random_hook_expansion(rng, d, 0, 7)
-        geo = expand_factor(VarSet.t(d), [(f"t{j}", -1, -1) for j in range(1, d + 1)], 7)
+        geo = expand_factor(VarSet.ty(d, 0), [(f"t{j}", -1, -1) for j in range(1, d + 1)], 7)
         if hook_row_derived(e).to_series() != e.to_series() * geo:
             failures.append(f"row derivation is not prod 1/(1-t_i) (sample {i}, d={d})")
             break
     for i in range(20):
         e = _random_hook_expansion(rng, 2, 0, 7)
         lhs = hook_even_col_derived(e).to_series()
-        rhs = e.to_series().shift_mul_binomial((1, 1), 1)
+        rhs = e.to_series() * expand_factor(VarSet.ty(2, 0), [((1, 1), 1, 1)], 7)
         if lhs != rhs:
             failures.append(f"two-variable column derivation is not (1+t1t2) (sample {i})")
             break

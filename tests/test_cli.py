@@ -161,7 +161,7 @@ def _t_form_object(n, d, bound):
     t_1..t_d, t^lam at each partition lam of the pipeline padded with zeros
     to d parts, serialised by Series.to_obj."""
     e = decode_hook_mult(utn_mult_series(n, d, bound))
-    s = Series(VarSet.t(d), bound, {lam + (0,) * (d - len(lam)): c for lam, c in e.coeffs.items()})
+    s = Series(VarSet.ty(d, 0), bound, {lam + (0,) * (d - len(lam)): c for lam, c in e.coeffs.items()})
     return {"form": "T", "d": d, "bound": bound, "terms": s.to_obj()}
 
 
@@ -239,7 +239,7 @@ def test_hilbert_json_matches_json_dumps(capsys, argv):
 
 
 def test_terms_writer_rejects_a_coefficient_that_is_no_int():
-    s = Series(VarSet.t(2), 4, {(1, 0): 3, (0, 1): Fraction(1, 2)})
+    s = Series(VarSet.ty(2, 0), 4, {(1, 0): 3, (0, 1): Fraction(1, 2)})
     with pytest.raises(TypeError, match="not an int"):
         "".join(cli._terms_json(s.sorted_terms(), 2, "  "))
     assert "".join(cli._terms_json([], 2, "  ")) == "[]"
@@ -814,3 +814,13 @@ def test_help_and_errors_are_those_of_the_hand_written_parser(monkeypatch, capsy
     monkeypatch.setattr(cli, "_parse_strict", lambda argv: None)
     monkeypatch.setattr(cli, "_build_parser", _hand_written_parser)
     assert got == outcome()
+
+
+def test_a_partition_the_domain_misses_fails_its_route(capsys, monkeypatch):
+    every = cli._hook_partitions_upto
+    monkeypatch.setattr(cli, "_hook_partitions_upto",
+                        lambda *a: [lam for lam in every(*a) if lam != (3, 2, 1)])
+    code, out, err = run(["hookmult", "--algebra", "UT2E", "--hook", "2,2", "--trunc", "8",
+                          "--method", "all", "--format", "csv"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "computation failed: pipeline route: [3,2,1] lies outside the domain\n"

@@ -1,5 +1,8 @@
 """The tabulated formulas and the computed pipelines must agree exactly."""
 
+import hashlib
+import json
+
 import pytest
 
 from cochar.closed_forms import closed_multiplicity, reference_series
@@ -108,6 +111,26 @@ def test_hook_reference_series_vs_pipeline():
         utn_hook_mult_series(2, 2, 3, 10).series
     assert reference_series("Mhat_UT3_11", 12) == \
         utn_hook_mult_series(3, 1, 1, 12).series
+
+
+REFERENCE_PINS = {
+    "M'_E_2vars": "bc905cc0b1a79b90d4a55a17aeae6e1d04d1c4722ed805f46f57c996a8e83df6",
+    "M'_UT2_2vars": "a4bf35b95c9c189bb10aa829672d9b9571419856d7e9d33f9739717eaee4ba85",
+    "M'_UT3_2vars": "941ef441d152083a22fb617815c67b7c1b14ab14898d68956d75baaf96398083",
+    "Mhat_E_11": "75bf510cae04d9bc55f9eb0977660635ab721b2f8181ffa80f698dc7de380145",
+    "G1_of_1_H23": "d1c7095e18bc8e78f0d79a80c0378d253c40748df7266269af5852f2ff273521",
+    "G2sq_of_1_H23": "204a36c770a0b78f15689f383d8e69d9de5134aed6d510a3b2e9574634424b34",
+    "G2sq_of_v1_H23": "2c2a91e83087bf4e55c28bdd49ca914edbe557b1556760f3ad67a8c4fd1a0ba8",
+    "Mhat_UT2_23": "a4504f1b19083e9c58f9b1f685aadfb78867aabebe71d8464c43f710249cdba7",
+    "Mhat_UT3_11": "fdd7663c897ad8eb62d11eae12a897fbb968de4ac828f702233f4388fc1c36f9",
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_PINS)
+def test_reference_series_bytes_are_unchanged(name):
+    # every display is expanded by expand_factor; its terms at bound 12 keep their JSON bytes
+    text = json.dumps(reference_series(name, 12).to_obj())
+    assert hashlib.sha256(text.encode()).hexdigest() == REFERENCE_PINS[name]
 
 
 def test_hook_reference_spot_values():

@@ -52,7 +52,7 @@ def test_triangular_reduces_to_grassmann():
 def test_triangular_two_blocks_identity():
     # H(2) = 2 H + (t1+...+td-1) H^2, an instance of the general block sum
     for d in (1, 2, 3):
-        tv = VarSet.t(d)
+        tv = VarSet.ty(d, 0)
         h = grassmann_hilbert(d, 8)
         lin = Series(tv, 8, {tuple(int(i == j) for j in range(d)): 1 for i in range(d)})
         lin = lin + Series(tv, 8, {(0,) * d: -1})
@@ -250,7 +250,7 @@ def _cut_point_terms(coeffs, width, bound):
         c = coeffs.get(tuple(sorted((x for x in e if x), reverse=True)))
         if c:
             terms[e] = c
-    return Series(VarSet.t(width), bound, terms).sorted_terms()
+    return Series(VarSet.ty(width, 0), bound, terms).sorted_terms()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

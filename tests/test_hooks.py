@@ -24,6 +24,7 @@ from cochar.hooks import (
     _schur_row,
     _schur_terms,
     _symmetric_slices,
+    _utn_hook_expansion,
     _vertical_peels,
     decode_hook_mult,
     encode_hook_mult,
@@ -215,7 +216,7 @@ def test_hs_decompose_rejects_off_span():
     with time_limit(10), pytest.raises(ValueError, match="degree 1"):
         hs_decompose(Series(tv, 4, {(1, 0): 1}), 1, 1)
     with pytest.raises(ValueError, match="do not fit"):
-        hs_decompose(Series(VarSet.t(2), 4, {}), 1, 1)
+        hs_decompose(Series(VarSet.ty(2, 0), 4, {}), 1, 1)
 
 
 def test_hs_decompose_rejects_block_asymmetric():
@@ -226,7 +227,7 @@ def test_hs_decompose_rejects_block_asymmetric():
         hs_decompose(Series(VarSet.ty(1, 2), 4, {(0, 1, 0): 1, (0, 0, 1): 2}), 1, 2)
     # equal coefficients, but the orbit of t1^2 t2 in three t's is incomplete
     with pytest.raises(ValueError, match="incomplete orbits"):
-        hs_decompose(Series(VarSet.t(3), 4, {(2, 1, 0): 1, (1, 2, 0): 1}), 3, 0)
+        hs_decompose(Series(VarSet.ty(3, 0), 4, {(2, 1, 0): 1, (1, 2, 0): 1}), 3, 0)
 
 
 # -- Pieri steps -------------------------------------------------------------
@@ -754,6 +755,20 @@ def test_hook_mult_series_from_obj_names_a_missing_field(field):
         HookMultSeries.from_obj(obj, 6)
 
 
+@pytest.mark.parametrize("obj, message", [
+    ([], "want an object with field 'hook', got list"),
+    ({"hook": 5, "terms": []}, "field 'hook' has a bad value 5"),
+    ({"hook": [2, 1, 1], "terms": []}, r"field 'hook' has a bad value \[2, 1, 1\]"),
+    ({"hook": [2, 1], "terms": {}}, "field 'terms' has a bad value {}"),
+    ({"hook": [2, 1], "terms": [
+        {"lambda0": [0, 0], "mu": [0, 0], "nu": [0], "coeff": None}]},
+     "field 'coeff' has a bad value None"),
+])
+def test_hook_mult_series_from_obj_names_the_field_of_the_wrong_shape(obj, message):
+    with pytest.raises(ValueError, match=message):
+        HookMultSeries.from_obj(obj, 6)
+
+
 def test_encode_matches_validating_constructor():
     for k, l in ((1, 1), (2, 1), (1, 2), (2, 3), (3, 0), (0, 2)):
         for e in random_hook_expansions(k, l, 8, 3, seed=70 * k + l):
@@ -968,3 +983,26 @@ def test_mult_series_is_the_l0_pipeline(n, d, b):
     m = utn_mult_series(n, d, b)
     assert m == utn_hook_mult_series(n, d, 0, b)
     assert (m.k, m.l, m.series.vars) == (d, 0, VarSet.vty(d, 0))
+
+
+# -- theory that neither computed route uses -----------------------------------
+
+
+@pytest.mark.parametrize("route", [_utn_hook_expansion, _raw_expansion])
+@pytest.mark.parametrize("n, k, l", [(1, 1, 1), (2, 2, 3), (3, 3, 5), (4, 4, 4), (5, 3, 3)])
+def test_multiplicities_below_degree_3n_are_the_character_degrees(route, n, k, l):
+    # T(E) is generated by [x1, x2, x3] (Krakowski and Regev 1973) and
+    # T(UT_n(E)) = T(E)^n (Giambruno and Zaicev 2005), so UT_n(E) satisfies
+    # no identity below degree 3n, and there m_lam = d_lam
+    bound = 3 * n - 1
+    got = route(n, k, l, bound).coeffs
+    assert got == {lam: char_degree(lam) for lam in _hook_partitions_upto(bound, k, l)}
+
+
+@pytest.mark.parametrize("route", [_utn_hook_expansion, _raw_expansion])
+@pytest.mark.parametrize("n, k, l, bound", [(1, 3, 3, 12), (2, 4, 4, 14),
+                                            (3, 2, 5, 12), (4, 3, 4, 14)])
+def test_the_transposed_hook_gives_the_conjugate_expansion(route, n, k, l, bound):
+    # omega maps s_lam to s_lam' and fixes the cocharacter, so m_lam = m_lam'
+    got = route(n, k, l, bound).coeffs
+    assert {conjugate(lam): c for lam, c in got.items()} == route(n, l, k, bound).coeffs

@@ -79,7 +79,7 @@ def test_conjugate_young_derived_on_unit():
 def test_even_elementary_identity():
     # the operator's multiplier really is (prod(1-t)+prod(1+t))/2, checked in full
     for d in range(1, 5):
-        tv = VarSet.t(d)
+        tv = VarSet.ty(d, 0)
         plus = expand_factor(tv, [(f"t{i}", 1, 1) for i in range(1, d + 1)], 6)
         minus = expand_factor(tv, [(f"t{i}", -1, 1) for i in range(1, d + 1)], 6)
         half_sum = (plus + minus).scale(Fraction(1, 2))
@@ -94,7 +94,7 @@ def test_even_elementary_identity():
 
 def test_operators_match_raw_multiplication():
     for d in (1, 2, 3):
-        tv = VarSet.t(d)
+        tv = VarSet.ty(d, 0)
         ones = [(f"t{i}", -1, -1) for i in range(1, d + 1)]
         geo = expand_factor(tv, ones, 8)
         plus = expand_factor(tv, [(f"t{i}", 1, 1) for i in range(1, d + 1)], 8)
@@ -146,7 +146,7 @@ def test_commutation():
 def test_row_derivation_is_the_geometric_product():
     # the row derivation multiplies the synthesized series by prod 1/(1 - t_i)
     for d in (1, 2, 3):
-        geo = expand_factor(VarSet.t(d), [(f"t{i}", -1, -1) for i in range(1, d + 1)], 8)
+        geo = expand_factor(VarSet.ty(d, 0), [(f"t{i}", -1, -1) for i in range(1, d + 1)], 8)
         for e in random_expansions(d, 8, 5, seed=d * 13):
             assert hook_row_derived(e).to_series() == e.to_series() * geo
 

@@ -72,7 +72,7 @@ def test_schur_poly_frozen():
     assert hs_poly((2, 1), 2, 0, 6).terms == {(2, 1): 1, (1, 2): 1}
     assert hs_poly((1, 1, 1), 2, 0, 6).is_zero()
     assert hs_poly((2,), 2, 0, 6).terms == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
-    assert hs_poly((), 3, 0, 4) == Series.one(VarSet.t(3), 4)
+    assert hs_poly((), 3, 0, 4) == Series.one(VarSet.ty(3, 0), 4)
     assert hs_poly((3,), 1, 0, 6).terms == {(3,): 1}
 
 
@@ -186,12 +186,12 @@ def test_schur_decompose_basis_roundtrip():
 
 
 def test_schur_decompose_young_rule_on_one():
-    g = expand_factor(VarSet.t(2), [("t1", -1, -1), ("t2", -1, -1)], 3)
+    g = expand_factor(VarSet.ty(2, 0), [("t1", -1, -1), ("t2", -1, -1)], 3)
     assert hs_decompose(g, 2, 0).coeffs == {(): 1, (1,): 1, (2,): 1, (3,): 1}
 
 
 def test_schur_decompose_squared_geometric():
-    g = expand_factor(VarSet.t(2), [("t1", -1, -2), ("t2", -1, -2)], 2)
+    g = expand_factor(VarSet.ty(2, 0), [("t1", -1, -2), ("t2", -1, -2)], 2)
     e = hs_decompose(g, 2, 0)
     # coefficient of mu equals the number of tableaux of shape mu with entries <= 2
     assert e.coeffs == {(): 1, (1,): 2, (2,): 3, (1, 1): 1}
@@ -210,11 +210,11 @@ def test_schur_decompose_random_combinations():
 
 
 def test_schur_decompose_rejects_asymmetric():
-    s = Series(VarSet.t(2), 4, {(1, 0): 1})
+    s = Series(VarSet.ty(2, 0), 4, {(1, 0): 1})
     with pytest.raises(ValueError):
         hs_decompose(s, 2, 0)
     with pytest.raises(ValueError):
-        hs_decompose(Series(VarSet.t(2), 4, {(1, 1): 1, (2, 0): 1}), 2, 0)
+        hs_decompose(Series(VarSet.ty(2, 0), 4, {(1, 1): 1, (2, 0): 1}), 2, 0)
 
 
 # -- multiplicity series -----------------------------------------------------
@@ -241,7 +241,7 @@ def test_mult_series_validation():
         with pytest.raises(ValueError, match=r"not a valid \(2, 0\) split"):
             HookMultSeries(2, 0, 6, Series(vt, 6, {bad: 1}))
     with pytest.raises(ValueError, match="do not match the split encoding"):
-        HookMultSeries(2, 0, 6, Series.one(VarSet.t(2), 6))
+        HookMultSeries(2, 0, 6, Series.one(VarSet.ty(2, 0), 6))
     # terms beyond the weight bound are dropped on construction
     deep = Series(vt, 8, {(0, 0, 5, 2): 1, (0, 0, 1, 1): 2})
     m = HookMultSeries(2, 0, 6, deep)
@@ -257,7 +257,7 @@ def test_mult_series_geometric_t_form():
 
 
 def test_decompose_synthesize_identity():
-    g = expand_factor(VarSet.t(2), [("t1", 1, 1), ("t2", 1, 1),
+    g = expand_factor(VarSet.ty(2, 0), [("t1", 1, 1), ("t2", 1, 1),
                                     ("t1", -1, -1), ("t2", -1, -1)], 8)
     e = hs_decompose(g, 2, 0)
     assert e.to_series() == g

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from cochar.series import expand_factor, norm_coeff, Series, VarSet
 
-T1 = VarSet.t(1)
-T2 = VarSet.t(2)
+T1 = VarSet.ty(1, 0)
+T2 = VarSet.ty(2, 0)
 
 
 def series_strategy(vars_, bound, max_terms=6):
@@ -124,6 +124,17 @@ def test_expand_factor_inverse_pairs():
     assert prod == Series.one(T2, 6)
 
 
+@pytest.mark.parametrize("vars_, base", [(T1, "t1"), (T2, "t2"), (T2, (1, 1)), (T2, (0, 3)),
+                                          (VarSet.ty(2, 1), "y1"), (VarSet.ty(2, 1), (2, 0, 1))])
+@pytest.mark.parametrize("bound", [0, 1, 4, 9])
+def test_expand_factor_power_times_its_inverse_is_one(vars_, base, bound):
+    for sign in (1, -1):
+        for p in range(4):
+            prod = (expand_factor(vars_, [(base, sign, p)], bound)
+                    * expand_factor(vars_, [(base, sign, -p)], bound))
+            assert prod == Series.one(vars_, bound), (sign, p)
+
+
 def test_expand_factor_rejects():
     with pytest.raises(ValueError):
         expand_factor(T1, [("t1", 2, 1)], 3)
@@ -152,6 +163,17 @@ def test_from_obj_names_a_missing_field(field):
     del row[field]
     with pytest.raises(ValueError, match=f"missing field '{field}'"):
         Series.from_obj(T2, 4, [row])
+
+
+@pytest.mark.parametrize("obj, message", [
+    ([[[2, 0], "1", "3"]], "want an object with field 'exp', got list"),
+    ({"exp": [2, 0], "num": "1", "den": "3"}, "want a list of terms, got dict"),
+    ([{"exp": 5, "num": "1", "den": "3"}], "field 'exp' has a bad value 5"),
+    ([{"exp": [2, 0], "num": None, "den": "3"}], "field 'num' has a bad value None"),
+])
+def test_from_obj_names_the_field_of_the_wrong_shape(obj, message):
+    with pytest.raises(ValueError, match=message):
+        Series.from_obj(T2, 4, obj)
 
 
 def test_truncate():
