@@ -38,7 +38,6 @@ from cochar.hooks import (
 )
 from cochar.hilbert import (
     grassmann_double_hilbert,
-    grassmann_hilbert,
     utn_double_hilbert,
     utn_hilbert,
     utn_mult_series,

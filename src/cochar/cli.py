@@ -109,10 +109,8 @@ def _check_guardrails(args, n: int) -> None:
 
 def _closed_tag(n: int, k: int, l: int) -> str | None:
     """Closed-form table for the (k, l) alphabets; one alphabet of d is (d, 0)."""
-    if n == 1:
-        return "E"
-    if n == 2:
-        return "UT2E_parts2" if (k, l) == (2, 0) else "UT2E"
+    if n < 3:
+        return "E" if n == 1 else "UT2E"
     return {(3, 2, 0): "UT3E_parts2", (3, 1, 1): "UT3E_hook11"}.get((n, k, l))
 
 

@@ -33,7 +33,8 @@ def _grassmann_value(lam: tuple[int, ...]) -> int | None:
 
 def _ut2_value(lam: tuple[int, ...]) -> int | None:
     """Full table for the algebra of 2x2 upper triangular matrices over the
-    Grassmann algebra; covers every shape inside the (2,3) hook.
+    Grassmann algebra; covers every shape inside the (2,3) hook, the two-row
+    strip included.
 
     Shapes are classified by how many parts are >= 3 (at most three can be,
     and then only when the third equals 3), how many equal 2, and how many
@@ -68,20 +69,6 @@ def _ut2_value(lam: tuple[int, ...]) -> int | None:
     if big == 3 and lam[2] == 3:
         return 4 * (lam[0] - lam[1] + 1) * (m + 1)      # (n1,n2,3,2^s,1^m)
     return None
-
-
-def _ut2_two_part_value(lam: tuple[int, ...]) -> int | None:
-    """Two-variable table for UT_2 over the Grassmann algebra (<= 2 parts)."""
-    if len(lam) > 2:
-        return None
-    if len(lam) <= 1:
-        return 1
-    a, b = lam
-    if b == 1:
-        return a
-    if b == 2:
-        return 3 * a - 4
-    return 4 * (a - b + 1)                              # a >= b >= 3
 
 
 def _ut3_two_part_value(lam: tuple[int, ...]) -> int | None:
@@ -130,7 +117,6 @@ def _ut3_hook_value(lam: tuple[int, ...]) -> int | None:
 _TABLES = {
     "E": _grassmann_value,
     "UT2E": _ut2_value,
-    "UT2E_parts2": _ut2_two_part_value,
     "UT3E_parts2": _ut3_two_part_value,
     "UT3E_hook11": _ut3_hook_value,
 }

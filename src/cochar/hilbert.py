@@ -87,11 +87,6 @@ def _graded_terms(coeffs: dict[tuple[int, ...], int], width: int, bound: int):
             e[-1], e[i + 1] = 0, e[-1] + 1
 
 
-def grassmann_hilbert(d: int, bound: int) -> Series:
-    """1/2 + (1/2) prod_{i<=d} (1+t_i)/(1-t_i), truncated."""
-    return grassmann_double_hilbert(d, 0, bound)
-
-
 def utn_hilbert(n: int, d: int, bound: int) -> Series:
     """Hilbert series of the n-by-n upper triangular algebra over E, in d variables."""
     return utn_double_hilbert(n, d, 0, bound)

@@ -53,7 +53,7 @@ from cochar.partitions import (
     partitions_of,
     weight,
 )
-from cochar.series import _field, _ints, _list, norm_coeff, Coeff, Exps, Series, VarSet
+from cochar.series import _exact, _field, _ints, _list, norm_coeff, Coeff, Exps, Series, VarSet
 
 Slice = dict[Exps, dict[int, Coeff]]  # one degree of the peel's input, see _peel
 
@@ -678,7 +678,7 @@ class HookMultSeries:
             if sum(exps) > bound:
                 raise ValueError(f"term {exps} is heavier than the bound {bound}")
             try:
-                terms[exps] = _field(row, "coeff", norm_coeff)
+                terms[exps] = _field(row, "coeff", lambda c: norm_coeff(_exact(c)))
             except ZeroDivisionError:
                 raise ValueError(f"term {exps} has a zero denominator") from None
         series = Series(VarSet.vty(k, l), bound, terms)

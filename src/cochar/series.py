@@ -262,10 +262,10 @@ class Series:
         terms: dict[Exps, Coeff] = {}
         for row in obj:
             exps = _field(row, "exp", _ints)
-            den = _field(row, "den", int)
+            den = _field(row, "den", lambda v: int(_exact(v)))
             if not den:
                 raise ValueError(f"term {exps} has a zero denominator")
-            c = Fraction(_field(row, "num", int), den)
+            c = Fraction(_field(row, "num", lambda v: int(_exact(v))), den)
             if c:
                 terms[exps] = terms.get(exps, 0) + c
         return cls(vars_, bound, terms)
@@ -278,8 +278,20 @@ def _list(value: object) -> list:
     return value
 
 
+def _json_int(value: object) -> int:
+    """A JSON integer; a TypeError for anything else, a float or a bool included."""
+    if type(value) is not int:
+        raise TypeError(value)
+    return value
+
+
 def _ints(value: object) -> Exps:
-    return tuple(map(int, _list(value)))
+    return tuple(map(_json_int, _list(value)))
+
+
+def _exact(value: object) -> int | str:
+    """A JSON integer, or the string that ``to_obj`` writes for a number."""
+    return value if type(value) is str else _json_int(value)
 
 
 def _field(obj: object, name: str, convert: Callable):

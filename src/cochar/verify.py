@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .closed_forms import closed_multiplicity, reference_series
-from .hilbert import (grassmann_double_hilbert, grassmann_hilbert,
-                      utn_double_hilbert, utn_hilbert, utn_mult_series)
+from .hilbert import (grassmann_double_hilbert, utn_double_hilbert, utn_hilbert,
+                      utn_mult_series)
 from .hooks import (HookExpansion, decode_hook_mult, encode_hook_mult,
                     hook_col_derived, hook_even_col_derived,
                     hook_grassmann_derived, hook_grassmann_derived_power,
@@ -61,7 +61,7 @@ def _random_hook_expansion(rng: random.Random, k: int, l: int,
 def hook_multiplicities_of_grassmann(trunc: int = 12) -> CheckResult:
     """Every hook shape once, nothing else: both decomposition routes."""
     failures = []
-    exp = hs_decompose(grassmann_hilbert(3, trunc), 3, 0)
+    exp = hs_decompose(grassmann_double_hilbert(3, 0, trunc), 3, 0)
     for lam in partitions_upto(trunc, max_parts=3):
         want = 1 if in_hook(lam, 1, 1) else 0
         got = exp.coefficient(lam)
@@ -98,7 +98,7 @@ def _two_variable_routes(n: int, tag: str, trunc: int,
 
 
 def two_variable_routes_ut2(trunc: int = 20) -> CheckResult:
-    return _two_variable_routes(2, "UT2E_parts2", trunc,
+    return _two_variable_routes(2, "UT2E", trunc,
                                 {(5, 2): 11, (4, 3): 8})
 
 

@@ -9,7 +9,6 @@ import pytest
 from cochar import hilbert
 from cochar.hilbert import (
     grassmann_double_hilbert,
-    grassmann_hilbert,
     utn_double_hilbert,
     utn_hilbert,
     utn_mult_series,
@@ -21,12 +20,12 @@ from test_operators import at_differences
 
 
 def test_one_variable_grassmann_is_geometric():
-    h = grassmann_hilbert(1, 4)
+    h = grassmann_double_hilbert(1, 0, 4)
     assert h.terms == {(0,): 1, (1,): 1, (2,): 1, (3,): 1, (4,): 1}
 
 
 def test_two_variable_grassmann_values():
-    h = grassmann_hilbert(2, 4)
+    h = grassmann_double_hilbert(2, 0, 4)
     assert h.coefficient((1, 1)) == 2
     assert h.coefficient((2, 1)) == 2
     assert h.coefficient((3, 0)) == 1
@@ -35,7 +34,7 @@ def test_two_variable_grassmann_values():
 
 
 def test_grassmann_multiplicities_are_hook_indicators():
-    got = hs_decompose(grassmann_hilbert(2, 6), 2, 0)
+    got = hs_decompose(grassmann_double_hilbert(2, 0, 6), 2, 0)
     expected = {(): 1}
     for n in range(1, 7):
         expected[(n,)] = 1
@@ -46,14 +45,14 @@ def test_grassmann_multiplicities_are_hook_indicators():
 
 def test_triangular_reduces_to_grassmann():
     for d in (1, 2, 3):
-        assert utn_hilbert(1, d, 8) == grassmann_hilbert(d, 8)
+        assert utn_hilbert(1, d, 8) == grassmann_double_hilbert(d, 0, 8)
 
 
 def test_triangular_two_blocks_identity():
     # H(2) = 2 H + (t1+...+td-1) H^2, an instance of the general block sum
     for d in (1, 2, 3):
         tv = VarSet.ty(d, 0)
-        h = grassmann_hilbert(d, 8)
+        h = grassmann_double_hilbert(d, 0, 8)
         lin = Series(tv, 8, {tuple(int(i == j) for j in range(d)): 1 for i in range(d)})
         lin = lin + Series(tv, 8, {(0,) * d: -1})
         assert utn_hilbert(2, d, 8) == h.scale(2) + lin * (h * h)
@@ -121,8 +120,12 @@ def test_double_hilbert_one_one():
 
 
 def test_double_hilbert_pure_t_block_matches_single():
-    h = grassmann_double_hilbert(2, 0, 6)
-    assert h.terms == grassmann_hilbert(2, 6).terms
+    # with no y block, the one-alphabet product (1/2)(1 + prod (1+t)/(1-t))
+    vars_ = VarSet.ty(2, 0)
+    prod = expand_factor(
+        vars_, [("t1", 1, 1), ("t2", 1, 1), ("t1", -1, -1), ("t2", -1, -1)], 6)
+    assert grassmann_double_hilbert(2, 0, 6) == \
+        (prod + Series.one(vars_, 6)).scale(Fraction(1, 2))
 
 
 def test_double_hilbert_symmetry():

@@ -7,7 +7,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -763,10 +763,32 @@ def test_hook_mult_series_from_obj_names_a_missing_field(field):
     ({"hook": [2, 1], "terms": [
         {"lambda0": [0, 0], "mu": [0, 0], "nu": [0], "coeff": None}]},
      "field 'coeff' has a bad value None"),
+    # a JSON float or bool is not an integer, and is not truncated or read as one
+    ({"hook": [1.0, True], "terms": []}, r"field 'hook' has a bad value \[1.0, True\]"),
+    ({"hook": [2, 1], "terms": [
+        {"lambda0": [0, 0], "mu": [0, 0], "nu": [0], "coeff": 2.5}]},
+     "field 'coeff' has a bad value 2.5"),
+    ({"hook": [2, 1], "terms": [
+        {"lambda0": [0, 0], "mu": [0, 0], "nu": [0], "coeff": True}]},
+     "field 'coeff' has a bad value True"),
+    ({"hook": [2, 1], "terms": [
+        {"lambda0": [0, 0.0], "mu": [0, 0], "nu": [0], "coeff": "1"}]},
+     r"field 'lambda0' has a bad value \[0, 0.0\]"),
+    ({"hook": [2, 1], "terms": [
+        {"lambda0": [0, 0], "mu": [1, False], "nu": [0], "coeff": "1"}]},
+     r"field 'mu' has a bad value \[1, False\]"),
+    ({"hook": [2, 1], "terms": [
+        {"lambda0": [0, 0], "mu": [0, 0], "nu": [1.0], "coeff": "1"}]},
+     r"field 'nu' has a bad value \[1.0\]"),
 ])
 def test_hook_mult_series_from_obj_names_the_field_of_the_wrong_shape(obj, message):
     with pytest.raises(ValueError, match=message):
         HookMultSeries.from_obj(obj, 6)
+
+
+def test_hook_mult_series_from_obj_takes_a_json_int_coeff():
+    obj = {"hook": [2, 1], "terms": [{"lambda0": [0, 0], "mu": [0, 0], "nu": [0], "coeff": 3}]}
+    assert HookMultSeries.from_obj(obj, 6) == encode_hook_mult(HookExpansion(2, 1, 6, {(): 3}))
 
 
 def test_encode_matches_validating_constructor():
@@ -997,6 +1019,35 @@ def test_multiplicities_below_degree_3n_are_the_character_degrees(route, n, k, l
     bound = 3 * n - 1
     got = route(n, k, l, bound).coeffs
     assert got == {lam: char_degree(lam) for lam in _hook_partitions_upto(bound, k, l)}
+
+
+def _codimensions(n: int, bound: int) -> list[int]:
+    """c_m = sum of m_lam d_lam over |lam| = m, for m <= bound; the (n, 2n - 1)
+    hook holds the whole cocharacter of UT_n(E)."""
+    c = [0] * (bound + 1)
+    for lam, m in _utn_hook_expansion(n, n, 2 * n - 1, bound).coeffs.items():
+        c[sum(lam)] += m * char_degree(lam)
+    return c
+
+
+@pytest.mark.parametrize("n, pins", [
+    (1, {m: 2 ** (m - 1) for m in range(1, 10)}),
+    (2, dict(enumerate([1, 1, 2, 6, 24, 120, 640, 3360, 17024, 83328]))),
+    (3, {m: factorial(m) for m in range(9)}),
+])
+def test_codimensions_are_pinned(n, pins):
+    # c_m(E) = 2^(m-1) (Giambruno and Zaicev 2005); below degree 3n, UT_n(E)
+    # satisfies no identity, so c_m = m!
+    c = _codimensions(n, 9)
+    assert {m: c[m] for m in pins} == pins
+
+
+@pytest.mark.parametrize("n, deficit", [(1, 2), (2, 80), (3, 13440)])
+def test_codimension_deficit_at_degree_3n(n, deficit):
+    # at degree 3n the identities are the products of n triple commutators,
+    # whose S_3n-module is s_(2,1)^n, of dimension (3n)!/3^n
+    m = 3 * n
+    assert factorial(m) - _codimensions(n, m)[m] == deficit == factorial(m) // 3 ** n
 
 
 @pytest.mark.parametrize("route", [_utn_hook_expansion, _raw_expansion])

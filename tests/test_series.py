@@ -170,10 +170,21 @@ def test_from_obj_names_a_missing_field(field):
     ({"exp": [2, 0], "num": "1", "den": "3"}, "want a list of terms, got dict"),
     ([{"exp": 5, "num": "1", "den": "3"}], "field 'exp' has a bad value 5"),
     ([{"exp": [2, 0], "num": None, "den": "3"}], "field 'num' has a bad value None"),
+    # a JSON float or bool is not an integer, and is not truncated or read as one
+    ([{"exp": [1.5, 0], "num": "2", "den": "1"}], r"field 'exp' has a bad value \[1.5, 0\]"),
+    ([{"exp": [1, 0], "num": 2.9, "den": "1"}], "field 'num' has a bad value 2.9"),
+    ([{"exp": [1, 0], "num": "2", "den": 1.0}], "field 'den' has a bad value 1.0"),
+    ([{"exp": [True, 0], "num": "2", "den": "1"}], r"field 'exp' has a bad value \[True, 0\]"),
+    ([{"exp": [1, 0], "num": False, "den": "1"}], "field 'num' has a bad value False"),
 ])
 def test_from_obj_names_the_field_of_the_wrong_shape(obj, message):
     with pytest.raises(ValueError, match=message):
         Series.from_obj(T2, 4, obj)
+
+
+def test_from_obj_takes_a_json_int_for_num_and_den():
+    s = Series.from_obj(T2, 4, [{"exp": [1, 0], "num": -2, "den": 3}])
+    assert s.terms == {(1, 0): Fraction(-2, 3)}
 
 
 def test_truncate():
