@@ -111,7 +111,8 @@ def _closed_tag(n: int, k: int, l: int) -> str | None:
     """Closed-form table for the (k, l) alphabets; one alphabet of d is (d, 0)."""
     if n < 3:
         return "E" if n == 1 else "UT2E"
-    return {(3, 2, 0): "UT3E_parts2", (3, 1, 1): "UT3E_hook11"}.get((n, k, l))
+    return {(3, 1, 0): "UT3E_parts2", (3, 2, 0): "UT3E_parts2",
+            (3, 1, 1): "UT3E_hook11"}.get((n, k, l))
 
 
 def _raw_expansion(n: int, k: int, l: int, trunc: int) -> HookExpansion:
@@ -159,6 +160,20 @@ def _compare_routes(results: dict[str, dict],
             parts = ", ".join(f"{name}={vals[name]}" for name in names)
             diffs.append(f"{_format_partition(lam)}: {parts}")
     return diffs
+
+
+def _run_routes(n: int, k: int, l: int, trunc: int, method: str
+                ) -> tuple[list, dict[str, dict], Callable[[], HookExpansion], list[str]]:
+    """Run the ``method`` routes of the (k, l) job over its domain, as every
+    table job and the route checks of :mod:`cochar.verify` do.  Returns the
+    domain, each route's multiplicities, the cached pipeline expansion and
+    the per-shape diffs of :func:`_compare_routes`."""
+    domain = _hook_partitions_upto(trunc, k, l)
+    # one pipeline run serves both the route and the JSON embed
+    expansion = cache(lambda: _utn_hook_expansion(n, k, l, trunc))
+    selected = _select_routes(_routes(n, k, l, trunc, domain, expansion), method)
+    results = {name: route() for name, route in selected.items()}
+    return domain, results, expansion, _compare_routes(results, domain)
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +387,8 @@ def _cmd_table(args, series: Callable[[HookExpansion, list], str] | None = None)
     # the mult and hookmult parsers require their one option
     if (getattr(args, "vars", None) is None) == (getattr(args, "hook", None) is None):
         raise SpecError("table needs exactly one of --vars or --hook")
-    k, l = _alphabets(args)
-    domain = _hook_partitions_upto(args.trunc, k, l)
-    # one pipeline run serves both the route and the JSON embed
-    expansion = cache(lambda: _utn_hook_expansion(n, k, l, args.trunc))
-    selected = _select_routes(_routes(n, k, l, args.trunc, domain, expansion), args.method)
-    results = {name: route() for name, route in selected.items()}
-    diffs = _compare_routes(results, domain)
+    domain, results, expansion, diffs = _run_routes(n, *_alphabets(args), args.trunc,
+                                                    args.method)
     if diffs:
         print("route disagreement on "
               f"{len(diffs)} shape(s):", file=sys.stderr)

@@ -2,8 +2,10 @@
 
 Each check recomputes the same quantity along independent routes (operator
 pipeline, raw-series decomposition, tabulated closed form) and demands exact
-agreement.  The "invariants" suite is a quick battery of structural
-properties; the "acceptance" suite is the heavier end-to-end agreement run.
+agreement; the route checks run the table jobs through
+:func:`cochar.cli._run_routes`, so they read the code that every job runs.
+The "invariants" suite is a quick battery of structural properties; the
+"acceptance" suite is the heavier end-to-end agreement run.
 Both return structured results so callers (the command line tool, the test
 suite) can render or assert them as they see fit.
 """
@@ -11,12 +13,12 @@ suite) can render or assert them as they see fit.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from functools import wraps
 from typing import Callable, NamedTuple
 
-from .closed_forms import closed_multiplicity, reference_series
-from .hilbert import (grassmann_double_hilbert, utn_double_hilbert, utn_hilbert,
-                      utn_mult_series)
+from .cli import _run_routes
+from .closed_forms import reference_series
+from .hilbert import grassmann_double_hilbert, utn_hilbert, utn_mult_series
 from .hooks import (HookExpansion, decode_hook_mult, encode_hook_mult,
                     hook_col_derived, hook_even_col_derived,
                     hook_grassmann_derived, hook_grassmann_derived_power,
@@ -33,14 +35,26 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-def _result(suite: str, name: str, failures: list[str],
-            ok_detail: str) -> CheckResult:
-    if failures:
-        shown = "; ".join(failures[:4])
-        if len(failures) > 4:
-            shown += f"; ... {len(failures) - 4} more"
-        return CheckResult(suite, name, False, shown)
-    return CheckResult(suite, name, True, ok_detail)
+def _check(suite: str, name: str):
+    """Make a function that returns (failures, detail on success) the check
+    ``name`` of ``suite``, which returns a :class:`CheckResult`.  A
+    ``ValueError`` or ``ArithmeticError`` that it raises is its FAIL, named,
+    so that the suite goes on with its other checks."""
+    def decorate(fn: Callable[..., tuple[list[str], str]]) -> Callable[..., CheckResult]:
+        @wraps(fn)
+        def check(*args, **kwargs) -> CheckResult:
+            try:
+                failures, ok_detail = fn(*args, **kwargs)
+            except (ValueError, ArithmeticError) as exc:
+                failures = [f"{type(exc).__name__}: {exc}"]
+            if failures:
+                shown = "; ".join(failures[:4])
+                if len(failures) > 4:
+                    shown += f"; ... {len(failures) - 4} more"
+                return CheckResult(suite, name, False, shown)
+            return CheckResult(suite, name, True, ok_detail)
+        return check
+    return decorate
 
 
 def _random_hook_expansion(rng: random.Random, k: int, l: int,
@@ -53,101 +67,66 @@ def _random_hook_expansion(rng: random.Random, k: int, l: int,
     return HookExpansion(k, l, bound, coeffs)
 
 
+def _all_routes(n: int, k: int, l: int, trunc: int) -> tuple[list[str], dict, HookExpansion]:
+    """The table job of UT_n(E) over the (k, l) hook with every route, run by
+    :func:`cochar.cli._run_routes` as the ``cochar`` table commands run it:
+    the per-shape diffs between the routes, the pipeline's multiplicity at
+    each partition of the domain, and the pipeline expansion."""
+    _, results, expansion, diffs = _run_routes(n, k, l, trunc, "all")
+    return diffs, results["pipeline"], expansion()
+
+
+def _pinned(mult: dict, pins: dict[tuple[int, ...], int]) -> list[str]:
+    return [f"pinned value at {lam}: {mult[lam]} != {want}"
+            for lam, want in pins.items() if mult[lam] != want]
+
+
 # ---------------------------------------------------------------------------
 # acceptance criteria
 # ---------------------------------------------------------------------------
 
 
-def hook_multiplicities_of_grassmann(trunc: int = 12) -> CheckResult:
-    """Every hook shape once, nothing else: both decomposition routes."""
-    failures = []
-    exp = hs_decompose(grassmann_double_hilbert(3, 0, trunc), 3, 0)
-    for lam in partitions_upto(trunc, max_parts=3):
-        want = 1 if in_hook(lam, 1, 1) else 0
-        got = exp.coefficient(lam)
-        if got != want:
-            failures.append(f"three-variable route at {lam}: {got} != {want}")
-    hexp = hs_decompose(grassmann_double_hilbert(1, 1, trunc), 1, 1)
-    for lam in partitions_upto(trunc):
-        want = 1 if in_hook(lam, 1, 1) else 0
-        got = hexp.coefficient(lam) if in_hook(lam, 1, 1) else 0
-        if got != want:
-            failures.append(f"two-alphabet route at {lam}: {got} != {want}")
-    return _result("acceptance", "hook multiplicities of the Grassmann algebra",
-                   failures, f"all hook shapes to weight {trunc} have multiplicity 1")
+@_check("acceptance", "hook multiplicities of the Grassmann algebra")
+def hook_multiplicities_of_grassmann(trunc: int = 12):
+    """Every hook shape once, nothing else, in three variables and over the
+    (1,1) hook: the closed table of E against both computed routes."""
+    failures = _all_routes(1, 3, 0, trunc)[0] + _all_routes(1, 1, 1, trunc)[0]
+    return failures, f"all hook shapes to weight {trunc} have multiplicity 1"
 
 
-def _two_variable_routes(n: int, tag: str, trunc: int,
-                         spots: dict[tuple, int]) -> CheckResult:
-    failures = []
-    pipeline = utn_mult_series(n, 2, trunc)
-    decomposed = encode_hook_mult(hs_decompose(utn_hilbert(n, 2, trunc), 2, 0))
-    if pipeline != decomposed:
-        failures.append("operator route and decomposition route differ")
-    for lam in partitions_upto(trunc, max_parts=2):
-        want = closed_multiplicity(tag, lam)
-        got = pipeline.coefficient(lam)
-        if want is not None and got != want:
-            failures.append(f"table disagrees at {lam}: {got} != {want}")
-    for lam, want in spots.items():
-        got = pipeline.coefficient(lam)
-        if got != want:
-            failures.append(f"pinned value at {lam}: {got} != {want}")
-    return _result("acceptance", f"two-variable routes for UT_{n}(E)", failures,
-                   f"three routes agree on all shapes to weight {trunc}")
+@_check("acceptance", "two-variable routes for UT_2(E)")
+def two_variable_routes_ut2(trunc: int = 20):
+    diffs, mult, _ = _all_routes(2, 2, 0, trunc)
+    return (diffs + _pinned(mult, {(5, 2): 11, (4, 3): 8}),
+            f"three routes agree on all shapes to weight {trunc}")
 
 
-def two_variable_routes_ut2(trunc: int = 20) -> CheckResult:
-    return _two_variable_routes(2, "UT2E", trunc,
-                                {(5, 2): 11, (4, 3): 8})
+@_check("acceptance", "two-variable routes for UT_3(E)")
+def two_variable_routes_ut3(trunc: int = 20):
+    diffs, mult, _ = _all_routes(3, 2, 0, trunc)
+    return (diffs + _pinned(mult, {(4, 3): 14, (4, 4): 14, (5, 4): 40}),
+            f"three routes agree on all shapes to weight {trunc}")
 
 
-def two_variable_routes_ut3(trunc: int = 20) -> CheckResult:
-    return _two_variable_routes(3, "UT3E_parts2", trunc,
-                                {(4, 3): 14, (4, 4): 14, (5, 4): 40})
-
-
-def hook_routes_ut2(trunc: int = 14) -> CheckResult:
-    failures = []
-    pipeline = utn_hook_mult_series(2, 2, 3, trunc)
-    decomposed = hs_decompose(utn_double_hilbert(2, 2, 3, trunc), 2, 3)
-    if decode_hook_mult(pipeline) != decomposed:
-        failures.append("operator route and decomposition route differ")
-    if pipeline.series != reference_series("Mhat_UT2_23", trunc):
+@_check("acceptance", "(2,3)-hook routes for UT_2(E)")
+def hook_routes_ut2(trunc: int = 14):
+    diffs, mult, expansion = _all_routes(2, 2, 3, trunc)
+    pins = {(2, 2) + (1,) * m: 3 * m + 2 for m in range(trunc - 3)} | {(4, 2, 1, 1): 38}
+    failures = diffs + _pinned(mult, pins)
+    if encode_hook_mult(expansion).series != reference_series("Mhat_UT2_23", trunc):
         failures.append("pipeline differs from the transcribed display")
-    for lam in _hook_partitions_upto(trunc, 2, 3):
-        want = closed_multiplicity("UT2E", lam) or 0
-        got = pipeline.coefficient(lam)
-        if got != want:
-            failures.append(f"table disagrees at {lam}: {got} != {want}")
-    for m in range(trunc - 3):
-        lam = partition((2, 2) + (1,) * m)
-        got = pipeline.coefficient(lam)
-        if got != 3 * m + 2:
-            failures.append(f"pinned family at {lam}: {got} != {3 * m + 2}")
-    if pipeline.coefficient((4, 2, 1, 1)) != 38:
-        failures.append("pinned value at (4,2,1,1) is off")
-    return _result("acceptance", "(2,3)-hook routes for UT_2(E)", failures,
-                   f"four routes agree on the (2,3) hook to weight {trunc}")
+    return failures, f"four routes agree on the (2,3) hook to weight {trunc}"
 
 
-def hook_routes_ut3(trunc: int = 16) -> CheckResult:
-    failures = []
-    pipeline = utn_hook_mult_series(3, 1, 1, trunc)
-    for n in range(3, trunc + 1):
-        for m in range(2, trunc + 1 - n):
-            lam = partition((n,) + (1,) * m)
-            want = closed_multiplicity("UT3E_hook11", lam)
-            got = pipeline.coefficient(lam)
-            if got != want:
-                failures.append(f"quartic row at {lam}: {got} != {want}")
-    if pipeline.coefficient((3, 1, 1)) != 6:
-        failures.append("pinned value at (3,1,1) is off")
-    return _result("acceptance", "(1,1)-hook routes for UT_3(E)", failures,
-                   f"quartic row matches the pipeline to weight {trunc}")
+@_check("acceptance", "(1,1)-hook routes for UT_3(E)")
+def hook_routes_ut3(trunc: int = 16):
+    diffs, mult, _ = _all_routes(3, 1, 1, trunc)
+    return (diffs + _pinned(mult, {(3, 1, 1): 6}),
+            f"three routes agree on the (1,1) hook to weight {trunc}")
 
 
-def g_operator_expansions(trunc: int = 10) -> CheckResult:
+@_check("acceptance", "iterated half-sum operator expansions")
+def g_operator_expansions(trunc: int = 10):
     failures = []
     unit = HookExpansion.unit(2, 3, trunc)
     seed = HookExpansion(2, 3, trunc, {(1,): 1})
@@ -159,11 +138,11 @@ def g_operator_expansions(trunc: int = 10) -> CheckResult:
     for name, computed in pairs:
         if encode_hook_mult(computed).series != reference_series(name, trunc):
             failures.append(f"{name} differs from the operator route")
-    return _result("acceptance", "iterated half-sum operator expansions",
-                   failures, f"all three displays match to degree {trunc}")
+    return failures, f"all three displays match to degree {trunc}"
 
 
-def support_bounds() -> CheckResult:
+@_check("acceptance", "support bounds")
+def support_bounds():
     failures = []
     jobs = [
         (1, 2, 2, 8),   # ambient hook strictly larger than the claimed support
@@ -190,11 +169,11 @@ def support_bounds() -> CheckResult:
         for lam in exp.support():
             if not in_hook(lam, j, j):
                 failures.append(f"power {j}: support leaves the ({j},{j}) hook at {lam}")
-    return _result("acceptance", "support bounds", failures,
-                   "all computed supports sit inside the predicted regions")
+    return failures, "all computed supports sit inside the predicted regions"
 
 
-def operator_identities(samples: int = 100, seed: int = 20260817) -> CheckResult:
+@_check("acceptance", "operator identities")
+def operator_identities(samples: int = 100, seed: int = 20260817):
     failures = []
     rng = random.Random(seed)
     for i in range(samples):
@@ -227,25 +206,16 @@ def operator_identities(samples: int = 100, seed: int = 20260817) -> CheckResult
     for n in (1, 2, 3):
         if decode_hook_mult(utn_mult_series(n, 2, 10)).to_series() != utn_hilbert(n, 2, 10):
             failures.append(f"synthesis of the multiplicity series is not the Hilbert series for n={n}")
-    return _result("acceptance", "operator identities", failures,
-                   f"commutation, row derivation and synthesis hold on {samples} samples")
+    return failures, f"commutation, row derivation and synthesis hold on {samples} samples"
 
 
-def integrality() -> CheckResult:
-    failures = []
-    for n in (1, 2, 3):
-        for d in (2, 3):
-            ms = utn_mult_series(n, d, 9)
-            for e, c in ms.series.terms.items():
-                if isinstance(c, Fraction) or c < 0:
-                    failures.append(f"n={n}, d={d}: coefficient {c} at {e}")
-    for n, k, l in [(1, 1, 1), (2, 2, 3), (3, 1, 1), (2, 2, 2)]:
-        hm = utn_hook_mult_series(n, k, l, 9)
-        for e, c in hm.series.terms.items():
-            if isinstance(c, Fraction) or c < 0:
-                failures.append(f"n={n}, hook ({k},{l}): coefficient {c} at {e}")
-    return _result("acceptance", "integrality and nonnegativity", failures,
-                   "every emitted multiplicity is a nonnegative integer")
+@_check("acceptance", "integrality and nonnegativity")
+def integrality():
+    """The pipeline raises at a multiplicity that is not a nonnegative integer."""
+    for n, k, l in [(1, 2, 0), (1, 3, 0), (2, 2, 0), (2, 3, 0), (3, 2, 0), (3, 3, 0),
+                    (1, 1, 1), (2, 2, 3), (3, 1, 1), (2, 2, 2)]:
+        utn_hook_mult_series(n, k, l, 9)
+    return [], "every emitted multiplicity is a nonnegative integer"
 
 
 ACCEPTANCE_CHECKS: list[Callable[[], CheckResult]] = [
@@ -270,7 +240,8 @@ def check_acceptance() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _inv_partition_basics() -> CheckResult:
+@_check("invariants", "partition basics")
+def _inv_partition_basics():
     from .partitions import char_degree, conjugate, partitions_of
     failures = []
     for lam in partitions_upto(9):
@@ -281,11 +252,11 @@ def _inv_partition_basics() -> CheckResult:
         total = sum(char_degree(lam) ** 2 for lam in partitions_of(n))
         if total != math.factorial(n):
             failures.append(f"squared degrees at weight {n} sum to {total}")
-    return _result("invariants", "partition basics", failures,
-                   "conjugation involutes; squared degrees sum to factorials")
+    return failures, "conjugation involutes; squared degrees sum to factorials"
 
 
-def _inv_decomposition_roundtrips() -> CheckResult:
+@_check("invariants", "decomposition round trips")
+def _inv_decomposition_roundtrips():
     failures = []
     rng = random.Random(7)
     for i in range(10):
@@ -296,22 +267,22 @@ def _inv_decomposition_roundtrips() -> CheckResult:
         e = _random_hook_expansion(rng, 2, 2, 6)
         if hs_decompose(e.to_series(), 2, 2) != e:
             failures.append(f"hook round trip fails (sample {i})")
-    return _result("invariants", "decomposition round trips", failures,
-                   "synthesis then decomposition is the identity on samples")
+    return failures, "synthesis then decomposition is the identity on samples"
 
 
-def _inv_hook_encoding() -> CheckResult:
+@_check("invariants", "hook monomial encoding")
+def _inv_hook_encoding():
     failures = []
     rng = random.Random(11)
     for i in range(10):
         e = _random_hook_expansion(rng, 2, 3, 6)
         if decode_hook_mult(encode_hook_mult(e)) != e:
             failures.append(f"monomial encoding round trip fails (sample {i})")
-    return _result("invariants", "hook monomial encoding", failures,
-                   "encode/decode round trips on samples")
+    return failures, "encode/decode round trips on samples"
 
 
-def _inv_commutation() -> CheckResult:
+@_check("invariants", "derivation commutation")
+def _inv_commutation():
     failures = []
     rng = random.Random(13)
     for i in range(20):
@@ -319,29 +290,22 @@ def _inv_commutation() -> CheckResult:
         if (hook_row_derived(hook_even_col_derived(e))
                 != hook_even_col_derived(hook_row_derived(e))):
             failures.append(f"sample {i}")
-    return _result("invariants", "derivation commutation", failures,
-                   "row and column derivations commute on samples")
+    return failures, "row and column derivations commute on samples"
 
 
-def _inv_tables_small() -> CheckResult:
-    failures = []
-    direct = utn_hook_mult_series(2, 2, 3, 8)
-    for lam in _hook_partitions_upto(8, 2, 3):
-        want = closed_multiplicity("UT2E", lam) or 0
-        if direct.coefficient(lam) != want:
-            failures.append(f"table disagrees at {lam}")
-    return _result("invariants", "closed table spot check", failures,
-                   "pipeline matches the tabulated values to weight 8")
+@_check("invariants", "closed table spot check")
+def _inv_tables_small():
+    return _all_routes(2, 2, 3, 8)[0], "three routes agree on the (2,3) hook to weight 8"
 
 
-def _inv_reference_small() -> CheckResult:
-    failures = []
-    if reference_series("Mhat_E_11", 8) != utn_hook_mult_series(1, 1, 1, 8).series:
+@_check("invariants", "reference series spot check")
+def _inv_reference_small():
+    failures, _, expansion = _all_routes(1, 1, 1, 8)
+    if reference_series("Mhat_E_11", 8) != encode_hook_mult(expansion).series:
         failures.append("hook series of the Grassmann algebra")
     if reference_series("M'_UT2_2vars", 8).coefficient((3, 2)) != 11:
         failures.append("pinned coefficient of the two-variable display")
-    return _result("invariants", "reference series spot check", failures,
-                   "transcribed displays match pipelines to weight 8")
+    return failures, "transcribed displays match pipelines to weight 8"
 
 
 INVARIANT_CHECKS: list[Callable[[], CheckResult]] = [

@@ -7,7 +7,7 @@ printed per criterion; run with ``pytest -s`` to watch them go by.
 
 import pytest
 
-from cochar import verify
+from cochar import cli, hooks, verify
 from cochar.hilbert import utn_mult_series
 from cochar.hooks import (decode_hook_mult, encode_hook_mult, hook_row_derived, HookExpansion,
                           utn_hook_mult_series)
@@ -62,6 +62,47 @@ def test_operator_identities_catch_a_wrong_multiplicity(monkeypatch, wrong_n):
     assert not result.passed
     assert result.detail == ("synthesis of the multiplicity series is not "
                              f"the Hilbert series for n={wrong_n}")
+
+
+@pytest.mark.parametrize("check", [verify.two_variable_routes_ut2, verify.two_variable_routes_ut3])
+def test_two_variable_routes_catch_a_raw_series_fault(monkeypatch, check):
+    # the checks run the routes of the table commands, so a fault in the
+    # decompose route's input, which no table job's other route reads, fails them
+    slices = cli._symmetric_slices
+
+    def one_more_at_32(coeffs, k, l):
+        return slices({**coeffs, (3, 2): coeffs.get((3, 2), 0) + 1}, k, l)
+
+    monkeypatch.setattr(cli, "_symmetric_slices", one_more_at_32)
+    result = check()
+    assert not result.passed
+    assert "[3,2]: pipeline=5, decompose=6, closed-form=5" in result.detail
+
+
+def test_hook_routes_name_a_partition_the_domain_misses(monkeypatch):
+    upto = cli._hook_partitions_upto
+    monkeypatch.setattr(cli, "_hook_partitions_upto",
+                        lambda trunc, k, l: [lam for lam in upto(trunc, k, l) if lam != (3, 2, 1)])
+    assert verify.hook_routes_ut2() == (
+        "acceptance", "(2,3)-hook routes for UT_2(E)", False,
+        "ValueError: pipeline route: [3,2,1] lies outside the domain")
+
+
+def test_a_check_that_raises_fails_and_the_suite_goes_on(monkeypatch):
+    # the pipeline raises at a negative multiplicity; integrality reports
+    # that as its FAIL, and the suite runs every other check
+    step = hooks.hook_grassmann_derived
+
+    def minus_50_at_21(e):
+        return step(e) + HookExpansion(e.k, e.l, e.bound, {(2, 1): -50})
+
+    monkeypatch.setattr(hooks, "hook_grassmann_derived", minus_50_at_21)
+    results = {r.name: r for r in verify.run_suite("all")}
+    assert len(results) == 15
+    assert results["integrality and nonnegativity"] == (
+        "acceptance", "integrality and nonnegativity", False,
+        "ValueError: multiplicity of (2, 1) is -49, not a nonnegative integer")
+    assert results["partition basics"].passed
 
 
 def test_headline_values():
