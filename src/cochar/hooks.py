@@ -53,7 +53,8 @@ from cochar.partitions import (
     partitions_of,
     weight,
 )
-from cochar.series import _exact, _field, _ints, _list, norm_coeff, Coeff, Exps, Series, VarSet
+from cochar.series import (_exact, _field, _ints, _list, _new_term, norm_coeff, Coeff, Exps,
+                           Series, VarSet)
 
 Slice = dict[Exps, dict[int, Coeff]]  # one degree of the peel's input, see _peel
 
@@ -614,6 +615,8 @@ class HookMultSeries:
     def __init__(self, k: int, l: int, bound: int, series: Series, *,
                  _raw: bool = False):
         if not _raw:
+            if k < 0 or l < 0 or k + l < 1:
+                raise ValueError("need a nonempty hook")
             if series.vars.names != VarSet.vty(k, l).names:
                 raise ValueError("series variables do not match the split encoding")
             for e in series.terms:
@@ -674,9 +677,7 @@ class HookMultSeries:
             lam0, mu, nu = (_field(row, name, _ints) for name in ("lambda0", "mu", "nu"))
             if len(lam0) != k or len(mu) != k or len(nu) != l:
                 raise ValueError("split widths do not match the hook")
-            exps = lam0 + mu + nu
-            if sum(exps) > bound:
-                raise ValueError(f"term {exps} is heavier than the bound {bound}")
+            exps = _new_term(terms, lam0 + mu + nu, bound)
             try:
                 terms[exps] = _field(row, "coeff", lambda c: norm_coeff(_exact(c)))
             except ZeroDivisionError:

@@ -26,12 +26,15 @@ from typing import Iterator, Sequence
 def partition(parts: Sequence[int]) -> tuple[int, ...]:
     """Normalize ``parts`` to a canonical partition tuple.
 
-    Trailing zeros are stripped.  Raises ``ValueError`` for negative or
-    increasing part lists.
+    Trailing zeros are stripped.  Raises ``ValueError`` for a part that is no
+    ``int`` (a float or a bool), and for negative or increasing part lists.
     """
-    raw = tuple(int(p) for p in parts)
-    if any(p < 0 for p in raw):
-        raise ValueError(f"negative part in {parts!r}")
+    raw = tuple(parts)
+    for p in raw:
+        if type(p) is not int:
+            raise ValueError(f"part {p!r} of {parts!r} is not an integer")
+        if p < 0:
+            raise ValueError(f"negative part in {parts!r}")
     if any(raw[i] < raw[i + 1] for i in range(len(raw) - 1)):
         raise ValueError(f"parts not weakly decreasing: {parts!r}")
     return tuple(p for p in raw if p > 0)

@@ -26,9 +26,11 @@ Coeff = Union[int, "Fraction"]
 
 
 def norm_coeff(c: Coeff | str) -> Coeff:
-    """Normalize to int when integral, Fraction otherwise."""
+    """Normalize to int when integral, Fraction otherwise; refuse a float or a bool."""
     if type(c) is int:
         return c
+    if isinstance(c, (float, bool)):
+        raise ValueError(f"coefficient {c!r} is not exact")
     from fractions import Fraction
 
     f = Fraction(c)
@@ -113,11 +115,9 @@ class Series:
         else:
             clean: dict[Exps, Coeff] = {}
             for exps, c in terms.items():
-                exps = tuple(int(e) for e in exps)
+                exps = _exponents(exps, "exponent vector")
                 if len(exps) != vars_.arity:
                     raise ValueError(f"exponent vector {exps} has wrong arity")
-                if any(e < 0 for e in exps):
-                    raise ValueError(f"negative exponent in {exps}")
                 if sum(exps) > bound:
                     continue
                 c = norm_coeff(c)
@@ -261,13 +261,11 @@ class Series:
             raise ValueError(f"want a list of terms, got {type(obj).__name__}")
         terms: dict[Exps, Coeff] = {}
         for row in obj:
-            exps = _field(row, "exp", _ints)
+            exps = _new_term(terms, _field(row, "exp", _ints), bound)
             den = _field(row, "den", lambda v: int(_exact(v)))
             if not den:
                 raise ValueError(f"term {exps} has a zero denominator")
-            c = Fraction(_field(row, "num", lambda v: int(_exact(v))), den)
-            if c:
-                terms[exps] = terms.get(exps, 0) + c
+            terms[exps] = Fraction(_field(row, "num", lambda v: int(_exact(v))), den)
         return cls(vars_, bound, terms)
 
 
@@ -294,6 +292,24 @@ def _exact(value: object) -> int | str:
     return value if type(value) is str else _json_int(value)
 
 
+def _new_term(terms: Mapping[Exps, Coeff], exps: Exps, bound: int) -> Exps:
+    """``exps`` of a parsed term; ``to_obj`` writes no repeated or heavy term."""
+    if exps in terms:
+        raise ValueError(f"term {exps} is repeated")
+    if sum(exps) > bound:
+        raise ValueError(f"term {exps} is heavier than the bound {bound}")
+    return exps
+
+
+def _exponents(values: Iterable, what: str) -> Exps:
+    """``values`` as a tuple of exponents: a float or a bool is none."""
+    out = tuple(values)
+    for v in out:
+        if type(v) is not int or v < 0:
+            raise ValueError(f"{what} {out!r} has an entry {v!r} that is no nonnegative int")
+    return out
+
+
 def _field(obj: object, name: str, convert: Callable):
     """``convert(obj[name])`` of a parsed JSON object, where a ValueError
     names the field that is missing or whose value is of the wrong shape."""
@@ -312,8 +328,8 @@ def _as_monomial(vars_: VarSet, base) -> Exps:
         exps = [0] * vars_.arity
         exps[vars_.index(base)] = 1
         return tuple(exps)
-    exps = tuple(int(e) for e in base)
-    if len(exps) != vars_.arity or any(e < 0 for e in exps):
+    exps = _exponents(base, "monomial exponent vector")
+    if len(exps) != vars_.arity:
         raise ValueError(f"bad monomial exponent vector {base!r}")
     return exps
 
@@ -331,9 +347,9 @@ def expand_factor(vars_: VarSet, factors: Iterable[tuple], bound: int) -> Series
             base, sign, power = factor
         except (TypeError, ValueError):
             raise ValueError(f"malformed factor {factor!r}, want (base, sign, power)") from None
-        if sign not in (1, -1):
+        if type(sign) is not int or sign not in (1, -1):
             raise ValueError(f"factor sign must be +1 or -1, got {sign!r}")
-        if not isinstance(power, int):
+        if type(power) is not int:
             raise ValueError(f"factor power must be an integer, got {power!r}")
         exps = _as_monomial(vars_, base)
         deg = sum(exps)

@@ -35,10 +35,16 @@ class CheckResult(NamedTuple):
     detail: str
 
 
+# each suite's checks as ``_check`` declares them; ``run_suite("all")`` runs
+# the suites in this order
+SUITES: dict[str, list[Callable[[], CheckResult]]] = {"invariants": [], "acceptance": []}
+
+
 def _check(suite: str, name: str):
     """Make a function that returns (failures, detail on success) the check
-    ``name`` of ``suite``, which returns a :class:`CheckResult`.  A
-    ``ValueError`` or ``ArithmeticError`` that it raises is its FAIL, named,
+    ``name`` of ``suite``, which returns a :class:`CheckResult`, and append it
+    to ``SUITES[suite]``: module-level functions only, as decorating registers.
+    A ``ValueError`` or ``ArithmeticError`` that it raises is its FAIL, named,
     so that the suite goes on with its other checks."""
     def decorate(fn: Callable[..., tuple[list[str], str]]) -> Callable[..., CheckResult]:
         @wraps(fn)
@@ -53,6 +59,7 @@ def _check(suite: str, name: str):
                     shown += f"; ... {len(failures) - 4} more"
                 return CheckResult(suite, name, False, shown)
             return CheckResult(suite, name, True, ok_detail)
+        SUITES[suite].append(check)
         return check
     return decorate
 
@@ -150,8 +157,9 @@ def support_bounds():
         (3, 4, 6, 10),
     ]
     for n, k, l, trunc in jobs:
-        series = utn_hook_mult_series(n, k, l, trunc)
-        for lam in decode_hook_mult(series).support():
+        diffs, mult, _ = _all_routes(n, k, l, trunc)
+        failures += diffs
+        for lam in (lam for lam, c in mult.items() if c):
             if part_at(lam, n + 1) > 2 * n - 1:
                 failures.append(f"n={n}: row bound broken at {lam}")
             if not in_hook(lam, n, 2 * n - 1):
@@ -159,8 +167,9 @@ def support_bounds():
             if not in_extended_hook(lam, n):
                 failures.append(f"n={n}: square allowance broken at {lam}")
     for n, d, trunc in [(1, 3, 8), (2, 5, 10), (3, 7, 8)]:
-        exp = hs_decompose(utn_hilbert(n, d, trunc), d, 0)
-        for lam, c in exp.coeffs.items():
+        diffs, mult, _ = _all_routes(n, d, 0, trunc)
+        failures += diffs
+        for lam, c in mult.items():
             if c and part_at(lam, n + 1) > 2 * n - 1:
                 failures.append(f"n={n}, {d} variables: row bound broken at {lam}")
     power_base = grassmann_double_hilbert(2, 2, 10)
@@ -216,23 +225,6 @@ def integrality():
                     (1, 1, 1), (2, 2, 3), (3, 1, 1), (2, 2, 2)]:
         utn_hook_mult_series(n, k, l, 9)
     return [], "every emitted multiplicity is a nonnegative integer"
-
-
-ACCEPTANCE_CHECKS: list[Callable[[], CheckResult]] = [
-    hook_multiplicities_of_grassmann,
-    two_variable_routes_ut2,
-    two_variable_routes_ut3,
-    hook_routes_ut2,
-    hook_routes_ut3,
-    g_operator_expansions,
-    support_bounds,
-    operator_identities,
-    integrality,
-]
-
-
-def check_acceptance() -> list[CheckResult]:
-    return [check() for check in ACCEPTANCE_CHECKS]
 
 
 # ---------------------------------------------------------------------------
@@ -308,25 +300,9 @@ def _inv_reference_small():
     return failures, "transcribed displays match pipelines to weight 8"
 
 
-INVARIANT_CHECKS: list[Callable[[], CheckResult]] = [
-    _inv_partition_basics,
-    _inv_decomposition_roundtrips,
-    _inv_hook_encoding,
-    _inv_commutation,
-    _inv_tables_small,
-    _inv_reference_small,
-]
-
-
-def check_invariants() -> list[CheckResult]:
-    return [check() for check in INVARIANT_CHECKS]
-
-
 def run_suite(suite: str) -> list[CheckResult]:
-    if suite == "invariants":
-        return check_invariants()
-    if suite == "acceptance":
-        return check_acceptance()
-    if suite == "all":
-        return check_invariants() + check_acceptance()
-    raise ValueError(f"unknown suite {suite!r}")
+    """Run the checks of ``suite`` in order; ``"all"`` runs every suite."""
+    if suite != "all" and suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
+    return [check() for name in (SUITES if suite == "all" else [suite])
+            for check in SUITES[name]]

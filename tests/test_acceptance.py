@@ -11,15 +11,34 @@ from cochar import cli, hooks, verify
 from cochar.hilbert import utn_mult_series
 from cochar.hooks import (decode_hook_mult, encode_hook_mult, hook_row_derived, HookExpansion,
                           utn_hook_mult_series)
-from cochar.verify import ACCEPTANCE_CHECKS
+
+ACCEPTANCE = verify.SUITES["acceptance"]
+
+# every check as ``run_suite("all")`` lists it, in its order
+SUITE_ORDER = [
+    ("invariants", "partition basics"),
+    ("invariants", "decomposition round trips"),
+    ("invariants", "hook monomial encoding"),
+    ("invariants", "derivation commutation"),
+    ("invariants", "closed table spot check"),
+    ("invariants", "reference series spot check"),
+    ("acceptance", "hook multiplicities of the Grassmann algebra"),
+    ("acceptance", "two-variable routes for UT_2(E)"),
+    ("acceptance", "two-variable routes for UT_3(E)"),
+    ("acceptance", "(2,3)-hook routes for UT_2(E)"),
+    ("acceptance", "(1,1)-hook routes for UT_3(E)"),
+    ("acceptance", "iterated half-sum operator expansions"),
+    ("acceptance", "support bounds"),
+    ("acceptance", "operator identities"),
+    ("acceptance", "integrality and nonnegativity"),
+]
 
 
 def test_catalog_is_complete():
-    assert len(ACCEPTANCE_CHECKS) == 9
+    assert len(ACCEPTANCE) == 9
 
 
-@pytest.mark.parametrize("check", ACCEPTANCE_CHECKS,
-                         ids=[c.__name__ for c in ACCEPTANCE_CHECKS])
+@pytest.mark.parametrize("check", ACCEPTANCE, ids=[c.__name__ for c in ACCEPTANCE])
 def test_criterion(check):
     result = check()
     line = f"{'PASS' if result.passed else 'FAIL'}  {result.name}: {result.detail}"
@@ -79,6 +98,22 @@ def test_two_variable_routes_catch_a_raw_series_fault(monkeypatch, check):
     assert "[3,2]: pipeline=5, decompose=6, closed-form=5" in result.detail
 
 
+def test_support_bounds_fail_when_the_routes_disagree(monkeypatch):
+    # a fault in the one-alphabet decompose route that leaves every support
+    # inside its predicted region fails the check through the route diffs
+    slices = cli._symmetric_slices
+
+    def one_more_at_32(coeffs, k, l):
+        if l:
+            return slices(coeffs, k, l)
+        return slices({**coeffs, (3, 2): coeffs.get((3, 2), 0) + 1}, k, l)
+
+    monkeypatch.setattr(cli, "_symmetric_slices", one_more_at_32)
+    result = verify.support_bounds()
+    assert not result.passed
+    assert result.detail.startswith("[3,2]: pipeline=0, decompose=1, closed-form=0")
+
+
 def test_hook_routes_name_a_partition_the_domain_misses(monkeypatch):
     upto = cli._hook_partitions_upto
     monkeypatch.setattr(cli, "_hook_partitions_upto",
@@ -103,6 +138,16 @@ def test_a_check_that_raises_fails_and_the_suite_goes_on(monkeypatch):
         "acceptance", "integrality and nonnegativity", False,
         "ValueError: multiplicity of (2, 1) is -49, not a nonnegative integer")
     assert results["partition basics"].passed
+
+
+def test_every_check_runs_once_in_its_suite_in_order():
+    # a check declares its suite once, in its decorator, and runs there only
+    assert [(r.suite, r.name) for r in verify.run_suite("all")] == SUITE_ORDER
+
+
+def test_a_check_of_an_unknown_suite_fails_to_declare():
+    with pytest.raises(KeyError, match="bogus"):
+        verify._check("bogus", "no such suite")(lambda: ([], "never registered"))
 
 
 def test_headline_values():

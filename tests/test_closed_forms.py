@@ -20,6 +20,12 @@ def test_unknown_tags_raise():
         reference_series("Mhat_UT9_99", 5)
 
 
+def test_a_float_shape_is_refused_not_truncated():
+    # not the value at (5, 2), 11: a float part is refused, not truncated
+    with pytest.raises(ValueError, match="part 5.9 of"):
+        closed_multiplicity("UT2E", (5.9, 2))
+
+
 def test_pinned_values():
     assert closed_multiplicity("E", (3, 1, 1)) == 1
     assert closed_multiplicity("E", (3, 2)) is None

@@ -710,6 +710,28 @@ def test_hook_mult_series_validation():
         HookMultSeries(1, 1, 6, Series(VarSet.ty(1, 1), 6, {}))
 
 
+@pytest.mark.parametrize("k, l", [(-2, 1), (-1, 2), (0, 0), (1, -1)])
+def test_hook_mult_series_needs_a_nonempty_hook(k, l):
+    with pytest.raises(ValueError, match="need a nonempty hook"):
+        HookMultSeries(k, l, 3, Series(VarSet.vty(k, l), 3))
+    with pytest.raises(ValueError, match="need a nonempty hook"):
+        HookMultSeries.from_obj({"hook": [k, l], "terms": []}, 3)
+
+
+def test_hook_mult_series_from_obj_refuses_a_repeated_term():
+    # a second row for one split is refused, not written over the first
+    row = {"lambda0": [0], "mu": [1], "nu": [0], "coeff": "1"}
+    with pytest.raises(ValueError, match=r"term \(0, 1, 0\) is repeated"):
+        HookMultSeries.from_obj({"hook": [1, 1], "terms": [row, dict(row, coeff="2")]}, 3)
+
+
+def test_hook_expansion_refuses_a_float_coefficient():
+    with pytest.raises(ValueError, match="coefficient 0.1 is not exact"):
+        HookExpansion(1, 1, 3, {(1,): 0.1})
+    with pytest.raises(ValueError, match="coefficient 0.3 is not exact"):
+        hs_poly((1,), 1, 1, 3).scale(0.3)
+
+
 def test_hook_mult_series_json_roundtrip():
     e = HookExpansion(2, 1, 8, {(2, 1, 1): 2, (3,): 1, (): 1, (4, 2): 5})
     m = encode_hook_mult(e)

@@ -117,6 +117,14 @@ def test_partition_rejects_bad_input():
         partition([2, 0, 1])
 
 
+@pytest.mark.parametrize("parts, bad", [((5.9, 2), "5.9"), ((True, True), "True"),
+                                        ((3, 2.0), "2.0")])
+def test_partition_takes_integer_parts_only(parts, bad):
+    # a float is not truncated, and a bool is not read as 1
+    with pytest.raises(ValueError, match=f"part {bad} of .* is not an integer"):
+        partition(parts)
+
+
 def test_weight_and_part_at():
     assert weight((4, 2, 1)) == 7
     assert part_at((3, 2), 1) == 3

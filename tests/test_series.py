@@ -26,6 +26,27 @@ def test_norm_coeff():
     assert norm_coeff(0) == 0
 
 
+@pytest.mark.parametrize("c", [0.1, 2.0, True, False])
+def test_norm_coeff_refuses_a_float_or_a_bool(c):
+    # 0.1 would be the binary fraction 3602879701896397/36028797018963968
+    with pytest.raises(ValueError, match=f"coefficient {c!r} is not exact"):
+        norm_coeff(c)
+
+
+def test_inexact_coefficients_are_refused_at_every_door():
+    with pytest.raises(ValueError, match="coefficient 0.1 is not exact"):
+        Series(T1, 3, {(1,): 0.1})
+    with pytest.raises(ValueError, match="coefficient 0.3 is not exact"):
+        Series(T1, 3, {(1,): 1}).scale(0.3)
+
+
+@pytest.mark.parametrize("exps", [(1.5,), (1.0,), (True,), (-1,)])
+def test_series_exponents_are_integers_only(exps):
+    # an exponent is not truncated: (1.5,) is not (1,)
+    with pytest.raises(ValueError, match=f"exponent vector .* entry {exps[0]!r} that is no"):
+        Series(T1, 3, {exps: 1})
+
+
 def test_varset_names():
     vty = VarSet.vty(2, 3)
     assert vty.names == ("v1", "v2", "t1", "t2", "y1", "y2", "y3")
@@ -144,6 +165,19 @@ def test_expand_factor_rejects():
         expand_factor(T1, [("t9", 1, 1)], 3)
 
 
+@pytest.mark.parametrize("base", [(1.0, 1), (True, 0), (1, 0.5)])
+def test_expand_factor_vector_bases_are_integers_only(base):
+    with pytest.raises(ValueError, match="monomial exponent vector .* that is no nonnegative int"):
+        expand_factor(T2, [(base, 1, 1)], 3)
+
+
+@pytest.mark.parametrize("sign, power, field", [(True, 1, "sign"), (1.0, 1, "sign"),
+                                                (1, True, "power"), (1, 2.0, "power")])
+def test_expand_factor_sign_and_power_are_integers_only(sign, power, field):
+    with pytest.raises(ValueError, match=f"factor {field} must be"):
+        expand_factor(T1, [("t1", sign, power)], 3)
+
+
 def test_sorted_terms_and_json():
     s = Series(T2, 4, {(0, 2): 1, (2, 0): Fraction(1, 3), (1, 0): -2, (0, 0): 1, (1, 1): 4})
     order = [e for e, _ in s.sorted_terms()]
@@ -180,6 +214,21 @@ def test_from_obj_names_a_missing_field(field):
 def test_from_obj_names_the_field_of_the_wrong_shape(obj, message):
     with pytest.raises(ValueError, match=message):
         Series.from_obj(T2, 4, obj)
+
+
+def test_from_obj_refuses_a_repeated_term():
+    # two rows for (1,) are refused, not summed
+    row = {"exp": [1], "num": "1", "den": "1"}
+    with pytest.raises(ValueError, match=r"term \(1,\) is repeated"):
+        Series.from_obj(T1, 3, [row, dict(row)])
+    with pytest.raises(ValueError, match=r"term \(1,\) is repeated"):
+        Series.from_obj(T1, 3, [dict(row, num="0"), row])
+
+
+def test_from_obj_refuses_a_term_above_the_bound():
+    # a heavy row is refused, not dropped
+    with pytest.raises(ValueError, match=r"term \(5,\) is heavier than the bound 2"):
+        Series.from_obj(T1, 2, [{"exp": [5], "num": "1", "den": "1"}])
 
 
 def test_from_obj_takes_a_json_int_for_num_and_den():
