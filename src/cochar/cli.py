@@ -6,9 +6,9 @@ Subcommands:
   split pair of alphabets (``--hook``).
 * ``mult``     — multiplicity table in ``--vars`` variables, computed along
   one or several routes; JSON also holds the series M(A; T_d), with the
-  partitions as exponents (T-form), written from the (d, 0) expansion.
+  partitions as exponents (T-form), written from the rows of the table.
 * ``hookmult`` — multiplicity table over a (k,l) hook; JSON also holds its
-  split-encoded series.
+  split-encoded series, written from the rows too.
 * ``table``    — the same table job without the series; accepts either
   ``--vars`` or ``--hook``.
 * ``verify``   — run a named check suite and report pass/fail per check.
@@ -26,7 +26,7 @@ import gc
 import os
 import re
 import sys
-from functools import cache, partial
+from functools import partial
 from itertools import chain
 from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence
@@ -55,8 +55,8 @@ class SpecError(Exception):
 def _parse_algebra(tag: str) -> int:
     if tag == "E":
         return 1
-    m = re.fullmatch(r"UT([0-9]+)E", tag)
-    if m is None or int(m.group(1)) < 1:
+    m = re.fullmatch(r"UT([1-9][0-9]*)E", tag)
+    if m is None:
         raise SpecError(f"unknown algebra {tag!r}: expected E or UTnE with n >= 1")
     return int(m.group(1))
 
@@ -120,8 +120,7 @@ def _raw_expansion(n: int, k: int, l: int, trunc: int) -> HookExpansion:
     return _peel(_symmetric_slices(_sorted_coefficients(n, k + l, trunc), k, l), k, l, trunc)
 
 
-def _routes(n: int, k: int, l: int, trunc: int, domain: list[tuple[int, ...]],
-            expansion: Callable[[], HookExpansion]) -> dict[str, Callable]:
+def _routes(n: int, k: int, l: int, trunc: int, domain: list) -> dict[str, Callable]:
     """Each route as a thunk giving its multiplicity at every domain partition;
     the domain is canonical and in the hook, so the routes read it unvalidated.
     An expansion stores only nonzero coefficients, so one the domain misses
@@ -133,7 +132,7 @@ def _routes(n: int, k: int, l: int, trunc: int, domain: list[tuple[int, ...]],
             raise ValueError(f"{route} route: {_format_partition(lam)} lies outside the domain")
         return got
 
-    routes = {"pipeline": lambda: read("pipeline", expansion()),
+    routes = {"pipeline": lambda: read("pipeline", _utn_hook_expansion(n, k, l, trunc)),
               "decompose": lambda: read("decompose", _raw_expansion(n, k, l, trunc))}
     tag = _closed_tag(n, k, l)
     if tag is not None:
@@ -162,18 +161,14 @@ def _compare_routes(results: dict[str, dict],
     return diffs
 
 
-def _run_routes(n: int, k: int, l: int, trunc: int, method: str
-                ) -> tuple[list, dict[str, dict], Callable[[], HookExpansion], list[str]]:
+def _run_routes(n: int, k: int, l: int, trunc: int, method: str) -> tuple[list, dict, list]:
     """Run the ``method`` routes of the (k, l) job over its domain, as every
-    table job and the route checks of :mod:`cochar.verify` do.  Returns the
-    domain, each route's multiplicities, the cached pipeline expansion and
-    the per-shape diffs of :func:`_compare_routes`."""
+    table job and the route checks of :mod:`cochar.verify` do: the domain,
+    each route's multiplicities and the per-shape diffs of :func:`_compare_routes`."""
     domain = _hook_partitions_upto(trunc, k, l)
-    # one pipeline run serves both the route and the JSON embed
-    expansion = cache(lambda: _utn_hook_expansion(n, k, l, trunc))
-    selected = _select_routes(_routes(n, k, l, trunc, domain, expansion), method)
+    selected = _select_routes(_routes(n, k, l, trunc, domain), method)
     results = {name: route() for name, route in selected.items()}
-    return domain, results, expansion, _compare_routes(results, domain)
+    return domain, results, _compare_routes(results, domain)
 
 
 # ---------------------------------------------------------------------------
@@ -226,23 +221,24 @@ def _terms_json(terms: Iterable, arity: int, pad: str) -> Iterable[str]:
     yield close
 
 
-def _hook_series_json(e: HookExpansion, domain: list[tuple[int, ...]]) -> str:
+def _hook_series_json(rows: list, k: int, l: int, trunc: int) -> str:
     """The ``series`` member of a hookmult job's JSON document: what
-    ``json.dumps`` writes for ``encode_hook_mult(e).to_obj()``.
+    ``json.dumps`` writes for ``encode_hook_mult(e).to_obj()``, e the
+    expansion of the (k, l) job's nonzero ``rows``.
 
     to_obj sorts its terms by (|lam|, lam), since the split exponents of lam
-    sum to |lam| and assemble back to lam, so each partition of e is split
-    once, in that order, and written by one template of 2k + l int slots.
-    That order is not the domain's, so ``domain`` goes unread.
+    sum to |lam| and assemble back to lam, so each row is split once, in
+    that order, and written by one template of 2k + l int slots.  The
+    document holds no bound, so ``trunc`` goes unread.
     """
-    k, l = e.k, e.l
     pad = "        "
     term = ('{\n        "coeff": "%s",\n'
             f'        "lambda0": {_list_json(["%d"] * k, pad)},\n'
             f'        "mu": {_list_json(["%d"] * k, pad)},\n'
             f'        "nu": {_list_json(["%d"] * l, pad)}\n'
             '      }')
-    terms = [term % ((e.coeffs[lam],) + _split_exps(lam, k, l)) for lam in e.support()]
+    terms = [term % ((m,) + _split_exps(lam, k, l))
+             for lam, m in sorted(rows, key=lambda row: (sum(row[0]), row[0]))]
     return (f'{{\n    "hook": {_list_json((str(k), str(l)), "    ")},\n'
             f'    "terms": {_list_json(terms, "    ")}\n  }}')
 
@@ -334,20 +330,21 @@ def _job_fields(args) -> dict:
     return job
 
 
-def _alphabets(args) -> tuple[int, int]:
-    """The (k, l) hook of the request; one alphabet of d variables is (d, 0)."""
-    d = getattr(args, "vars", None)
-    return (d, 0) if d is not None else args.hook
+def _job(args) -> tuple[int, int, int]:
+    """The n and the (k, l) hook of a checked request, one alphabet of d
+    variables being (d, 0); the mult and hookmult parsers require theirs."""
+    n = _parse_algebra(args.algebra)
+    _check_guardrails(args, n)
+    d, hook = getattr(args, "vars", None), getattr(args, "hook", None)
+    if (d is None) == (hook is None):
+        raise SpecError(f"{args.command} needs exactly one of --vars or --hook")
+    return (n, d, 0) if d is not None else (n, *hook)
 
 
 def _cmd_hilbert(args) -> int:
-    n = _parse_algebra(args.algebra)
-    _check_guardrails(args, n)
-    if (args.vars is None) == (args.hook is None):
-        raise SpecError("hilbert needs exactly one of --vars or --hook")
+    n, k, l = _job(args)
     if args.format == "csv":
         raise SpecError("csv output is defined for multiplicity tables, not raw series")
-    k, l = _alphabets(args)
     # the one step that can fail runs before the first byte is written
     terms = _graded_terms(_sorted_coefficients(n, k + l, args.trunc), k + l, args.trunc)
     if args.format == "json":
@@ -362,33 +359,26 @@ def _cmd_hilbert(args) -> int:
     return 0
 
 
-def _mult_series_json(e: HookExpansion, domain: list[tuple[int, ...]]) -> str:
+def _mult_series_json(rows: list, d: int, l: int, trunc: int) -> str:
     """The ``series`` member of a mult job's JSON document: what ``json.dumps``
     writes for {"bound", "d", "form": "T", "terms": ``s.to_obj()``} of the
-    series s over t_1..t_d of the (d, 0) expansion e: t^lam, lam padded with
-    zeros to d parts, at each partition lam of e.
+    series s over t_1..t_d of the (d, 0) job's nonzero ``rows``: m t^lam,
+    lam padded with zeros to d parts, at each row (lam, m).
 
     to_obj orders terms by weight, then descending lex, which on partitions
-    of at most d parts is the order of ``domain``, so the walk of the domain
-    writes them in order, unsorted.
+    of at most d parts is the order of the domain and so of ``rows``, so
+    they are written in order, unsorted.  ``l`` is 0 and goes unread.
     """
-    d, coeffs = e.k, e.coeffs
-    terms = ((lam + (0,) * (d - len(lam)), coeffs[lam]) for lam in domain if lam in coeffs)
-    return (f'{{\n    "bound": {e.bound},\n    "d": {d},\n    "form": "T",\n'
+    terms = ((lam + (0,) * (d - len(lam)), m) for lam, m in rows)
+    return (f'{{\n    "bound": {trunc},\n    "d": {d},\n    "form": "T",\n'
             f'    "terms": {"".join(_terms_json(terms, d, "    "))}\n  }}')
 
 
-def _cmd_table(args, series: Callable[[HookExpansion, list], str] | None = None) -> int:
+def _cmd_table(args, series: Callable[[list, int, int, int], str] | None = None) -> int:
     """Run the selected routes over the domain and write the rows they agree
-    on; a JSON job also writes ``series`` of the pipeline expansion and the
-    domain, which holds every partition of the expansion."""
-    n = _parse_algebra(args.algebra)
-    _check_guardrails(args, n)
-    # the mult and hookmult parsers require their one option
-    if (getattr(args, "vars", None) is None) == (getattr(args, "hook", None) is None):
-        raise SpecError("table needs exactly one of --vars or --hook")
-    domain, results, expansion, diffs = _run_routes(n, *_alphabets(args), args.trunc,
-                                                    args.method)
+    on; a JSON job also writes ``series`` of those rows."""
+    n, k, l = _job(args)
+    domain, results, diffs = _run_routes(n, k, l, args.trunc, args.method)
     if diffs:
         print("route disagreement on "
               f"{len(diffs)} shape(s):", file=sys.stderr)
@@ -400,7 +390,7 @@ def _cmd_table(args, series: Callable[[HookExpansion, list], str] | None = None)
     names = list(results)
     first = results[names[0]]
     rows = [(lam, first[lam]) for lam in domain if first[lam]]
-    embed = series(expansion(), domain) if series and args.format == "json" else None
+    embed = series(rows, k, l, args.trunc) if series and args.format == "json" else None
     _emit((_render_rows(rows, names, args.format, _job_fields(args), embed),), args.out)
     return 0
 
@@ -436,7 +426,7 @@ _VARS = ("--vars", {"type": int, "help": "number of variables in the single alph
 _HOOK = ("--hook", {"type": _parse_hook,
                     "help": "hook arms k,l for the split pair of alphabets"})
 _TRUNC = ("--trunc", {"type": int, "required": True, "help": "total-degree truncation bound"})
-_METHOD = ("--method", {"choices": ("pipeline", "decompose", "closed-form", "all"),
+_METHOD = ("--method", {"choices": (*ROUTE_ORDER, "all"),
                         "default": "all",
                         "help": "route(s) to compute; 'all' cross-checks every "
                                 "available route (default)"})

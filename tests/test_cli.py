@@ -98,8 +98,9 @@ def test_hookmult_json_embeds_series(capsys):
     (["hookmult", "--algebra", "UT2E", "--hook", "1,1"], "utn_hook_mult_series"),
 ])
 def test_json_embed_runs_the_pipeline_once(capsys, monkeypatch, argv, pipeline):
-    # the CLI reads the expansion of the pipeline and encodes it once, for
-    # the embed, as the library's pipeline function does
+    # the embed is written from the rows that the selected routes agree on:
+    # the all-route job runs the pipeline once, and a job without the
+    # pipeline route runs it not at all, with the same series
     calls = []
     real = cli._utn_hook_expansion
 
@@ -111,10 +112,10 @@ def test_json_embed_runs_the_pipeline_once(capsys, monkeypatch, argv, pipeline):
     argv = argv + ["--trunc", "5", "--format", "json"]
     code, full, _ = run(argv, capsys)
     assert code == 0 and len(calls) == 1
-    # the decompose route alone still embeds the pipeline series
-    code, alone, _ = run(argv + ["--method", "decompose"], capsys)
-    assert code == 0 and len(calls) == 2
-    assert json.loads(alone)["series"] == json.loads(full)["series"]
+    for method in ("decompose", "closed-form"):
+        code, alone, _ = run(argv + ["--method", method], capsys)
+        assert code == 0 and len(calls) == 1
+        assert json.loads(alone)["series"] == json.loads(full)["series"]
     if pipeline == "utn_mult_series":
         want = _t_form_object(2, 2, 5)
     else:
@@ -208,9 +209,13 @@ def test_empty_table_matches_the_generic_writer():
     assert cli._render_rows([], ["pipeline", "decompose"], "json", job) \
         == json.dumps(obj, sort_keys=True, indent=2) + "\n"
     assert cli._render_rows([], ["pipeline"], "csv", job) == "partition,weight,multiplicity,routes\n"
-    zero = HookExpansion(2, 3, 10)
-    embed = json.dumps(encode_hook_mult(zero).to_obj(), sort_keys=True, indent=2)
-    assert cli._hook_series_json(zero, []) == embed.replace("\n", "\n  ")
+    # both embeds of a job with no nonzero row
+    for writer, k, l, obj in (
+            (cli._hook_series_json, 2, 3, encode_hook_mult(HookExpansion(2, 3, 10)).to_obj()),
+            (cli._mult_series_json, 2, 0, {"form": "T", "d": 2, "bound": 10,
+                                           "terms": Series(VarSet.ty(2, 0), 10).to_obj()})):
+        embed = json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n  ")
+        assert writer([], k, l, 10) == embed
 
 
 @pytest.mark.parametrize("m", [Fraction(1, 2), 1.0])
@@ -322,13 +327,14 @@ def test_hilbert_text_constant_term(capsys):
     assert out.splitlines() == ["1: 1", "t1: 1", "t1^2: 1", "t1^3: 1"]
 
 
-@pytest.mark.parametrize("tag", ["XYZ", "UT\u0662E"])
+@pytest.mark.parametrize("tag", ["XYZ", "UT\u0662E", "UT02E", "UT0E"])
 def test_invalid_algebra(capsys, tag):
-    # n is written in ASCII digits: UT\u0662E (an Arabic-Indic two) is no UT2E
+    # n is written in ASCII digits without a leading zero: UT\u0662E (an
+    # Arabic-Indic two) and UT02E are no UT2E
     code, out, err = run(["mult", "--algebra", tag, "--vars", "2",
                           "--trunc", "4"], capsys)
-    assert code == 2
-    assert "unknown algebra" in err
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown algebra {tag!r}: expected E or UTnE with n >= 1\n"
 
 
 def test_guardrails(capsys):
@@ -472,11 +478,19 @@ def test_unknown_suite_name():
 
 
 def test_table_needs_exactly_one_alphabet(capsys):
-    code, out, err = run(["table", "--algebra", "E", "--trunc", "4"], capsys)
-    assert code == 2
-    code, out, err = run(["table", "--algebra", "E", "--vars", "2",
-                          "--hook", "1,1", "--trunc", "4"], capsys)
-    assert code == 2
+    # hilbert shares the job set-up of the table commands
+    for command in ("table", "hilbert"):
+        for alphabets in ([], ["--vars", "2", "--hook", "1,1"]):
+            code, out, err = run([command, "--algebra", "E", *alphabets, "--trunc", "4"], capsys)
+            assert (code, out) == (2, "")
+            assert err == f"error: {command} needs exactly one of --vars or --hook\n"
+
+
+def test_suite_choices_are_the_verify_suites():
+    # the parser states the suite names itself, so that it loads no cochar.verify
+    from cochar import verify
+    (_, keywords), *_ = cli.COMMANDS["verify"][2]
+    assert keywords["choices"] == (*verify.SUITES, "all")
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
@@ -778,7 +792,7 @@ def _known_jobs():
             for job in [*w["family"], w["smoke"]]]
     ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
     jobs += [m.split() for m in re.findall(
-        r"\b((?:hilbert|mult|hookmult|table|verify)(?: +--[a-z]+ +[\w,.]+)+)", ci)]
+        r"\b((?:hilbert|mult|hookmult|table|verify)(?: +--[a-z]+ +[\w,.][\w,.-]*)+)", ci)]
     readme = (ROOT / "README.md").read_text()
     jobs += [m.split() for m in re.findall(r"^cochar (.+)$", readme, re.M)]
     return jobs
