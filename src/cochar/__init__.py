@@ -18,7 +18,6 @@ from cochar.series import (
     expand_factor,
     norm_coeff,
     Series,
-    VarSet,
 )
 from cochar.hooks import (
     decode_hook_mult,

@@ -33,9 +33,9 @@ from typing import Callable, Iterable, Sequence
 
 from .closed_forms import closed_table
 from .hilbert import _graded_terms, _sorted_coefficients
-from .hooks import _peel, _symmetric_slices, _utn_hook_expansion, HookExpansion
+from .hooks import _peel, _symmetric_slices, _utn_hook_expansion
 from .partitions import _format_partition, _hook_partitions_upto, _split_exps
-from .series import VarSet
+from .series import ty
 
 # Soft limits.  Past these the computations still work, they just get slow;
 # the tool refuses unless --force is given, and then proceeds exactly as
@@ -115,24 +115,25 @@ def _closed_tag(n: int, k: int, l: int) -> str | None:
             (3, 1, 1): "UT3E_hook11"}.get((n, k, l))
 
 
-def _raw_expansion(n: int, k: int, l: int, trunc: int) -> HookExpansion:
-    """The decompose route, peeling the raw series at its sorted coefficients."""
-    return _peel(_symmetric_slices(_sorted_coefficients(n, k + l, trunc), k, l), k, l, trunc)
+def _raw_expansion(n: int, k: int, l: int, trunc: int) -> dict:
+    """The decompose route, peeling the raw series at its sorted coefficients:
+    the nonzero multiplicity of each hook partition."""
+    return _peel(_symmetric_slices(_sorted_coefficients(n, k + l, trunc), k, l), k, l)
 
 
 def _routes(n: int, k: int, l: int, trunc: int, domain: list) -> dict[str, Callable]:
     """Each route as a thunk giving its multiplicity at every domain partition;
     the domain is canonical and in the hook, so the routes read it unvalidated.
-    An expansion stores only nonzero coefficients, so one the domain misses
+    A computed route gives only nonzero coefficients, so one the domain misses
     fails its route."""
-    def read(route: str, exp: HookExpansion) -> dict:
-        got = {lam: exp.coeffs.get(lam, 0) for lam in domain}
-        if sum(1 for c in got.values() if c) != len(exp.coeffs):
-            lam = next(lam for lam in exp.support() if lam not in got)
+    def read(route: str, coeffs: dict) -> dict:
+        got = {lam: coeffs.get(lam, 0) for lam in domain}
+        if sum(1 for c in got.values() if c) != len(coeffs):
+            lam = min((lam for lam in coeffs if lam not in got), key=lambda p: (sum(p), p))
             raise ValueError(f"{route} route: {_format_partition(lam)} lies outside the domain")
         return got
 
-    routes = {"pipeline": lambda: read("pipeline", _utn_hook_expansion(n, k, l, trunc)),
+    routes = {"pipeline": lambda: read("pipeline", _utn_hook_expansion(n, k, l, trunc).coeffs),
               "decompose": lambda: read("decompose", _raw_expansion(n, k, l, trunc))}
     tag = _closed_tag(n, k, l)
     if tag is not None:
@@ -353,7 +354,7 @@ def _cmd_hilbert(args) -> int:
     else:
         # each variable's pieces "", "t1", "t1^2", ... are built once, not per term
         pieces = [("", name, *(f"{name}^{e}" for e in range(2, args.trunc + 1)))
-                  for name in VarSet.ty(k, l).names]
+                  for name in ty(k, l)]
         _emit((f"{' '.join([p[e] for p, e in zip(pieces, exps) if e]) or '1'}: {c}\n"
                for exps, c in terms), args.out)
     return 0

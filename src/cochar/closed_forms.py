@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .partitions import partition
-from .series import Series, VarSet, expand_factor
+from .series import Series, expand_factor, vty
 
 # ---------------------------------------------------------------------------
 # piecewise multiplicity tables
@@ -145,16 +145,16 @@ def closed_multiplicity(algebra: str, lam: Sequence[int]) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-def _mono(vars_: VarSet, text: str) -> tuple[int, ...]:
+def _mono(vars_: tuple[str, ...], text: str) -> tuple[int, ...]:
     """Exponent vector for a monomial written like ``"v1^3 t1 y1^2"``."""
-    out = [0] * vars_.arity
+    out = [0] * len(vars_)
     for piece in text.split():
         name, _, exp = piece.partition("^")
         out[vars_.index(name)] += int(exp) if exp else 1
     return tuple(out)
 
 
-def _poly(vars_: VarSet, bound: int, coeffs: dict) -> Series:
+def _poly(vars_: tuple[str, ...], bound: int, coeffs: dict) -> Series:
     terms: dict[tuple[int, ...], int] = {}
     for text, c in coeffs.items():
         key = _mono(vars_, text)
@@ -162,7 +162,7 @@ def _poly(vars_: VarSet, bound: int, coeffs: dict) -> Series:
     return Series(vars_, bound, terms)
 
 
-def _frac(vars_: VarSet, bound: int, num: dict | None = None,
+def _frac(vars_: tuple[str, ...], bound: int, num: dict | None = None,
           plus: Sequence[tuple[str, int]] = (),
           minus: Sequence[tuple[str, int]] = ()) -> Series:
     """Expand ``num * prod (1+a)^i / prod (1-b)^j`` exactly to ``bound``."""
@@ -192,13 +192,13 @@ _S = {"": 1, "y1 y2": 1, "t1 y1 y2": 2, "t1 y1": 1, "t1 y1^2 y2": -1}
 
 def _ref_mult_e_two_vars(bound: int) -> Series:
     # (1+v2)/(1-v1)
-    v = VarSet.v(2)
+    v = ("v1", "v2")
     return _frac(v, bound, plus=[("v2", 1)], minus=[("v1", 1)])
 
 
 def _ref_mult_ut2_two_vars(bound: int) -> Series:
     # 2(1+v2)/(1-v1) + (1+v2)^2 (-1+v1+2v2-v1v2) / ((1-v1)^2 (1-v2))
-    v = VarSet.v(2)
+    v = ("v1", "v2")
     lead = _frac(v, bound, {"": 2}, plus=[("v2", 1)], minus=[("v1", 1)])
     tail = _frac(v, bound, {"": -1, "v1": 1, "v2": 2, "v1 v2": -1},
                  plus=[("v2", 2)], minus=[("v1", 2), ("v2", 1)])
@@ -206,7 +206,7 @@ def _ref_mult_ut2_two_vars(bound: int) -> Series:
 
 
 def _ref_mult_ut3_two_vars(bound: int) -> Series:
-    v = VarSet.v(2)
+    v = ("v1", "v2")
     out = _frac(v, bound, {"": 3}, plus=[("v2", 1)], minus=[("v1", 1)])
     out = out + _frac(v, bound, {"": -3}, plus=[("v2", 2)],
                       minus=[("v1", 2), ("v2", 1)])
@@ -226,13 +226,13 @@ def _ref_mult_ut3_two_vars(bound: int) -> Series:
 
 def _ref_hook_mult_e(bound: int) -> Series:
     # 1 + v1/((1-t1)(1-y1))
-    v = VarSet.vty(1, 1)
+    v = vty(1, 1)
     return (_frac(v, bound)
             + _frac(v, bound, {"v1": 1}, minus=[("t1", 1), ("y1", 1)]))
 
 
 def _ref_g_of_unit(bound: int) -> Series:
-    v = VarSet.vty(2, 3)
+    v = vty(2, 3)
     out = _frac(v, bound, {"": 1, "v1": 1, "v1^2": 1})
     out = out + _frac(v, bound, {"v1 v2": 1}, minus=[("y1", 1)])
     out = out + _frac(v, bound, {"v1^2 v2": 1}, minus=[("y1", 1)])
@@ -242,7 +242,7 @@ def _ref_g_of_unit(bound: int) -> Series:
 
 
 def _ref_g_squared_of_unit(bound: int) -> Series:
-    v = VarSet.vty(2, 3)
+    v = vty(2, 3)
     s = _frac(v, bound, {"": 1, "v1": 2, "v1^2": 3})
     # v1 v2 block
     s = s + _frac(v, bound, {"v1 v2": 2}, minus=[("y1", 1)])
@@ -296,7 +296,7 @@ def _ref_g_squared_of_unit(bound: int) -> Series:
 
 
 def _ref_g_squared_of_v1(bound: int) -> Series:
-    v = VarSet.vty(2, 3)
+    v = vty(2, 3)
     s = _frac(v, bound, {"v1": 1, "v1^2": 2})
     # v1 v2 block
     s = s + _frac(v, bound, {"v1 v2": 1}, minus=[("y1", 1)])
@@ -362,7 +362,7 @@ def _ref_g_squared_of_v1(bound: int) -> Series:
 
 
 def _ref_hook_mult_ut2(bound: int) -> Series:
-    v = VarSet.vty(2, 3)
+    v = vty(2, 3)
     s = _frac(v, bound, {"": 1, "v1": 1, "v1^2": 1})
     s = s + _frac(v, bound, {"v1 v2": 1}, minus=[("y1", 1)])
     s = s + _frac(v, bound, {"v1^3": 1}, minus=[("t1", 1)])
@@ -408,7 +408,7 @@ def _ref_hook_mult_ut2(bound: int) -> Series:
 
 
 def _ref_hook_mult_ut3(bound: int) -> Series:
-    v = VarSet.vty(1, 1)
+    v = vty(1, 1)
     s = _frac(v, bound)
     s = s + _frac(v, bound, {"v1": 1}, minus=[("t1", 1), ("y1", 1)])
     s = s + _frac(v, bound, {"v1": 1, "v1 t1 y1": 4, "v1 t1^2 y1^2": 3},

@@ -21,7 +21,7 @@ from math import comb
 from operator import add, mul
 
 from cochar.hooks import HookMultSeries, utn_hook_mult_series
-from cochar.series import Series, VarSet
+from cochar.series import Series, ty
 
 
 def _weights(n: int) -> list[list[int]]:
@@ -114,4 +114,4 @@ def utn_double_hilbert(n: int, k: int, l: int, bound: int) -> Series:
     if k < 0 or l < 0 or k + l < 1:
         raise ValueError("need a nonempty combined alphabet")
     terms = _graded_terms(_sorted_coefficients(n, k + l, bound), k + l, bound)
-    return Series(VarSet.ty(k, l), bound, dict(terms), _raw=True)
+    return Series(ty(k, l), bound, dict(terms), _raw=True)

@@ -54,7 +54,7 @@ from cochar.partitions import (
     weight,
 )
 from cochar.series import (_exact, _field, _ints, _list, _new_term, norm_coeff, Coeff, Exps,
-                           Series, VarSet)
+                           Series, ty, vty)
 
 Slice = dict[Exps, dict[int, Coeff]]  # one degree of the peel's input, see _peel
 
@@ -116,7 +116,7 @@ def _hs_terms(lam: tuple[int, ...], k: int, l: int) -> tuple[tuple[Exps, int], .
 def hs_poly(lam: Sequence[int], k: int, l: int, bound: int) -> Series:
     """Hook Schur polynomial of lam in t_1..t_k, y_1..y_l, zero above bound."""
     lam = partition(lam)
-    vars_ = VarSet.ty(k, l)
+    vars_ = ty(k, l)
     if weight(lam) > bound:
         return Series.zero(vars_, bound)
     return Series(vars_, bound, dict(_hs_terms(lam, k, l)), _raw=True)
@@ -203,7 +203,7 @@ class HookExpansion:
 
     def to_series(self) -> Series:
         """Synthesize sum of coeff * hook Schur polynomial."""
-        out = Series.zero(VarSet.ty(self.k, self.l), self.bound)
+        out = Series.zero(ty(self.k, self.l), self.bound)
         for lam, c in self.coeffs.items():
             out = out + hs_poly(lam, self.k, self.l, self.bound).scale(c)
         return out
@@ -284,13 +284,15 @@ def hs_decompose(g: Series, k: int, l: int) -> HookExpansion:
     is checked, and an input off the span raises ``ValueError`` at the first
     degree whose residual no hook partition leads.
     """
-    if g.vars.names != VarSet.ty(k, l).names:
-        raise ValueError(f"series variables {g.vars.names} do not fit hook ({k},{l})")
+    if g.vars != ty(k, l):
+        raise ValueError(f"series variables {g.vars} do not fit hook ({k},{l})")
     by_degree: dict[int, dict[Exps, Coeff]] = {}
     for e, c in g.terms.items():
         by_degree.setdefault(sum(e), {})[e] = c
-    return _peel(((n, _block_sorted_terms(by_degree.get(n, {}), k, l, n))
-                  for n in range(g.bound + 1)), k, l, g.bound)
+    coeffs = _peel(((n, _block_sorted_terms(by_degree.get(n, {}), k, l, n))
+                    for n in range(g.bound + 1)), k, l)
+    return HookExpansion(k, l, g.bound, {lam: norm_coeff(c) for lam, c in coeffs.items()},
+                         _raw=True)
 
 
 def _code(exps: Iterable[int], w: int) -> int:
@@ -402,9 +404,9 @@ def _branch(mu: tuple[int, ...], s: int, k: int, j: int) -> tuple:
     return lam, _vertical_peels(lam, k, j)[1:]
 
 
-def _peel(slices: Iterable[tuple[int, Slice]], k: int, l: int, bound: int) -> HookExpansion:
+def _peel(slices: Iterable[tuple[int, Slice]], k: int, l: int) -> dict[tuple[int, ...], Coeff]:
     """The solve of :func:`hs_decompose` on (degree, slice) pairs, one y
-    variable at a time.
+    variable at a time: the nonzero coefficient of each hook partition.
 
     A slice holds the monomials of its degree with both blocks weakly
     decreasing, keyed by the block of the min(k, l) branching variables and
@@ -498,11 +500,8 @@ def _peel(slices: Iterable[tuple[int, Slice]], k: int, l: int, bound: int) -> Ho
                             acc[nu] = acc.get(nu, 0) + c
                 if solved:
                     level[z] = solved
-        coeffs.update((lam, norm_coeff(c)) for lam, c in level.get((), {}).items())
-    if swap:
-        k, l = l, k
-        coeffs = {_conjugate(lam): c for lam, c in coeffs.items()}
-    return HookExpansion(k, l, bound, coeffs, _raw=True)
+        coeffs.update(level.get((), {}))
+    return {_conjugate(lam): c for lam, c in coeffs.items()} if swap else coeffs
 
 
 # -- Pieri steps and derived operators ---------------------------------------
@@ -617,7 +616,7 @@ class HookMultSeries:
         if not _raw:
             if k < 0 or l < 0 or k + l < 1:
                 raise ValueError("need a nonempty hook")
-            if series.vars.names != VarSet.vty(k, l).names:
+            if series.vars != vty(k, l):
                 raise ValueError("series variables do not match the split encoding")
             for e in series.terms:
                 try:
@@ -682,7 +681,7 @@ class HookMultSeries:
                 terms[exps] = _field(row, "coeff", lambda c: norm_coeff(_exact(c)))
             except ZeroDivisionError:
                 raise ValueError(f"term {exps} has a zero denominator") from None
-        series = Series(VarSet.vty(k, l), bound, terms)
+        series = Series(vty(k, l), bound, terms)
         return cls(k, l, bound, series)
 
 
@@ -690,7 +689,7 @@ def encode_hook_mult(e: HookExpansion) -> HookMultSeries:
     """Pack a hook expansion into the split-variable series."""
     terms = {_split_exps(lam, e.k, e.l): c for lam, c in e.coeffs.items()}
     return HookMultSeries(e.k, e.l, e.bound,
-                          Series(VarSet.vty(e.k, e.l), e.bound, terms, _raw=True), _raw=True)
+                          Series(vty(e.k, e.l), e.bound, terms, _raw=True), _raw=True)
 
 
 def decode_hook_mult(m: HookMultSeries) -> HookExpansion:

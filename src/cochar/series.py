@@ -14,7 +14,6 @@ that integer-only work does not load it (nor ``decimal`` through it).
 
 from __future__ import annotations
 
-from functools import cache
 from math import comb
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, Union
 
@@ -37,75 +36,27 @@ def norm_coeff(c: Coeff | str) -> Coeff:
     return int(f) if f.denominator == 1 else f
 
 
-class VarSet:
-    """Ordered variable names; immutable, so the named sets are built once each."""
+def ty(k: int, l: int) -> tuple[str, ...]:
+    """The names t1..tk, y1..yl of a (k, l) pair of alphabets."""
+    return (*(f"t{i}" for i in range(1, k + 1)), *(f"y{j}" for j in range(1, l + 1)))
 
-    __slots__ = ("names",)
-    names: tuple[str, ...]
 
-    def __init__(self, names: tuple[str, ...]) -> None:
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate variable names in {names}")
-        object.__setattr__(self, "names", names)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable VarSet")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of an immutable VarSet")
-
-    def __reduce__(self):
-        return (VarSet, (self.names,))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not VarSet:
-            return NotImplemented
-        return self.names == other.names
-
-    def __hash__(self) -> int:
-        return hash(self.names)
-
-    def __repr__(self) -> str:
-        return f"VarSet(names={self.names!r})"
-
-    @property
-    def arity(self) -> int:
-        return len(self.names)
-
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise ValueError(f"unknown variable {name!r}") from None
-
-    @staticmethod
-    @cache
-    def v(d: int) -> "VarSet":
-        return VarSet(tuple(f"v{i}" for i in range(1, d + 1)))
-
-    @staticmethod
-    @cache
-    def ty(k: int, l: int) -> "VarSet":
-        return VarSet(tuple(f"t{i}" for i in range(1, k + 1))
-                      + tuple(f"y{j}" for j in range(1, l + 1)))
-
-    @staticmethod
-    @cache
-    def vty(k: int, l: int) -> "VarSet":
-        return VarSet(tuple(f"v{i}" for i in range(1, k + 1))
-                      + tuple(f"t{i}" for i in range(1, k + 1))
-                      + tuple(f"y{j}" for j in range(1, l + 1)))
+def vty(k: int, l: int) -> tuple[str, ...]:
+    """The names v1..vk, t1..tk, y1..yl of the split encoding of a (k, l) hook."""
+    return (*(f"v{i}" for i in range(1, k + 1)), *ty(k, l))
 
 
 class Series:
-    """Truncated power series over a :class:`VarSet`."""
+    """Truncated power series over a tuple of distinct variable names."""
 
     __slots__ = ("vars", "bound", "terms")
 
-    def __init__(self, vars_: VarSet, bound: int,
+    def __init__(self, vars_: tuple[str, ...], bound: int,
                  terms: Mapping[Exps, Coeff] | None = None, *, _raw: bool = False):
         if bound < 0:
             raise ValueError("bound must be nonnegative")
+        if not _raw and len(set(vars_)) != len(vars_):
+            raise ValueError(f"duplicate variable names in {vars_}")
         self.vars = vars_
         self.bound = bound
         if terms is None:
@@ -116,7 +67,7 @@ class Series:
             clean: dict[Exps, Coeff] = {}
             for exps, c in terms.items():
                 exps = _exponents(exps, "exponent vector")
-                if len(exps) != vars_.arity:
+                if len(exps) != len(vars_):
                     raise ValueError(f"exponent vector {exps} has wrong arity")
                 if sum(exps) > bound:
                     continue
@@ -128,12 +79,12 @@ class Series:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls, vars_: VarSet, bound: int) -> "Series":
+    def zero(cls, vars_: tuple[str, ...], bound: int) -> "Series":
         return cls(vars_, bound)
 
     @classmethod
-    def one(cls, vars_: VarSet, bound: int) -> "Series":
-        return cls(vars_, bound, {(0,) * vars_.arity: 1}, _raw=True)
+    def one(cls, vars_: tuple[str, ...], bound: int) -> "Series":
+        return cls(vars_, bound, {(0,) * len(vars_): 1}, _raw=True)
 
     # -- basics ----------------------------------------------------------
 
@@ -153,16 +104,16 @@ class Series:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        return (self.vars.names == other.vars.names and self.bound == other.bound
+        return (self.vars == other.vars and self.bound == other.bound
                 and self.terms == other.terms)
 
     def __repr__(self) -> str:
-        return f"Series({len(self.terms)} terms, bound={self.bound}, vars={self.vars.names})"
+        return f"Series({len(self.terms)} terms, bound={self.bound}, vars={self.vars})"
 
     # -- ring operations --------------------------------------------------
 
     def _check_compatible(self, other: "Series") -> None:
-        if self.vars.names != other.vars.names:
+        if self.vars != other.vars:
             raise ValueError("mismatched variable sets")
 
     def __add__(self, other: "Series") -> "Series":
@@ -254,7 +205,7 @@ class Series:
         return out
 
     @classmethod
-    def from_obj(cls, vars_: VarSet, bound: int, obj: Sequence[Mapping]) -> "Series":
+    def from_obj(cls, vars_: tuple[str, ...], bound: int, obj: Sequence[Mapping]) -> "Series":
         from fractions import Fraction
 
         if not isinstance(obj, list):
@@ -323,18 +274,18 @@ def _field(obj: object, name: str, convert: Callable):
         raise ValueError(f"field {name!r} has a bad value {obj[name]!r}") from None
 
 
-def _as_monomial(vars_: VarSet, base) -> Exps:
+def _as_monomial(vars_: tuple[str, ...], base) -> Exps:
     if isinstance(base, str):
-        exps = [0] * vars_.arity
-        exps[vars_.index(base)] = 1
-        return tuple(exps)
+        if base not in vars_:
+            raise ValueError(f"unknown variable {base!r}")
+        return tuple(int(name == base) for name in vars_)
     exps = _exponents(base, "monomial exponent vector")
-    if len(exps) != vars_.arity:
+    if len(exps) != len(vars_):
         raise ValueError(f"bad monomial exponent vector {base!r}")
     return exps
 
 
-def expand_factor(vars_: VarSet, factors: Iterable[tuple], bound: int) -> Series:
+def expand_factor(vars_: tuple[str, ...], factors: Iterable[tuple], bound: int) -> Series:
     """Expand ``prod (1 + sign * x^base)^power`` to the given bound.
 
     Each factor is ``(base, sign, power)`` with ``base`` a variable name or an

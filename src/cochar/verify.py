@@ -25,7 +25,7 @@ from .hooks import (HookExpansion, decode_hook_mult, encode_hook_mult,
                     hook_row_derived, hs_decompose, utn_hook_mult_series)
 from .partitions import (_hook_partitions_upto, in_extended_hook, in_hook,
                          part_at, partition, partitions_upto)
-from .series import VarSet, expand_factor
+from .series import expand_factor, ty
 
 
 class CheckResult(NamedTuple):
@@ -202,14 +202,14 @@ def operator_identities(samples: int = 100, seed: int = 20260817):
     for i in range(20):
         d = rng.choice((1, 2, 3))
         e = _random_hook_expansion(rng, d, 0, 7)
-        geo = expand_factor(VarSet.ty(d, 0), [(f"t{j}", -1, -1) for j in range(1, d + 1)], 7)
+        geo = expand_factor(ty(d, 0), [(f"t{j}", -1, -1) for j in range(1, d + 1)], 7)
         if hook_row_derived(e).to_series() != e.to_series() * geo:
             failures.append(f"row derivation is not prod 1/(1-t_i) (sample {i}, d={d})")
             break
     for i in range(20):
         e = _random_hook_expansion(rng, 2, 0, 7)
         lhs = hook_even_col_derived(e).to_series()
-        rhs = e.to_series() * expand_factor(VarSet.ty(2, 0), [((1, 1), 1, 1)], 7)
+        rhs = e.to_series() * expand_factor(ty(2, 0), [((1, 1), 1, 1)], 7)
         if lhs != rhs:
             failures.append(f"two-variable column derivation is not (1+t1t2) (sample {i})")
             break

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from cochar import cli
 from cochar.hilbert import utn_double_hilbert, utn_hilbert, utn_mult_series
 from cochar.hooks import decode_hook_mult, encode_hook_mult, utn_hook_mult_series, HookExpansion
-from cochar.series import Series, VarSet
+from cochar.series import Series, ty
 from test_hooks import time_limit
 
 
@@ -165,7 +165,7 @@ def _t_form_object(n, d, bound):
     t_1..t_d, t^lam at each partition lam of the pipeline padded with zeros
     to d parts, serialised by Series.to_obj."""
     e = decode_hook_mult(utn_mult_series(n, d, bound))
-    s = Series(VarSet.ty(d, 0), bound, {lam + (0,) * (d - len(lam)): c for lam, c in e.coeffs.items()})
+    s = Series(ty(d, 0), bound, {lam + (0,) * (d - len(lam)): c for lam, c in e.coeffs.items()})
     return {"form": "T", "d": d, "bound": bound, "terms": s.to_obj()}
 
 
@@ -213,7 +213,7 @@ def test_empty_table_matches_the_generic_writer():
     for writer, k, l, obj in (
             (cli._hook_series_json, 2, 3, encode_hook_mult(HookExpansion(2, 3, 10)).to_obj()),
             (cli._mult_series_json, 2, 0, {"form": "T", "d": 2, "bound": 10,
-                                           "terms": Series(VarSet.ty(2, 0), 10).to_obj()})):
+                                           "terms": Series(ty(2, 0), 10).to_obj()})):
         embed = json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n  ")
         assert writer([], k, l, 10) == embed
 
@@ -247,7 +247,7 @@ def test_hilbert_json_matches_json_dumps(capsys, argv):
 
 
 def test_terms_writer_rejects_a_coefficient_that_is_no_int():
-    s = Series(VarSet.ty(2, 0), 4, {(1, 0): 3, (0, 1): Fraction(1, 2)})
+    s = Series(ty(2, 0), 4, {(1, 0): 3, (0, 1): Fraction(1, 2)})
     with pytest.raises(TypeError, match="not an int"):
         "".join(cli._terms_json(s.sorted_terms(), 2, "  "))
     assert "".join(cli._terms_json([], 2, "  ")) == "[]"
@@ -455,6 +455,40 @@ def test_route_disagreement_exits_nonzero(capsys, monkeypatch):
     assert code == 1
     assert "route disagreement" in err
     assert "closed-form=99" in err
+
+
+def test_a_long_disagreement_prints_twenty_shapes(capsys, monkeypatch):
+    # the 25 partitions of at most two parts to weight 8 all differ
+    monkeypatch.setattr(cli, "closed_table", lambda tag: lambda lam: 99)
+    code, out, err = run(["mult", "--algebra", "E", "--vars", "2", "--trunc", "8",
+                          "--format", "csv"], capsys)
+    lines = err.splitlines()
+    assert (code, out) == (1, "")
+    assert lines[0] == "route disagreement on 25 shape(s):"
+    assert lines[1] == "  []: pipeline=1, decompose=1, closed-form=99"
+    assert len(lines) == 22 and all(": pipeline=" in line for line in lines[1:21])
+    assert lines[21] == "  ... 5 more"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mult", "--algebra", "UT2E", "--vars", "9", "--trunc", "4"],
+     "--vars 9 exceeds the default limit 8 (pass --force to proceed anyway)"),
+    (["hookmult", "--algebra", "UT2E", "--hook", "5,1", "--trunc", "4"],
+     "hook (5,1) exceeds the default limit 4 (pass --force to proceed anyway)"),
+    (["mult", "--algebra", "UT2E", "--vars", "0", "--trunc", "4"], "--vars must be >= 1"),
+])
+def test_alphabet_size_refusals(capsys, argv, message):
+    code, out, err = run(argv, capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_write_that_fails_is_a_bad_request(capsys):
+    # /dev/full takes the open and refuses the bytes, when the file is closed
+    code, out, err = run(["mult", "--algebra", "UT2E", "--vars", "2", "--trunc", "6",
+                          "--format", "csv", "--out", "/dev/full"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: cannot write /dev/full: No space left on device\n"
 
 
 def test_verify_suite(capsys):
@@ -841,3 +875,13 @@ def test_a_partition_the_domain_misses_fails_its_route(capsys, monkeypatch):
                           "--method", "all", "--format", "csv"], capsys)
     assert (code, out) == (1, "")
     assert err == "computation failed: pipeline route: [3,2,1] lies outside the domain\n"
+
+
+def test_the_lightest_partition_the_domain_misses_is_named(capsys, monkeypatch):
+    every = cli._hook_partitions_upto
+    monkeypatch.setattr(cli, "_hook_partitions_upto",
+                        lambda *a: [lam for lam in every(*a) if lam not in ((4, 1), (2, 2, 1))])
+    code, out, err = run(["hookmult", "--algebra", "UT2E", "--hook", "2,2", "--trunc", "8",
+                          "--method", "decompose", "--format", "csv"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "computation failed: decompose route: [2,2,1] lies outside the domain\n"

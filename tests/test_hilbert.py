@@ -15,7 +15,7 @@ from cochar.hilbert import (
 )
 from cochar.hooks import decode_hook_mult, encode_hook_mult, hs_decompose
 from cochar.partitions import part_at, partitions_of
-from cochar.series import expand_factor, Series, VarSet
+from cochar.series import expand_factor, Series, ty
 from test_operators import at_differences
 
 
@@ -51,7 +51,7 @@ def test_triangular_reduces_to_grassmann():
 def test_triangular_two_blocks_identity():
     # H(2) = 2 H + (t1+...+td-1) H^2, an instance of the general block sum
     for d in (1, 2, 3):
-        tv = VarSet.ty(d, 0)
+        tv = ty(d, 0)
         h = grassmann_double_hilbert(d, 0, 8)
         lin = Series(tv, 8, {tuple(int(i == j) for j in range(d)): 1 for i in range(d)})
         lin = lin + Series(tv, 8, {(0,) * d: -1})
@@ -76,14 +76,14 @@ def test_mult_series_routes_agree():
 
 def test_one_block_mult_series_closed_form():
     got = decode_hook_mult(utn_mult_series(1, 2, 10))
-    vv = VarSet.v(2)
+    vv = ("v1", "v2")
     s = expand_factor(vv, [("v2", 1, 1), ("v1", -1, -1)], 10)
     assert got.coeffs == at_differences(s, 10)
 
 
 def test_two_block_mult_series_closed_form():
     got = decode_hook_mult(utn_mult_series(2, 2, 10))
-    vv = VarSet.v(2)
+    vv = ("v1", "v2")
     lead = expand_factor(vv, [("v2", 1, 1), ("v1", -1, -1)], 10).scale(2)
     tail = expand_factor(vv, [("v2", 1, 2), ("v1", -1, -2), ("v2", -1, -1)], 10)
     num = Series(vv, 10, {(0, 0): -1, (1, 0): 1, (0, 1): 2, (1, 1): -1})
@@ -110,7 +110,7 @@ def test_row_support_bound():
 
 def test_double_hilbert_one_one():
     h = grassmann_double_hilbert(1, 1, 6)
-    vars_ = VarSet.ty(1, 1)
+    vars_ = ty(1, 1)
     expected = expand_factor(
         vars_, [("t1", 1, 1), ("y1", 1, 1), ("t1", -1, -1), ("y1", -1, -1)], 6)
     expected = (expected + Series.one(vars_, 6)).scale(Fraction(1, 2))
@@ -121,7 +121,7 @@ def test_double_hilbert_one_one():
 
 def test_double_hilbert_pure_t_block_matches_single():
     # with no y block, the one-alphabet product (1/2)(1 + prod (1+t)/(1-t))
-    vars_ = VarSet.ty(2, 0)
+    vars_ = ty(2, 0)
     prod = expand_factor(
         vars_, [("t1", 1, 1), ("t2", 1, 1), ("t1", -1, -1), ("t2", -1, -1)], 6)
     assert grassmann_double_hilbert(2, 0, 6) == \
@@ -142,7 +142,7 @@ def test_utn_double_hilbert_reduces():
 
 
 def test_utn_double_hilbert_two_blocks():
-    vars_ = VarSet.ty(1, 1)
+    vars_ = ty(1, 1)
     h = grassmann_double_hilbert(1, 1, 8)
     lin = Series(vars_, 8, {(1, 0): 1, (0, 1): 1, (0, 0): -1})
     assert utn_double_hilbert(2, 1, 1, 8) == h.scale(2) + lin * (h * h)
@@ -163,8 +163,8 @@ def test_horner_raw_route_matches_power_sum(n, k, l):
 
 @pytest.mark.parametrize("k, l", [(0, 2), (3, 0), (2, 1), (3, 2)])
 def test_double_hilbert_matches_product_form(k, l):
-    vars_ = VarSet.ty(k, l)
-    factors = [(x, 1, 1) for x in vars_.names] + [(x, -1, -1) for x in vars_.names]
+    vars_ = ty(k, l)
+    factors = [(x, 1, 1) for x in vars_] + [(x, -1, -1) for x in vars_]
     expected = expand_factor(vars_, factors, 8) + Series.one(vars_, 8)
     assert grassmann_double_hilbert(k, l, 8) == expected.scale(Fraction(1, 2))
 
@@ -253,7 +253,7 @@ def _cut_point_terms(coeffs, width, bound):
         c = coeffs.get(tuple(sorted((x for x in e if x), reverse=True)))
         if c:
             terms[e] = c
-    return Series(VarSet.ty(width, 0), bound, terms).sorted_terms()
+    return Series(ty(width, 0), bound, terms).sorted_terms()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -12,6 +12,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import cochar.hooks
 from cochar.cli import _raw_expansion
 from cochar.hilbert import (_sorted_coefficients, grassmann_double_hilbert, utn_double_hilbert,
                             utn_mult_series)
@@ -44,7 +45,7 @@ from cochar.hooks import (
 from cochar.partitions import (_assemble_exps, _hook_partitions_upto, _split_exps, char_degree,
                                conjugate, partition, horizontal_strips, in_hook, partitions_of,
                                partitions_upto, vertical_strips)
-from cochar.series import expand_factor, norm_coeff, Series, VarSet
+from cochar.series import expand_factor, norm_coeff, Series, ty, vty
 
 
 # -- brute-force tableau oracle ----------------------------------------------
@@ -93,7 +94,7 @@ def brute_hs(lam, k, l, bound):
     terms = {}
     for content in two_alphabet_tableaux(lam, k, l):
         terms[content] = terms.get(content, 0) + 1
-    return Series(VarSet.ty(k, l), bound, terms)
+    return Series(ty(k, l), bound, terms)
 
 
 def random_hook_expansions(k, l, bound, count, seed):
@@ -212,22 +213,22 @@ def time_limit(seconds):
 
 
 def test_hs_decompose_rejects_off_span():
-    tv = VarSet.ty(1, 1)
+    tv = ty(1, 1)
     with time_limit(10), pytest.raises(ValueError, match="degree 1"):
         hs_decompose(Series(tv, 4, {(1, 0): 1}), 1, 1)
     with pytest.raises(ValueError, match="do not fit"):
-        hs_decompose(Series(VarSet.ty(2, 0), 4, {}), 1, 1)
+        hs_decompose(Series(ty(2, 0), 4, {}), 1, 1)
 
 
 def test_hs_decompose_rejects_block_asymmetric():
     # a coefficient that differs inside an orbit of one alphabet
     with pytest.raises(ValueError, match="not symmetric"):
-        hs_decompose(Series(VarSet.ty(2, 1), 4, {(1, 0, 0): 1}), 2, 1)
+        hs_decompose(Series(ty(2, 1), 4, {(1, 0, 0): 1}), 2, 1)
     with pytest.raises(ValueError, match="not symmetric"):
-        hs_decompose(Series(VarSet.ty(1, 2), 4, {(0, 1, 0): 1, (0, 0, 1): 2}), 1, 2)
+        hs_decompose(Series(ty(1, 2), 4, {(0, 1, 0): 1, (0, 0, 1): 2}), 1, 2)
     # equal coefficients, but the orbit of t1^2 t2 in three t's is incomplete
     with pytest.raises(ValueError, match="incomplete orbits"):
-        hs_decompose(Series(VarSet.ty(3, 0), 4, {(2, 1, 0): 1, (1, 2, 0): 1}), 3, 0)
+        hs_decompose(Series(ty(3, 0), 4, {(2, 1, 0): 1, (1, 2, 0): 1}), 3, 0)
 
 
 # -- Pieri steps -------------------------------------------------------------
@@ -483,10 +484,10 @@ def test_hs_decompose_roundtrip_signed(e):
 def test_hs_decompose_rejects_off_span_in_both_orientations():
     # y1 + y2 lacks the t1 of hs_(1) at (1, 2), peeled with the blocks swapped
     with time_limit(10), pytest.raises(ValueError, match="degree 1: residual"):
-        hs_decompose(Series(VarSet.ty(1, 2), 4, {(0, 1, 0): 1, (0, 0, 1): 1}), 1, 2)
+        hs_decompose(Series(ty(1, 2), 4, {(0, 1, 0): 1, (0, 0, 1): 1}), 1, 2)
     # e_2(t) alone lacks the rest of hs_(1,1) at (2, 1), peeled as it stands
     with time_limit(10), pytest.raises(ValueError, match="degree 2: residual"):
-        hs_decompose(Series(VarSet.ty(2, 1), 4, {(1, 1, 0): 1}), 2, 1)
+        hs_decompose(Series(ty(2, 1), 4, {(1, 1, 0): 1}), 2, 1)
 
 
 # -- the y-strip tables -------------------------------------------------------
@@ -555,7 +556,7 @@ def test_hs_terms_match_the_unpruned_recursion(k, l, schur_t):
 # -- the peel ------------------------------------------------------------------
 
 
-def max_peel(slices, k, l, bound):
+def max_peel(slices, k, l):
     """Oracle: the forward substitution that peels the largest residual key
     with the whole (k, l) table of its partition, until the slice is empty."""
     swap = l > k
@@ -587,10 +588,7 @@ def max_peel(slices, k, l, bound):
                     terms[e] = t
                 else:
                     terms.pop(e, None)
-    if swap:
-        k, l = l, k
-        coeffs = {_conjugate(lam): c for lam, c in coeffs.items()}
-    return HookExpansion(k, l, bound, coeffs, _raw=True)
+    return {_conjugate(lam): c for lam, c in coeffs.items()} if swap else coeffs
 
 
 @pytest.mark.parametrize("n, k, l, bound", [(2, 2, 3, 12), (3, 3, 2, 9), (2, 1, 2, 12),
@@ -598,14 +596,14 @@ def max_peel(slices, k, l, bound):
                                             (3, 2, 3, 11), (1, 3, 3, 10), (2, 4, 2, 9)])
 def test_peel_matches_the_max_driven_oracle(n, k, l, bound):
     slices = _symmetric_slices(_sorted_coefficients(n, k + l, bound), k, l)
-    got = _peel(slices, k, l, bound)
-    assert got.coeffs and got == max_peel(slices, k, l, bound)
+    got = _peel(slices, k, l)
+    assert got and got == max_peel(slices, k, l)
 
 
-def outcome(peel, slices, k, l, bound):
-    """The expansion, or the degree of the residual that stops the peel."""
+def outcome(peel, slices, k, l):
+    """The coefficient map, or the degree of the residual that stops the peel."""
     try:
-        return peel(slices, k, l, bound)
+        return peel(slices, k, l)
     except ValueError as exc:
         found = re.match(r"degree (\d+): residual", str(exc))
         assert found, exc
@@ -623,8 +621,8 @@ def test_peel_agrees_with_the_oracle_on_perturbed_keys(n, k, l, bound):
             for t, step in product(row, (1, -1)):
                 changed = {**grouped, y: {**row, t: row[t] + step}}
                 perturbed = slices[:i] + [(degree, changed)] + slices[i + 1:]
-                got = outcome(_peel, perturbed, k, l, bound)
-                assert got == outcome(max_peel, perturbed, k, l, bound), (y, t, step)
+                got = outcome(_peel, perturbed, k, l)
+                assert got == outcome(max_peel, perturbed, k, l), (y, t, step)
                 stopped += got == degree
     assert stopped
 
@@ -702,18 +700,18 @@ def test_encode_decode_roundtrip():
 
 
 def test_hook_mult_series_validation():
-    vars_ = VarSet.vty(1, 1)
+    vars_ = vty(1, 1)
     with pytest.raises(ValueError):
         # arm present without a full rectangle row backing it
         HookMultSeries(1, 1, 6, Series(vars_, 6, {(0, 2, 0): 1}))
     with pytest.raises(ValueError):
-        HookMultSeries(1, 1, 6, Series(VarSet.ty(1, 1), 6, {}))
+        HookMultSeries(1, 1, 6, Series(ty(1, 1), 6, {}))
 
 
 @pytest.mark.parametrize("k, l", [(-2, 1), (-1, 2), (0, 0), (1, -1)])
 def test_hook_mult_series_needs_a_nonempty_hook(k, l):
     with pytest.raises(ValueError, match="need a nonempty hook"):
-        HookMultSeries(k, l, 3, Series(VarSet.vty(k, l), 3))
+        HookMultSeries(k, l, 3, Series(vty(k, l), 3))
     with pytest.raises(ValueError, match="need a nonempty hook"):
         HookMultSeries.from_obj({"hook": [k, l], "terms": []}, 3)
 
@@ -730,6 +728,12 @@ def test_hook_expansion_refuses_a_float_coefficient():
         HookExpansion(1, 1, 3, {(1,): 0.1})
     with pytest.raises(ValueError, match="coefficient 0.3 is not exact"):
         hs_poly((1,), 1, 1, 3).scale(0.3)
+
+
+def test_scale_by_zero_is_the_zero_expansion():
+    e = HookExpansion(2, 1, 6, {(2, 1): 3, (1,): Fraction(1, 2)})
+    assert e.scale(0) == HookExpansion(2, 1, 6) == e.scale(Fraction(0, 3))
+    assert e.scale(0).is_zero()
 
 
 def test_hook_mult_series_json_roundtrip():
@@ -853,7 +857,7 @@ def test_constructor_accepts_exactly_the_split_tuple_monomials():
     # every vector with entries -1..3 and |e|_1 <= 6 at each hook with k, l <= 3
     count = 0
     for k, l in ((k, l) for k in range(4) for l in range(4) if k + l):
-        vars_ = VarSet.vty(k, l)
+        vars_ = vty(k, l)
         for e in small_vectors(2 * k + l, 6):
             count += 1
             try:
@@ -882,7 +886,7 @@ def test_trusted_decode_matches_validating_decode():
         m = utn_hook_mult_series(*job)
         assert decode_hook_mult(m) == validating_decode(m)
     # a series from the public constructor, with a term above its bound
-    vars_ = VarSet.vty(2, 1)
+    vars_ = vty(2, 1)
     m = HookMultSeries(2, 1, 6, Series(vars_, 8, {
         (0, 0, 0, 0, 0): 1, (1, 1, 2, 0, 2): Fraction(6, 3), (1, 1, 0, 0, 2): -4,
         (1, 1, 1, 1, 1): Fraction(1, 2), (1, 1, 3, 2, 1): 7}))
@@ -940,7 +944,7 @@ def test_hook_mult_series_unit_keeps_its_bound():
 
 def test_hook_mult_one_block_closed_form():
     got = utn_hook_mult_series(1, 1, 1, 10)
-    vars_ = VarSet.vty(1, 1)
+    vars_ = vty(1, 1)
     geo = expand_factor(vars_, [("t1", -1, -1), ("y1", -1, -1)], 10)
     expected = Series.one(vars_, 10) + geo * Series(vars_, 10, {(1, 0, 0): 1})
     assert got.series == expected
@@ -959,7 +963,19 @@ def test_cli_raw_route_matches_hs_decompose(n, k, l, bound):
     # the CLI peels only the block-sorted monomials of the sorted vectors;
     # hs_decompose checks the symmetry of the full series first
     assert _raw_expansion(n, k, l, bound) == \
-        hs_decompose(utn_double_hilbert(n, k, l, bound), k, l)
+        hs_decompose(utn_double_hilbert(n, k, l, bound), k, l).coeffs
+
+
+def test_cli_raw_route_shares_no_type_with_the_pipeline(monkeypatch):
+    # a fault in HookExpansion or norm_coeff shows as a route disagreement
+    want = _utn_hook_expansion(3, 2, 3, 8).coeffs
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the decompose route reached the pipeline's types")
+
+    monkeypatch.setattr(cochar.hooks, "HookExpansion", refuse)
+    monkeypatch.setattr(cochar.hooks, "norm_coeff", refuse)
+    assert _raw_expansion(3, 2, 3, 8) == want
 
 
 def seed_sum(n, k, l, bound):
@@ -1026,20 +1042,29 @@ def test_hook_mult_two_blocks_frozen():
 def test_mult_series_is_the_l0_pipeline(n, d, b):
     m = utn_mult_series(n, d, b)
     assert m == utn_hook_mult_series(n, d, 0, b)
-    assert (m.k, m.l, m.series.vars) == (d, 0, VarSet.vty(d, 0))
+    assert (m.k, m.l, m.series.vars) == (d, 0, vty(d, 0))
 
 
 # -- theory that neither computed route uses -----------------------------------
 
 
-@pytest.mark.parametrize("route", [_utn_hook_expansion, _raw_expansion])
+def pipeline_coeffs(n, k, l, bound):
+    """The pipeline's multiplicities, as :func:`_raw_expansion` gives the raw route's."""
+    return _utn_hook_expansion(n, k, l, bound).coeffs
+
+
+ROUTES = [pytest.param(pipeline_coeffs, id="_utn_hook_expansion"),
+          pytest.param(_raw_expansion, id="_raw_expansion")]
+
+
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("n, k, l", [(1, 1, 1), (2, 2, 3), (3, 3, 5), (4, 4, 4), (5, 3, 3)])
 def test_multiplicities_below_degree_3n_are_the_character_degrees(route, n, k, l):
     # T(E) is generated by [x1, x2, x3] (Krakowski and Regev 1973) and
     # T(UT_n(E)) = T(E)^n (Giambruno and Zaicev 2005), so UT_n(E) satisfies
     # no identity below degree 3n, and there m_lam = d_lam
     bound = 3 * n - 1
-    got = route(n, k, l, bound).coeffs
+    got = route(n, k, l, bound)
     assert got == {lam: char_degree(lam) for lam in _hook_partitions_upto(bound, k, l)}
 
 
@@ -1072,10 +1097,10 @@ def test_codimension_deficit_at_degree_3n(n, deficit):
     assert factorial(m) - _codimensions(n, m)[m] == deficit == factorial(m) // 3 ** n
 
 
-@pytest.mark.parametrize("route", [_utn_hook_expansion, _raw_expansion])
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("n, k, l, bound", [(1, 3, 3, 12), (2, 4, 4, 14),
                                             (3, 2, 5, 12), (4, 3, 4, 14)])
 def test_the_transposed_hook_gives_the_conjugate_expansion(route, n, k, l, bound):
     # omega maps s_lam to s_lam' and fixes the cocharacter, so m_lam = m_lam'
-    got = route(n, k, l, bound).coeffs
-    assert {conjugate(lam): c for lam, c in got.items()} == route(n, l, k, bound).coeffs
+    got = route(n, k, l, bound)
+    assert {conjugate(lam): c for lam, c in got.items()} == route(n, l, k, bound)

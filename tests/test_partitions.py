@@ -26,7 +26,7 @@ from cochar.partitions import (
     vertical_strips,
     weight,
 )
-from cochar.series import Series, VarSet
+from cochar.series import Series, vty
 
 
 # -- independent oracles -------------------------------------------------
@@ -234,7 +234,7 @@ def test_hook_mult_series_rejects_invalid_splits():
         (2, 2, (1, 2, 0, 0, 0, 0)),  # rows that increase
     ):
         with pytest.raises(ValueError, match=re.escape(f"{e} is not a valid ({k}, {l}) split")):
-            HookMultSeries(k, l, 8, Series(VarSet.vty(k, l), 8, {e: 1}))
+            HookMultSeries(k, l, 8, Series(vty(k, l), 8, {e: 1}))
 
 
 def test_assemble_exps_examples():
@@ -356,6 +356,12 @@ def test_vertical_strips_frozen():
     assert set(vertical_strips((2, 1), 2)) == {(3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1)}
     assert list(vertical_strips((), 2)) == [(1, 1)]
     assert set(vertical_strips((2,), 1)) == {(3,), (2, 1)}
+
+
+@pytest.mark.parametrize("strips", [horizontal_strips, vertical_strips])
+@pytest.mark.parametrize("hook", [None, (2, 1)])
+def test_a_negative_strip_adds_nothing(strips, hook):
+    assert list(strips((2, 1), -1, hook)) == []
 
 
 def test_strips_against_brute_force():

@@ -22,7 +22,7 @@ from cochar.hooks import (
     HookMultSeries,
 )
 from cochar.partitions import partitions_of, partitions_upto
-from cochar.series import expand_factor, Series, VarSet
+from cochar.series import expand_factor, Series, ty, vty
 
 
 # -- brute-force oracle: semistandard tableaux row by row ------------------
@@ -72,7 +72,7 @@ def test_schur_poly_frozen():
     assert hs_poly((2, 1), 2, 0, 6).terms == {(2, 1): 1, (1, 2): 1}
     assert hs_poly((1, 1, 1), 2, 0, 6).is_zero()
     assert hs_poly((2,), 2, 0, 6).terms == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
-    assert hs_poly((), 3, 0, 4) == Series.one(VarSet.ty(3, 0), 4)
+    assert hs_poly((), 3, 0, 4) == Series.one(ty(3, 0), 4)
     assert hs_poly((3,), 1, 0, 6).terms == {(3,): 1}
 
 
@@ -186,12 +186,12 @@ def test_schur_decompose_basis_roundtrip():
 
 
 def test_schur_decompose_young_rule_on_one():
-    g = expand_factor(VarSet.ty(2, 0), [("t1", -1, -1), ("t2", -1, -1)], 3)
+    g = expand_factor(ty(2, 0), [("t1", -1, -1), ("t2", -1, -1)], 3)
     assert hs_decompose(g, 2, 0).coeffs == {(): 1, (1,): 1, (2,): 1, (3,): 1}
 
 
 def test_schur_decompose_squared_geometric():
-    g = expand_factor(VarSet.ty(2, 0), [("t1", -1, -2), ("t2", -1, -2)], 2)
+    g = expand_factor(ty(2, 0), [("t1", -1, -2), ("t2", -1, -2)], 2)
     e = hs_decompose(g, 2, 0)
     # coefficient of mu equals the number of tableaux of shape mu with entries <= 2
     assert e.coeffs == {(): 1, (1,): 2, (2,): 3, (1, 1): 1}
@@ -210,11 +210,11 @@ def test_schur_decompose_random_combinations():
 
 
 def test_schur_decompose_rejects_asymmetric():
-    s = Series(VarSet.ty(2, 0), 4, {(1, 0): 1})
+    s = Series(ty(2, 0), 4, {(1, 0): 1})
     with pytest.raises(ValueError):
         hs_decompose(s, 2, 0)
     with pytest.raises(ValueError):
-        hs_decompose(Series(VarSet.ty(2, 0), 4, {(1, 1): 1, (2, 0): 1}), 2, 0)
+        hs_decompose(Series(ty(2, 0), 4, {(1, 1): 1, (2, 0): 1}), 2, 0)
 
 
 # -- multiplicity series -----------------------------------------------------
@@ -227,7 +227,7 @@ def test_schur_decompose_rejects_asymmetric():
 def test_mult_series_forms():
     e = HookExpansion(2, 0, 8, {(3, 1): 5, (1, 1): 1, (2,): 2})
     t = encode_hook_mult(e)
-    assert t.series.vars == VarSet.vty(2, 0)
+    assert t.series.vars == vty(2, 0)
     assert t.series.terms == {(0, 0, 3, 1): 5, (0, 0, 1, 1): 1, (0, 0, 2, 0): 2}
     assert decode_hook_mult(t) == e
     assert encode_hook_mult(decode_hook_mult(t)) == t
@@ -236,12 +236,12 @@ def test_mult_series_forms():
 
 
 def test_mult_series_validation():
-    vt = VarSet.vty(2, 0)
+    vt = vty(2, 0)
     for bad in ((0, 0, 1, 2), (1, 0, 1, 0)):  # no partition; a box in the empty rectangle
         with pytest.raises(ValueError, match=r"not a valid \(2, 0\) split"):
             HookMultSeries(2, 0, 6, Series(vt, 6, {bad: 1}))
     with pytest.raises(ValueError, match="do not match the split encoding"):
-        HookMultSeries(2, 0, 6, Series.one(VarSet.ty(2, 0), 6))
+        HookMultSeries(2, 0, 6, Series.one(ty(2, 0), 6))
     # terms beyond the weight bound are dropped on construction
     deep = Series(vt, 8, {(0, 0, 5, 2): 1, (0, 0, 1, 1): 2})
     m = HookMultSeries(2, 0, 6, deep)
@@ -252,12 +252,12 @@ def test_mult_series_geometric_t_form():
     # all single-row partitions <=> 1/(1 - t1)
     e = HookExpansion(2, 0, 7, {(m,): 1 for m in range(8)})
     t = encode_hook_mult(e)
-    geo = expand_factor(VarSet.vty(2, 0), [("t1", -1, -1)], 7)
+    geo = expand_factor(vty(2, 0), [("t1", -1, -1)], 7)
     assert t.series == geo
 
 
 def test_decompose_synthesize_identity():
-    g = expand_factor(VarSet.ty(2, 0), [("t1", 1, 1), ("t2", 1, 1),
+    g = expand_factor(ty(2, 0), [("t1", 1, 1), ("t2", 1, 1),
                                     ("t1", -1, -1), ("t2", -1, -1)], 8)
     e = hs_decompose(g, 2, 0)
     assert e.to_series() == g

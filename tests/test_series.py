@@ -3,14 +3,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cochar.series import expand_factor, norm_coeff, Series, VarSet
+from cochar.series import expand_factor, norm_coeff, Series, ty, vty
 
-T1 = VarSet.ty(1, 0)
-T2 = VarSet.ty(2, 0)
+T1 = ty(1, 0)
+T2 = ty(2, 0)
 
 
 def series_strategy(vars_, bound, max_terms=6):
-    exps = st.tuples(*[st.integers(0, bound) for _ in range(vars_.arity)]).filter(
+    exps = st.tuples(*[st.integers(0, bound) for _ in range(len(vars_))]).filter(
         lambda e: sum(e) <= bound)
     coeffs = st.one_of(st.integers(-9, 9),
                        st.fractions(min_value=-3, max_value=3, max_denominator=4))
@@ -47,14 +47,13 @@ def test_series_exponents_are_integers_only(exps):
         Series(T1, 3, {exps: 1})
 
 
-def test_varset_names():
-    vty = VarSet.vty(2, 3)
-    assert vty.names == ("v1", "v2", "t1", "t2", "y1", "y2", "y3")
-    assert vty.index("y2") == 5
-    with pytest.raises(ValueError):
-        vty.index("z1")
-    with pytest.raises(ValueError):
-        VarSet(("a", "a"))
+def test_variable_names():
+    assert vty(2, 3) == ("v1", "v2", "t1", "t2", "y1", "y2", "y3")
+    assert ty(0, 2) == ("y1", "y2")
+    with pytest.raises(ValueError, match=r"duplicate variable names in \('a', 'a'\)"):
+        Series(("a", "a"), 3)
+    with pytest.raises(ValueError, match="unknown variable 'z1'"):
+        expand_factor(vty(2, 3), [("z1", 1, 1)], 3)
 
 
 def test_constructor_normalizes():
@@ -84,6 +83,21 @@ def test_mul_truncates_to_min_bound():
     p = a * b
     assert p.bound == 3
     assert p.terms == {(0,): 1, (1,): 1}  # t^4 and t^5 fall away
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_add_truncates_to_min_bound(swap):
+    a = Series(T1, 5, {(5,): 1, (3,): 2, (0,): 1})
+    b = Series(T1, 3, {(3,): -2, (1,): 1})
+    s = b + a if swap else a + b
+    assert s.bound == 3
+    assert s.terms == {(0,): 1, (1,): 1}  # t^5 falls away, t^3 cancels
+
+
+def test_scale_by_zero_is_the_zero_series():
+    a = Series(ty(1, 1), 4, {(1, 0): 3, (0, 2): Fraction(1, 2)})
+    assert a.scale(0) == Series.zero(ty(1, 1), 4)
+    assert (0 * a).is_zero() and (0 * a).bound == 4
 
 
 def test_pow():
@@ -146,7 +160,7 @@ def test_expand_factor_inverse_pairs():
 
 
 @pytest.mark.parametrize("vars_, base", [(T1, "t1"), (T2, "t2"), (T2, (1, 1)), (T2, (0, 3)),
-                                          (VarSet.ty(2, 1), "y1"), (VarSet.ty(2, 1), (2, 0, 1))])
+                                          (ty(2, 1), "y1"), (ty(2, 1), (2, 0, 1))])
 @pytest.mark.parametrize("bound", [0, 1, 4, 9])
 def test_expand_factor_power_times_its_inverse_is_one(vars_, base, bound):
     for sign in (1, -1):

@@ -44,4 +44,4 @@ def test_every_public_name_resolves():
     assert {"verify", *cochar._VERIFY_NAMES} <= set(cochar.__all__)
     for name in cochar.__all__:
         assert getattr(cochar, name) is not None, name
-    assert len(cochar.__all__) == 46
+    assert len(cochar.__all__) == 45
