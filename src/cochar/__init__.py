@@ -14,11 +14,7 @@ from cochar.partitions import (
     vertical_strips,
     weight,
 )
-from cochar.series import (
-    expand_factor,
-    norm_coeff,
-    Series,
-)
+from cochar.series import expand_factor, Series
 from cochar.hooks import (
     decode_hook_mult,
     encode_hook_mult,

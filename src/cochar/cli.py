@@ -13,7 +13,7 @@ Subcommands:
   ``--vars`` or ``--hook``.
 * ``verify``   — run a named check suite and report pass/fail per check.
 
-Every route is exact (integer / rational arithmetic throughout); whenever
+Every route is exact (integer arithmetic throughout); whenever
 more than one route is requested the tool insists on exact agreement and
 exits nonzero with a diff report otherwise.  Output is deterministic:
 repeated runs produce identical bytes.

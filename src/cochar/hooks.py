@@ -53,10 +53,9 @@ from cochar.partitions import (
     partitions_of,
     weight,
 )
-from cochar.series import (_exact, _field, _ints, _list, _new_term, norm_coeff, Coeff, Exps,
-                           Series, ty, vty)
+from cochar.series import _coeff, _exact, _field, _ints, _list, _new_term, Exps, Series, ty, vty
 
-Slice = dict[Exps, dict[int, Coeff]]  # one degree of the peel's input, see _peel
+Slice = dict[Exps, dict[int, int]]  # one degree of the peel's input, see _peel
 
 
 @lru_cache(maxsize=None)
@@ -127,14 +126,14 @@ class HookExpansion:
 
     The constructor validates what it is given.  Operations of this module
     pass ``_raw=True`` instead: their results are built from canonical
-    in-hook partitions of weight at most ``bound`` with nonzero normalized
+    in-hook partitions of weight at most ``bound`` with nonzero int
     coefficients, and the new expansion takes ownership of that dict.
     """
 
     __slots__ = ("k", "l", "bound", "coeffs")
 
     def __init__(self, k: int, l: int, bound: int,
-                 coeffs: Mapping[tuple[int, ...], Coeff] | None = None, *,
+                 coeffs: Mapping[tuple[int, ...], int] | None = None, *,
                  _raw: bool = False):
         if k < 0 or l < 0 or k + l < 1:
             raise ValueError("need a nonempty hook")
@@ -146,15 +145,14 @@ class HookExpansion:
         if _raw:
             self.coeffs = coeffs if coeffs is not None else {}
             return
-        clean: dict[tuple[int, ...], Coeff] = {}
+        clean: dict[tuple[int, ...], int] = {}
         for lam, c in (coeffs or {}).items():
             lam = partition(lam)
             if not in_hook(lam, k, l):
                 raise ValueError(f"partition {lam} lies outside the ({k},{l}) hook")
             if weight(lam) > bound:
                 continue
-            c = norm_coeff(c)
-            if c:
+            if _coeff(c):
                 clean[lam] = c
         self.coeffs = clean
 
@@ -165,7 +163,7 @@ class HookExpansion:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, lam: Sequence[int]) -> Coeff:
+    def coefficient(self, lam: Sequence[int]) -> int:
         return self.coeffs.get(partition(lam), 0)
 
     def support(self) -> list[tuple[int, ...]]:
@@ -185,21 +183,19 @@ class HookExpansion:
         if (self.k, self.l) != (other.k, other.l):
             raise ValueError("mismatched hooks")
         bound = min(self.bound, other.bound)
-        acc: dict[tuple[int, ...], Coeff] = {}
+        acc: dict[tuple[int, ...], int] = {}
         for items in (self.coeffs.items(), other.coeffs.items()):
             for lam, c in items:
                 if sum(lam) <= bound:
                     acc[lam] = acc.get(lam, 0) + c
         return HookExpansion(self.k, self.l, bound,
-                             {lam: norm_coeff(c) for lam, c in acc.items() if c}, _raw=True)
+                             {lam: c for lam, c in acc.items() if c}, _raw=True)
 
-    def scale(self, c: Coeff) -> "HookExpansion":
-        c = norm_coeff(c)
-        if not c:
+    def scale(self, c: int) -> "HookExpansion":
+        if not _coeff(c):
             return HookExpansion(self.k, self.l, self.bound)
         return HookExpansion(self.k, self.l, self.bound,
-                             {lam: norm_coeff(v * c) for lam, v in self.coeffs.items()},
-                             _raw=True)
+                             {lam: v * c for lam, v in self.coeffs.items()}, _raw=True)
 
     def to_series(self) -> Series:
         """Synthesize sum of coeff * hook Schur polynomial."""
@@ -217,7 +213,7 @@ def _arrangements(block: Sequence[int]) -> int:
     return out
 
 
-def _block_sorted_terms(terms: dict[Exps, Coeff], k: int, l: int, n: int) -> Slice:
+def _block_sorted_terms(terms: dict[Exps, int], k: int, l: int, n: int) -> Slice:
     """The terms with weakly decreasing t- and y-exponents, for block-symmetric
     input, as the slice of degree n (see :func:`_peel`).
 
@@ -242,7 +238,7 @@ def _block_sorted_terms(terms: dict[Exps, Coeff], k: int, l: int, n: int) -> Sli
     return grouped
 
 
-def _symmetric_slices(coeffs: Mapping[tuple[int, ...], Coeff], k: int,
+def _symmetric_slices(coeffs: Mapping[tuple[int, ...], int], k: int,
                       l: int) -> list[tuple[int, Slice]]:
     """The (degree, slice) pairs of a series symmetric in all k + l variables,
     from its coefficients at the partitions of at most k + l parts.
@@ -286,13 +282,12 @@ def hs_decompose(g: Series, k: int, l: int) -> HookExpansion:
     """
     if g.vars != ty(k, l):
         raise ValueError(f"series variables {g.vars} do not fit hook ({k},{l})")
-    by_degree: dict[int, dict[Exps, Coeff]] = {}
+    by_degree: dict[int, dict[Exps, int]] = {}
     for e, c in g.terms.items():
         by_degree.setdefault(sum(e), {})[e] = c
     coeffs = _peel(((n, _block_sorted_terms(by_degree.get(n, {}), k, l, n))
                     for n in range(g.bound + 1)), k, l)
-    return HookExpansion(k, l, g.bound, {lam: norm_coeff(c) for lam, c in coeffs.items()},
-                         _raw=True)
+    return HookExpansion(k, l, g.bound, coeffs, _raw=True)
 
 
 def _code(exps: Iterable[int], w: int) -> int:
@@ -360,7 +355,7 @@ def _alternant(alpha: tuple[int, ...], k: int, tails: dict) -> tuple[tuple[int, 
     return tuple((c, e) for e, c in acc.items() if c)
 
 
-def _schur_row(g: dict[int, Coeff], m: int, k: int, tails: dict) -> dict[tuple[int, ...], Coeff]:
+def _schur_row(g: dict[int, int], m: int, k: int, tails: dict) -> dict[tuple[int, ...], int]:
     """The nonzero coefficients of the s_alpha, |alpha| = m, in the block g:
     the sum of :func:`_alternant`'s signed codes read in g, taken straight
     from the rows of alpha's tail.  Merging the alternant first pays only
@@ -404,7 +399,7 @@ def _branch(mu: tuple[int, ...], s: int, k: int, j: int) -> tuple:
     return lam, _vertical_peels(lam, k, j)[1:]
 
 
-def _peel(slices: Iterable[tuple[int, Slice]], k: int, l: int) -> dict[tuple[int, ...], Coeff]:
+def _peel(slices: Iterable[tuple[int, Slice]], k: int, l: int) -> dict[tuple[int, ...], int]:
     """The solve of :func:`hs_decompose` on (degree, slice) pairs, one y
     variable at a time: the nonzero coefficient of each hook partition.
 
@@ -442,9 +437,9 @@ def _peel(slices: Iterable[tuple[int, Slice]], k: int, l: int) -> dict[tuple[int
     tails: dict = {}
     alternants: dict[int, list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]] = {}
     plans: list[dict] = [{} for _ in range(l + 1)]
-    coeffs: dict[tuple[int, ...], Coeff] = {}
+    coeffs: dict[tuple[int, ...], int] = {}
     for n, grouped in slices:
-        level: dict[Exps, dict[tuple[int, ...], Coeff]] = {}
+        level: dict[Exps, dict[tuple[int, ...], int]] = {}
         for y, g in grouped.items():
             m = n - sum(y)
             if not l:  # the one block () of its degree
@@ -462,7 +457,7 @@ def _peel(slices: Iterable[tuple[int, Slice]], k: int, l: int) -> dict[tuple[int
             if row:
                 level[y] = row
         for j in range(1, l + 1):
-            by_z: dict[Exps, dict[int, dict[tuple[int, ...], Coeff]]] = {}
+            by_z: dict[Exps, dict[int, dict[tuple[int, ...], int]]] = {}
             for w, row in level.items():
                 for i, s in enumerate(w):
                     if not i or w[i - 1] != s:
@@ -470,9 +465,9 @@ def _peel(slices: Iterable[tuple[int, Slice]], k: int, l: int) -> dict[tuple[int
             plan = plans[j]
             level = {}
             for z, rows in by_z.items():
-                solved: dict[tuple[int, ...], Coeff] = {}
+                solved: dict[tuple[int, ...], int] = {}
                 top = n - sum(z)
-                pushed: list[dict[tuple[int, ...], Coeff]] = [{} for _ in range(top + 1)]
+                pushed: list[dict[tuple[int, ...], int]] = [{} for _ in range(top + 1)]
                 for s in range(top + 1):
                     residual = rows.get(s)
                     p = pushed[s]
@@ -512,17 +507,17 @@ def _pieri(e: HookExpansion, size: int, vertical: bool) -> HookExpansion:
     ``size`` boxes: each lam's strip walk to that budget, keeping its strips
     of exactly ``size`` boxes, in the walk's order."""
     k, l, bound = e.k, e.l, e.bound
-    acc: dict[tuple[int, ...], Coeff] = {}
+    acc: dict[tuple[int, ...], int] = {}
     for lam, c in e.coeffs.items():
         target = sum(lam) + size
         if size >= 0 and target <= bound:
-            strips: dict[tuple[int, ...], Coeff] = {}
+            strips: dict[tuple[int, ...], int] = {}
             _walk(lam, k, l, size, c, strips, False, vertical)
             for nu in strips:
                 if sum(nu) == target:
                     acc[nu] = acc.get(nu, 0) + c
     return HookExpansion(k, l, bound,
-                         {nu: norm_coeff(c) for nu, c in acc.items() if c}, _raw=True)
+                         {nu: c for nu, c in acc.items() if c}, _raw=True)
 
 
 def hook_pieri_row(e: HookExpansion, n: int) -> HookExpansion:
@@ -546,11 +541,11 @@ def _derived(e: HookExpansion, vertical: bool, even: bool = False) -> HookExpans
     the dict's order depends only on the input's.
     """
     k, l, bound = e.k, e.l, e.bound
-    acc: dict[tuple[int, ...], Coeff] = {}
+    acc: dict[tuple[int, ...], int] = {}
     for lam, c in e.coeffs.items():
         _walk(lam, k, l, bound - sum(lam), c, acc, even, vertical)
     return HookExpansion(k, l, bound,
-                         {nu: norm_coeff(c) for nu, c in acc.items() if c}, _raw=True)
+                         {nu: c for nu, c in acc.items() if c}, _raw=True)
 
 
 def hook_row_derived(e: HookExpansion) -> HookExpansion:
@@ -641,7 +636,7 @@ class HookMultSeries:
         return (f"HookMultSeries(k={self.k}, l={self.l}, bound={self.bound}, "
                 f"{len(self.series.terms)} terms)")
 
-    def coefficient(self, lam: Sequence[int]) -> Coeff:
+    def coefficient(self, lam: Sequence[int]) -> int:
         lam = partition(lam)
         if len(lam) > self.k and lam[self.k] > self.l:
             return 0
@@ -671,16 +666,13 @@ class HookMultSeries:
         if len(hook) != 2:
             raise ValueError(f"field 'hook' has a bad value {obj['hook']!r}")
         k, l = hook
-        terms: dict[Exps, Coeff] = {}
+        terms: dict[Exps, int] = {}
         for row in _field(obj, "terms", _list):
             lam0, mu, nu = (_field(row, name, _ints) for name in ("lambda0", "mu", "nu"))
             if len(lam0) != k or len(mu) != k or len(nu) != l:
                 raise ValueError("split widths do not match the hook")
             exps = _new_term(terms, lam0 + mu + nu, bound)
-            try:
-                terms[exps] = _field(row, "coeff", lambda c: norm_coeff(_exact(c)))
-            except ZeroDivisionError:
-                raise ValueError(f"term {exps} has a zero denominator") from None
+            terms[exps] = _field(row, "coeff", _exact)
         series = Series(vty(k, l), bound, terms)
         return cls(k, l, bound, series)
 
@@ -711,7 +703,7 @@ def _utn_hook_expansion(n: int, k: int, l: int, bound: int) -> HookExpansion:
         acc = hook_pieri_row(b, 1) + b.scale(-1) + unit.scale(comb(n, j))
     total = hook_grassmann_derived(acc)
     for lam, c in total.coeffs.items():
-        if not isinstance(c, int) or c < 0:
+        if c < 0:
             raise ValueError(f"multiplicity of {lam} is {c}, not a nonnegative integer")
     return total
 

@@ -1,39 +1,27 @@
-"""Sparse multivariate power series with exact rational coefficients.
+"""Sparse multivariate power series with exact integer coefficients.
 
 A :class:`Series` is a finite dict mapping exponent vectors to nonzero
-``Fraction``/``int`` coefficients, together with a total-degree truncation
-``bound``.  Every operation is exact: terms of total degree at most ``bound``
-are always correct, and nothing above the bound is stored.
+``int`` coefficients, together with a total-degree truncation ``bound``.
+Every operation is exact: terms of total degree at most ``bound`` are always
+correct, and nothing above the bound is stored.
 
 There is one product, :meth:`Series.__mul__`: :func:`expand_factor` builds
 each factor ``(1 + s*x^e)^p`` as its own truncated series and multiplies it in.
-
-``fractions`` is imported only where a ``Fraction`` is built or parsed, so
-that integer-only work does not load it (nor ``decimal`` through it).
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, Union
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from typing import Callable, Iterable, Mapping, Sequence
 
 Exps = tuple[int, ...]
-Coeff = Union[int, "Fraction"]
 
 
-def norm_coeff(c: Coeff | str) -> Coeff:
-    """Normalize to int when integral, Fraction otherwise; refuse a float or a bool."""
-    if type(c) is int:
-        return c
-    if isinstance(c, (float, bool)):
-        raise ValueError(f"coefficient {c!r} is not exact")
-    from fractions import Fraction
-
-    f = Fraction(c)
-    return int(f) if f.denominator == 1 else f
+def _coeff(c: object) -> int:
+    """``c`` if it is an int; a ValueError for anything else, a bool included."""
+    if type(c) is not int:
+        raise ValueError(f"coefficient {c!r} is not an int")
+    return c
 
 
 def ty(k: int, l: int) -> tuple[str, ...]:
@@ -52,7 +40,7 @@ class Series:
     __slots__ = ("vars", "bound", "terms")
 
     def __init__(self, vars_: tuple[str, ...], bound: int,
-                 terms: Mapping[Exps, Coeff] | None = None, *, _raw: bool = False):
+                 terms: Mapping[Exps, int] | None = None, *, _raw: bool = False):
         if bound < 0:
             raise ValueError("bound must be nonnegative")
         if not _raw and len(set(vars_)) != len(vars_):
@@ -60,19 +48,18 @@ class Series:
         self.vars = vars_
         self.bound = bound
         if terms is None:
-            self.terms: dict[Exps, Coeff] = {}
+            self.terms: dict[Exps, int] = {}
         elif _raw:
             self.terms = dict(terms)
         else:
-            clean: dict[Exps, Coeff] = {}
+            clean: dict[Exps, int] = {}
             for exps, c in terms.items():
                 exps = _exponents(exps, "exponent vector")
                 if len(exps) != len(vars_):
                     raise ValueError(f"exponent vector {exps} has wrong arity")
                 if sum(exps) > bound:
                     continue
-                c = norm_coeff(c)
-                if c:
+                if _coeff(c):
                     clean[exps] = c
             self.terms = clean
 
@@ -91,7 +78,7 @@ class Series:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, exps: Sequence[int]) -> Coeff:
+    def coefficient(self, exps: Sequence[int]) -> int:
         return self.terms.get(tuple(exps), 0)
 
     def truncate(self, bound: int) -> "Series":
@@ -128,7 +115,7 @@ class Series:
                 continue
             s = out.get(e, 0) + c
             if s:
-                out[e] = norm_coeff(s)
+                out[e] = s
             else:
                 out.pop(e, None)
         return Series(self.vars, bound, out, _raw=True)
@@ -139,30 +126,25 @@ class Series:
     def __sub__(self, other: "Series") -> "Series":
         return self + (-other)
 
-    def scale(self, c: Coeff) -> "Series":
-        c = norm_coeff(c)
-        if not c:
+    def scale(self, c: int) -> "Series":
+        if not _coeff(c):
             return Series.zero(self.vars, self.bound)
         return Series(self.vars, self.bound,
-                      {e: norm_coeff(v * c) for e, v in self.terms.items()}, _raw=True)
+                      {e: v * c for e, v in self.terms.items()}, _raw=True)
 
     def __mul__(self, other):
         if not isinstance(other, Series):
-            from fractions import Fraction
-
-            if isinstance(other, (int, Fraction)):
-                return self.scale(other)
-            return NotImplemented
+            return self.scale(other) if isinstance(other, int) else NotImplemented
         self._check_compatible(other)
         bound = min(self.bound, other.bound)
         # grade by total degree so high-degree pairs are pruned early
-        by_deg_a: dict[int, list[tuple[Exps, Coeff]]] = {}
+        by_deg_a: dict[int, list[tuple[Exps, int]]] = {}
         for e, c in self.terms.items():
             by_deg_a.setdefault(sum(e), []).append((e, c))
-        by_deg_b: dict[int, list[tuple[Exps, Coeff]]] = {}
+        by_deg_b: dict[int, list[tuple[Exps, int]]] = {}
         for e, c in other.terms.items():
             by_deg_b.setdefault(sum(e), []).append((e, c))
-        out: dict[Exps, Coeff] = {}
+        out: dict[Exps, int] = {}
         for da, items_a in by_deg_a.items():
             for db, items_b in by_deg_b.items():
                 if da + db > bound:
@@ -175,8 +157,7 @@ class Series:
                             out[key] = s
                         else:
                             del out[key]
-        return Series(self.vars, bound,
-                      {e: norm_coeff(c) for e, c in out.items() if c}, _raw=True)
+        return Series(self.vars, bound, out, _raw=True)
 
     __rmul__ = __mul__
 
@@ -190,33 +171,24 @@ class Series:
 
     # -- serialization -----------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Exps, Coeff]]:
+    def sorted_terms(self) -> list[tuple[Exps, int]]:
         """Graded order: ascending total degree, then descending lex exponent."""
         return sorted(self.terms.items(),
                       key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0])))
 
     def to_obj(self) -> list[dict]:
-        from fractions import Fraction
-
-        out = []
-        for e, c in self.sorted_terms():
-            f = Fraction(c)
-            out.append({"exp": list(e), "num": str(f.numerator), "den": str(f.denominator)})
-        return out
+        return [{"exp": list(e), "num": str(c), "den": "1"} for e, c in self.sorted_terms()]
 
     @classmethod
     def from_obj(cls, vars_: tuple[str, ...], bound: int, obj: Sequence[Mapping]) -> "Series":
-        from fractions import Fraction
-
         if not isinstance(obj, list):
             raise ValueError(f"want a list of terms, got {type(obj).__name__}")
-        terms: dict[Exps, Coeff] = {}
+        terms: dict[Exps, int] = {}
         for row in obj:
             exps = _new_term(terms, _field(row, "exp", _ints), bound)
-            den = _field(row, "den", lambda v: int(_exact(v)))
-            if not den:
-                raise ValueError(f"term {exps} has a zero denominator")
-            terms[exps] = Fraction(_field(row, "num", lambda v: int(_exact(v))), den)
+            if _field(row, "den", _exact) != 1:
+                raise ValueError(f"field 'den' has a bad value {row['den']!r}")
+            terms[exps] = _field(row, "num", _exact)
         return cls(vars_, bound, terms)
 
 
@@ -238,12 +210,15 @@ def _ints(value: object) -> Exps:
     return tuple(map(_json_int, _list(value)))
 
 
-def _exact(value: object) -> int | str:
-    """A JSON integer, or the string that ``to_obj`` writes for a number."""
-    return value if type(value) is str else _json_int(value)
+def _exact(value: object) -> int:
+    """A JSON integer, or the string of ASCII digits, perhaps after one ``-``,
+    that ``to_obj`` writes for one; a TypeError for anything else."""
+    if type(value) is str and value.isascii() and value.removeprefix("-").isdigit():
+        return int(value)
+    return _json_int(value)
 
 
-def _new_term(terms: Mapping[Exps, Coeff], exps: Exps, bound: int) -> Exps:
+def _new_term(terms: Mapping[Exps, int], exps: Exps, bound: int) -> Exps:
     """``exps`` of a parsed term; ``to_obj`` writes no repeated or heavy term."""
     if exps in terms:
         raise ValueError(f"term {exps} is repeated")

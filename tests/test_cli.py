@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import gc
@@ -247,9 +248,9 @@ def test_hilbert_json_matches_json_dumps(capsys, argv):
 
 
 def test_terms_writer_rejects_a_coefficient_that_is_no_int():
-    s = Series(ty(2, 0), 4, {(1, 0): 3, (0, 1): Fraction(1, 2)})
+    # no Series holds one, so the term is handed to the writer as it is
     with pytest.raises(TypeError, match="not an int"):
-        "".join(cli._terms_json(s.sorted_terms(), 2, "  "))
+        "".join(cli._terms_json([((1, 0), 3), ((0, 1), Fraction(1, 2))], 2, "  "))
     assert "".join(cli._terms_json([], 2, "  ")) == "[]"
 
 
@@ -626,6 +627,31 @@ def test_json_job_skips_json_package(tmp_path, argv):
     assert proc.returncode == 0 and proc.stderr == b"[]\n"
 
 
+def test_no_module_imports_fractions():
+    for path in (ROOT / "src" / "cochar").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "fractions" for n in names), path.name
+
+
+def test_jobs_end_without_rational_arithmetic(tmp_path):
+    # every coefficient is an int: the check suites and a JSON job load no fractions
+    code = """if True:
+        import sys, cochar.cli
+        cochar.cli.main(["verify", "--suite", "all"])
+        cochar.cli.main(["hookmult", "--algebra", "UT3E", "--hook", "1,1", "--trunc", "8",
+                         "--format", "json"])
+        print("fractions" in sys.modules, file=sys.stderr)
+    """
+    proc = _subprocess(["-c", code], tmp_path)
+    assert proc.returncode == 0 and proc.stderr == b"False\n"
+
+
 def test_valid_jobs_skip_argparse(tmp_path):
     # argparse, its gettext and the locale that gettext loads cost about
     # 4 ms a job; only help and errors build the parser
@@ -824,12 +850,25 @@ def _known_jobs():
     spec = json.loads((ROOT / "bench" / "spec.json").read_text())
     jobs = [job["args"] for w in spec["workloads"].values()
             for job in [*w["family"], w["smoke"]]]
-    ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
-    jobs += [m.split() for m in re.findall(
-        r"\b((?:hilbert|mult|hookmult|table|verify)(?: +--[a-z]+ +[\w,.][\w,.-]*)+)", ci)]
+    jobs += _ci_jobs((ROOT / ".github" / "workflows" / "ci.yml").read_text())
     readme = (ROOT / "README.md").read_text()
     jobs += [m.split() for m in re.findall(r"^cochar (.+)$", readme, re.M)]
     return jobs
+
+
+def _ci_jobs(text):
+    """The jobs of a CI file, each command read across its backslash continuations."""
+    return [m.split() for m in re.findall(
+        r"\b((?:hilbert|mult|hookmult|table|verify)(?: +--[a-z]+ +[\w,.][\w,.-]*)+)",
+        re.sub(r"\\\n\s*", " ", text))]
+
+
+def test_ci_jobs_are_read_across_continued_lines():
+    text = ("      - run: |\n          python -m cochar mult --algebra UT2E --vars 2 \\\n"
+            "            --trunc 6 --format csv\n          python -m cochar verify --suite all\n")
+    assert _ci_jobs(text) == [
+        ["mult", "--algebra", "UT2E", "--vars", "2", "--trunc", "6", "--format", "csv"],
+        ["verify", "--suite", "all"]]
 
 
 KNOWN_JOBS = _known_jobs()
