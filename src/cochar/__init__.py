@@ -16,7 +16,6 @@ from cochar.partitions import (
 )
 from cochar.series import expand_factor, Series
 from cochar.hooks import (
-    decode_hook_mult,
     encode_hook_mult,
     hook_col_derived,
     hook_even_col_derived,
@@ -26,7 +25,6 @@ from cochar.hooks import (
     hook_pieri_row,
     hook_row_derived,
     HookExpansion,
-    HookMultSeries,
     hs_decompose,
     hs_poly,
     utn_hook_mult_series,

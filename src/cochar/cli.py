@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Sequence
 
 from .closed_forms import closed_table
 from .hilbert import _graded_terms, _sorted_coefficients
-from .hooks import _peel, _symmetric_slices, _utn_hook_expansion
+from .hooks import _peel, _symmetric_slices, utn_hook_mult_series
 from .partitions import _format_partition, _hook_partitions_upto, _split_exps
 from .series import ty
 
@@ -133,7 +133,7 @@ def _routes(n: int, k: int, l: int, trunc: int, domain: list) -> dict[str, Calla
             raise ValueError(f"{route} route: {_format_partition(lam)} lies outside the domain")
         return got
 
-    routes = {"pipeline": lambda: read("pipeline", _utn_hook_expansion(n, k, l, trunc).coeffs),
+    routes = {"pipeline": lambda: read("pipeline", utn_hook_mult_series(n, k, l, trunc).coeffs),
               "decompose": lambda: read("decompose", _raw_expansion(n, k, l, trunc))}
     tag = _closed_tag(n, k, l)
     if tag is not None:
@@ -224,8 +224,8 @@ def _terms_json(terms: Iterable, arity: int, pad: str) -> Iterable[str]:
 
 def _hook_series_json(rows: list, k: int, l: int, trunc: int) -> str:
     """The ``series`` member of a hookmult job's JSON document: what
-    ``json.dumps`` writes for ``encode_hook_mult(e).to_obj()``, e the
-    expansion of the (k, l) job's nonzero ``rows``.
+    ``json.dumps`` writes for ``e.to_obj()``, e the hook expansion of the
+    (k, l) job's nonzero ``rows``.
 
     to_obj sorts its terms by (|lam|, lam), since the split exponents of lam
     sum to |lam| and assemble back to lam, so each row is split once, in

@@ -20,7 +20,7 @@ from itertools import accumulate
 from math import comb
 from operator import add, mul
 
-from cochar.hooks import HookMultSeries, utn_hook_mult_series
+from cochar.hooks import HookExpansion, utn_hook_mult_series
 from cochar.series import Series, ty
 
 
@@ -92,12 +92,14 @@ def utn_hilbert(n: int, d: int, bound: int) -> Series:
     return utn_double_hilbert(n, d, 0, bound)
 
 
-def utn_mult_series(n: int, d: int, bound: int) -> HookMultSeries:
+def utn_mult_series(n: int, d: int, bound: int) -> HookExpansion:
     """Multiplicity series M(UT_n(E); T_d) of the triangular algebra over E.
 
     Schur functions in d variables are the hook Schur functions of the (d, 0)
-    hook, so this is :func:`cochar.hooks.utn_hook_mult_series` with ``l = 0``,
-    whose split monomial at lam is t^lam.
+    hook, so this is the (d, 0) expansion of
+    :func:`cochar.hooks.utn_hook_mult_series`, a Schur expansion in d
+    variables; its split monomial at lam (:func:`cochar.hooks.encode_hook_mult`)
+    is t^lam.
     """
     return utn_hook_mult_series(n, d, 0, bound)
 

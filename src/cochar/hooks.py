@@ -21,8 +21,9 @@ the series is symmetric in all the variables.
 With an empty second alphabet the hook Schur functions are the ordinary
 Schur functions: hs_poly(lam, d, 0, bound) is s_lam(t_1..t_d), and
 ``HookExpansion(d, 0, ...)`` is an ordinary Schur expansion in d variables.
-Every function below serves that case too, and ``HookMultSeries(d, 0, ...)``
-is the one-alphabet multiplicity series M(A; T_d): its monomial at lam is t^lam.
+Every function below serves that case too, and the (d, 0) expansion of
+:func:`utn_hook_mult_series` is the one-alphabet multiplicity series
+M(A; T_d): the monomial of :func:`encode_hook_mult` at lam is t^lam.
 
 Products of hook Schur functions expand by the ordinary Littlewood-Richardson
 rule with every summand outside the hook discarded, so the one-row and
@@ -122,7 +123,8 @@ def hs_poly(lam: Sequence[int], k: int, l: int, bound: int) -> Series:
 
 
 class HookExpansion:
-    """Sparse map partition -> coefficient over the (k,l) hook basis.
+    """Sparse map partition -> coefficient over the (k,l) hook basis, also
+    the type of a multiplicity series; :meth:`to_obj` writes its split document.
 
     The constructor validates what it is given.  Operations of this module
     pass ``_raw=True`` instead: their results are built from canonical
@@ -203,6 +205,46 @@ class HookExpansion:
         for lam, c in self.coeffs.items():
             out = out + hs_poly(lam, self.k, self.l, self.bound).scale(c)
         return out
+
+    def to_obj(self) -> dict:
+        """The split encoding as a JSON object, terms in (|lam|, lam) order.
+
+        A partition lam splits into the part inside the (l^k) rectangle, the
+        arm rows sticking out to the right, and the conjugated leg below:
+        ``lambda0``, ``mu`` and ``nu``, of k, k and l entries.
+        """
+        k, l = self.k, self.l
+        terms = []
+        for lam in self.support():
+            exps = _split_exps(lam, k, l)
+            terms.append({"lambda0": list(exps[:k]), "mu": list(exps[k:2 * k]),
+                          "nu": list(exps[2 * k:]), "coeff": str(self.coeffs[lam])})
+        return {"hook": [k, l], "terms": terms}
+
+    @classmethod
+    def from_obj(cls, obj: Mapping, bound: int) -> "HookExpansion":
+        """Inverse of :meth:`to_obj`; the object does not carry the bound.
+        Each term must be the split of a partition, and is read as that one."""
+        hook = _field(obj, "hook", _ints)
+        if len(hook) != 2:
+            raise ValueError(f"field 'hook' has a bad value {obj['hook']!r}")
+        k, l = hook
+        terms: dict[Exps, int] = {}
+        for row in _field(obj, "terms", _list):
+            lam0, mu, nu = (_field(row, name, _ints) for name in ("lambda0", "mu", "nu"))
+            if len(lam0) != k or len(mu) != k or len(nu) != l:
+                raise ValueError("split widths do not match the hook")
+            terms[_new_term(terms, lam0 + mu + nu, bound)] = _field(row, "coeff", _exact)
+        coeffs: dict[tuple[int, ...], int] = {}
+        for exps, c in terms.items():
+            try:
+                lam = partition(_assemble_exps(exps, k, l))
+            except ValueError:  # rows that are no partition
+                lam = None
+            if lam is None or _split_exps(lam, k, l) != exps:
+                raise ValueError(f"{exps} is not a valid ({k}, {l}) split")
+            coeffs[lam] = c
+        return cls(k, l, bound, coeffs, _raw=True)
 
 
 def _arrangements(block: Sequence[int]) -> int:
@@ -591,109 +633,27 @@ def hook_grassmann_derived_power(e: HookExpansion, j: int) -> HookExpansion:
     return e
 
 
-# -- the split-variable encoding ---------------------------------------------
+# -- the split-variable encoding and the pipeline ----------------------------
 
 
-class HookMultSeries:
-    """Series over v_1..v_k, t_1..t_k, y_1..y_l encoding a hook expansion.
-
-    A partition lam splits into the part inside the (l^k) rectangle, the arm
-    rows sticking out to the right, and the conjugated leg below; the encoded
-    monomial is v^rectangle t^arm y^leg.  The constructor checks that the rows
-    of every monomial split back to it; :func:`encode_hook_mult` passes
-    ``_raw=True`` instead, for a series it split from a hook expansion itself.
-    """
-
-    __slots__ = ("k", "l", "bound", "series")
-
-    def __init__(self, k: int, l: int, bound: int, series: Series, *,
-                 _raw: bool = False):
-        if not _raw:
-            if k < 0 or l < 0 or k + l < 1:
-                raise ValueError("need a nonempty hook")
-            if series.vars != vty(k, l):
-                raise ValueError("series variables do not match the split encoding")
-            for e in series.terms:
-                try:
-                    valid = _split_exps(partition(_assemble_exps(e, k, l)), k, l) == e
-                except ValueError:  # rows that are no partition
-                    valid = False
-                if not valid:
-                    raise ValueError(f"{e} is not a valid ({k}, {l}) split")
-            series = series.truncate(bound)
-        self.k = k
-        self.l = l
-        self.bound = bound
-        self.series = series
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HookMultSeries):
-            return NotImplemented
-        return ((self.k, self.l, self.bound) == (other.k, other.l, other.bound)
-                and self.series.terms == other.series.terms)
-
-    def __repr__(self) -> str:
-        return (f"HookMultSeries(k={self.k}, l={self.l}, bound={self.bound}, "
-                f"{len(self.series.terms)} terms)")
-
-    def coefficient(self, lam: Sequence[int]) -> int:
-        lam = partition(lam)
-        if len(lam) > self.k and lam[self.k] > self.l:
-            return 0
-        return self.series.terms.get(_split_exps(lam, self.k, self.l), 0)
-
-    def to_obj(self) -> dict:
-        k, l = self.k, self.l
-        rows = sorted((sum(exps), _assemble_exps(exps, k, l), exps, c)
-                      for exps, c in self.series.terms.items())
-        return {
-            "hook": [k, l],
-            "terms": [
-                {
-                    "lambda0": list(exps[:k]),
-                    "mu": list(exps[k : 2 * k]),
-                    "nu": list(exps[2 * k :]),
-                    "coeff": str(c),
-                }
-                for _, _, exps, c in rows
-            ],
-        }
-
-    @classmethod
-    def from_obj(cls, obj: Mapping, bound: int) -> "HookMultSeries":
-        """Inverse of :meth:`to_obj`; the object does not carry the bound."""
-        hook = _field(obj, "hook", _ints)
-        if len(hook) != 2:
-            raise ValueError(f"field 'hook' has a bad value {obj['hook']!r}")
-        k, l = hook
-        terms: dict[Exps, int] = {}
-        for row in _field(obj, "terms", _list):
-            lam0, mu, nu = (_field(row, name, _ints) for name in ("lambda0", "mu", "nu"))
-            if len(lam0) != k or len(mu) != k or len(nu) != l:
-                raise ValueError("split widths do not match the hook")
-            exps = _new_term(terms, lam0 + mu + nu, bound)
-            terms[exps] = _field(row, "coeff", _exact)
-        series = Series(vty(k, l), bound, terms)
-        return cls(k, l, bound, series)
-
-
-def encode_hook_mult(e: HookExpansion) -> HookMultSeries:
-    """Pack a hook expansion into the split-variable series."""
+def encode_hook_mult(e: HookExpansion) -> Series:
+    """The split-variable series of a hook expansion, over v_1..v_k, t_1..t_k,
+    y_1..y_l: the coefficient of lam at v^rectangle t^arm y^leg (see
+    :meth:`HookExpansion.to_obj`)."""
     terms = {_split_exps(lam, e.k, e.l): c for lam, c in e.coeffs.items()}
-    return HookMultSeries(e.k, e.l, e.bound,
-                          Series(vty(e.k, e.l), e.bound, terms, _raw=True), _raw=True)
+    return Series(vty(e.k, e.l), e.bound, terms, _raw=True)
 
 
-def decode_hook_mult(m: HookMultSeries) -> HookExpansion:
-    """Unpack the split-variable series back to the hook basis (inverse); the
-    constructor or :func:`encode_hook_mult` checked every monomial."""
-    return HookExpansion(m.k, m.l, m.bound,
-                         {_assemble_exps(exps, m.k, m.l): c
-                          for exps, c in m.series.terms.items()}, _raw=True)
+def utn_hook_mult_series(n: int, k: int, l: int, bound: int) -> HookExpansion:
+    """Multiplicity series of the triangular algebra over E in the hook basis.
 
-
-def _utn_hook_expansion(n: int, k: int, l: int, bound: int) -> HookExpansion:
-    """The hook expansion that :func:`utn_hook_mult_series` encodes."""
+    The hook expansion of sum_{j=1}^{n} C(n,j) G^j L^(j-1), where G is the
+    hook Grassmann step and L = hs_(1) - 1 with hs_(1) = sum t + sum y.  G
+    is multiplication in the hook quotient ring, so it commutes with L, and
+    the sum is taken in Horner form G(C(n,1) + L G(C(n,2) + ... + L G(C(n,n)))):
+    n Grassmann steps, and each L is the one-box Pieri step minus the
+    identity.  Final coefficients must be nonnegative integers.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     unit = HookExpansion.unit(k, l, bound)
@@ -706,16 +666,3 @@ def _utn_hook_expansion(n: int, k: int, l: int, bound: int) -> HookExpansion:
         if c < 0:
             raise ValueError(f"multiplicity of {lam} is {c}, not a nonnegative integer")
     return total
-
-
-def utn_hook_mult_series(n: int, k: int, l: int, bound: int) -> HookMultSeries:
-    """Split-encoded multiplicity series of the triangular algebra over E.
-
-    The hook expansion of sum_{j=1}^{n} C(n,j) G^j L^(j-1), where G is the
-    hook Grassmann step and L = hs_(1) - 1 with hs_(1) = sum t + sum y.  G
-    is multiplication in the hook quotient ring, so it commutes with L, and
-    the sum is taken in Horner form G(C(n,1) + L G(C(n,2) + ... + L G(C(n,n)))):
-    n Grassmann steps, and each L is the one-box Pieri step minus the
-    identity.  Final coefficients must be nonnegative integers.
-    """
-    return encode_hook_mult(_utn_hook_expansion(n, k, l, bound))

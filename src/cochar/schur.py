@@ -5,8 +5,8 @@ Ordinary Schur functions are the hook Schur functions of the (d, 0) hook
 series in d variables decomposes as ``hs_decompose(g, d, 0)``, and the Pieri
 steps and derived operators are those of :mod:`cochar.hooks` at ``l = 0``.
 The one-alphabet multiplicity series M(A; T_d) is the (d, 0)
-:class:`cochar.hooks.HookMultSeries`: with no leg and an empty rectangle its
-monomial at lam is t^lam.
+:class:`cochar.hooks.HookExpansion`: with no leg and an empty rectangle its
+split monomial at lam is t^lam.
 
 bench/tracer.py resolves the names below when it installs its span table,
 and cochar.operators for the same reason; without them its span pass stops

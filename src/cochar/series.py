@@ -81,13 +81,6 @@ class Series:
     def coefficient(self, exps: Sequence[int]) -> int:
         return self.terms.get(tuple(exps), 0)
 
-    def truncate(self, bound: int) -> "Series":
-        """Lower (or raise) the truncation bound; raising adds no information."""
-        if bound >= self.bound:
-            return Series(self.vars, bound, self.terms, _raw=True)
-        return Series(self.vars, bound,
-                      {e: c for e, c in self.terms.items() if sum(e) <= bound}, _raw=True)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
@@ -211,11 +204,14 @@ def _ints(value: object) -> Exps:
 
 
 def _exact(value: object) -> int:
-    """A JSON integer, or the string of ASCII digits, perhaps after one ``-``,
-    that ``to_obj`` writes for one; a TypeError for anything else."""
+    """A nonzero JSON integer, or the string of ASCII digits, perhaps after one
+    ``-``, that ``to_obj`` writes for one; a TypeError for anything else, zero
+    included, since no writer writes a zero coefficient."""
     if type(value) is str and value.isascii() and value.removeprefix("-").isdigit():
-        return int(value)
-    return _json_int(value)
+        value = int(value)
+    if not _json_int(value):
+        raise TypeError(value)
+    return value
 
 
 def _new_term(terms: Mapping[Exps, int], exps: Exps, bound: int) -> Exps:

@@ -9,8 +9,8 @@ import pytest
 
 from cochar import cli, hooks, verify
 from cochar.hilbert import utn_mult_series
-from cochar.hooks import (decode_hook_mult, encode_hook_mult, hook_row_derived, HookExpansion,
-                          utn_hook_mult_series)
+from cochar.hooks import hook_row_derived, HookExpansion, utn_hook_mult_series
+from cochar.series import Series, vty
 
 ACCEPTANCE = verify.SUITES["acceptance"]
 
@@ -74,7 +74,7 @@ def test_operator_identities_catch_a_wrong_multiplicity(monkeypatch, wrong_n):
         m = utn_mult_series(n, d, bound)
         if n != wrong_n:
             return m
-        return encode_hook_mult(decode_hook_mult(m) + HookExpansion(d, 0, bound, {(5, 2): 1}))
+        return m + HookExpansion(d, 0, bound, {(5, 2): 1})
 
     monkeypatch.setattr(verify, "utn_mult_series", off_by_one_at_52)
     result = verify.operator_identities()
@@ -121,6 +121,28 @@ def test_hook_routes_name_a_partition_the_domain_misses(monkeypatch):
     assert verify.hook_routes_ut2() == (
         "acceptance", "(2,3)-hook routes for UT_2(E)", False,
         "ValueError: pipeline route: [3,2,1] lies outside the domain")
+
+
+def test_hook_encoding_catches_a_split_that_drops_the_leg(monkeypatch):
+    # the split document and the split monomials both go through
+    # hooks._split_exps; without the leg, partitions that differ below row k
+    # share one split, and a split reads back as the first k rows
+    split = hooks._split_exps
+
+    def no_leg(lam, k, l):
+        return split(lam, k, l)[:2 * k] + (0,) * l
+
+    monkeypatch.setattr(hooks, "_split_exps", no_leg)
+    result = verify._inv_hook_encoding()
+    assert (result.suite, result.name, result.passed) == \
+        ("invariants", "hook monomial encoding", False)
+    # the monomials alone, with the document left to the true split
+    monkeypatch.undo()
+    monkeypatch.setattr(verify, "encode_hook_mult", lambda e: Series(
+        vty(e.k, e.l), e.bound, {no_leg(lam, e.k, e.l): c for lam, c in e.coeffs.items()}))
+    result = verify._inv_hook_encoding()
+    assert not result.passed
+    assert "monomial encoding round trip fails (sample 0)" in result.detail
 
 
 def test_a_check_that_raises_fails_and_the_suite_goes_on(monkeypatch):

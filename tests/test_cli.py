@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cochar import cli
 from cochar.hilbert import utn_double_hilbert, utn_hilbert, utn_mult_series
-from cochar.hooks import decode_hook_mult, encode_hook_mult, utn_hook_mult_series, HookExpansion
+from cochar.hooks import utn_hook_mult_series, HookExpansion
 from cochar.series import Series, ty
 from test_hooks import time_limit
 
@@ -94,6 +94,37 @@ def test_hookmult_json_embeds_series(capsys):
     assert {"lambda0": [1], "mu": [2], "nu": [2], "coeff": "6"} in terms
 
 
+@pytest.mark.parametrize("argv", [
+    ["--algebra", "UT2E", "--hook", "2,3", "--trunc", "8"],
+    ["--algebra", "UT2E", "--hook", "3,4", "--trunc", "8"],  # l > k
+    ["--algebra", "UT3E", "--hook", "2,3", "--trunc", "9", "--method", "decompose"],
+], ids=" ".join)
+def test_hookmult_json_series_reads_back_as_its_rows(capsys, argv):
+    # the library reader takes the CLI's split document back to the rows
+    code, out, err = run(["hookmult", *argv, "--format", "json"], capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    e = HookExpansion.from_obj(doc["series"], doc["trunc"])
+    assert [e.k, e.l] == doc["hook"] and e.bound == doc["trunc"]
+    assert e.coeffs == {tuple(r["partition"]): r["multiplicity"] for r in doc["rows"]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--algebra", "UT2E", "--vars", "3", "--trunc", "8"],
+    ["--algebra", "UT3E", "--vars", "2", "--trunc", "10", "--method", "decompose"],
+], ids=" ".join)
+def test_mult_json_series_reads_back_as_its_rows(capsys, argv):
+    # the T-form embed is m t^lam at each row (lam, m), lam padded to d parts
+    code, out, err = run(["mult", *argv, "--format", "json"], capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    s, d = doc["series"], doc["vars"]
+    assert (s["form"], s["d"], s["bound"]) == ("T", d, doc["trunc"])
+    series = Series.from_obj(ty(d, 0), s["bound"], s["terms"])
+    assert series.terms == {tuple(r["partition"]) + (0,) * (d - len(r["partition"])):
+                            r["multiplicity"] for r in doc["rows"]}
+
+
 @pytest.mark.parametrize("argv, pipeline", [
     (["mult", "--algebra", "UT2E", "--vars", "2"], "utn_mult_series"),
     (["hookmult", "--algebra", "UT2E", "--hook", "1,1"], "utn_hook_mult_series"),
@@ -103,13 +134,13 @@ def test_json_embed_runs_the_pipeline_once(capsys, monkeypatch, argv, pipeline):
     # the all-route job runs the pipeline once, and a job without the
     # pipeline route runs it not at all, with the same series
     calls = []
-    real = cli._utn_hook_expansion
+    real = cli.utn_hook_mult_series
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(cli, "_utn_hook_expansion", counted)
+    monkeypatch.setattr(cli, "utn_hook_mult_series", counted)
     argv = argv + ["--trunc", "5", "--format", "json"]
     code, full, _ = run(argv, capsys)
     assert code == 0 and len(calls) == 1
@@ -165,7 +196,7 @@ def _t_form_object(n, d, bound):
     """The mult embed as a generic writer makes it: the T-form series over
     t_1..t_d, t^lam at each partition lam of the pipeline padded with zeros
     to d parts, serialised by Series.to_obj."""
-    e = decode_hook_mult(utn_mult_series(n, d, bound))
+    e = utn_mult_series(n, d, bound)
     s = Series(ty(d, 0), bound, {lam + (0,) * (d - len(lam)): c for lam, c in e.coeffs.items()})
     return {"form": "T", "d": d, "bound": bound, "terms": s.to_obj()}
 
@@ -212,7 +243,7 @@ def test_empty_table_matches_the_generic_writer():
     assert cli._render_rows([], ["pipeline"], "csv", job) == "partition,weight,multiplicity,routes\n"
     # both embeds of a job with no nonzero row
     for writer, k, l, obj in (
-            (cli._hook_series_json, 2, 3, encode_hook_mult(HookExpansion(2, 3, 10)).to_obj()),
+            (cli._hook_series_json, 2, 3, HookExpansion(2, 3, 10).to_obj()),
             (cli._mult_series_json, 2, 0, {"form": "T", "d": 2, "bound": 10,
                                            "terms": Series(ty(2, 0), 10).to_obj()})):
         embed = json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n  ")
@@ -415,7 +446,7 @@ def test_empty_out_fails_before_the_routes(capsys, monkeypatch):
     def route(*args):
         raise AssertionError("a route ran")
 
-    monkeypatch.setattr(cli, "_utn_hook_expansion", route)
+    monkeypatch.setattr(cli, "utn_hook_mult_series", route)
     code, out, err = run(["hookmult", "--algebra", "UT2E", "--hook", "1,1", "--trunc", "4",
                           "--method", "pipeline", "--out", ""], capsys)
     assert (code, out) == (2, "")

@@ -120,11 +120,11 @@ def test_two_variable_reference_spot_values():
 
 def test_hook_reference_series_vs_pipeline():
     assert reference_series("Mhat_E_11", 10) == \
-        utn_hook_mult_series(1, 1, 1, 10).series
+        encode_hook_mult(utn_hook_mult_series(1, 1, 1, 10))
     assert reference_series("Mhat_UT2_23", 10) == \
-        utn_hook_mult_series(2, 2, 3, 10).series
+        encode_hook_mult(utn_hook_mult_series(2, 2, 3, 10))
     assert reference_series("Mhat_UT3_11", 12) == \
-        utn_hook_mult_series(3, 1, 1, 12).series
+        encode_hook_mult(utn_hook_mult_series(3, 1, 1, 12))
 
 
 REFERENCE_PINS = {
@@ -158,11 +158,11 @@ def test_g_reference_series_vs_operator_route():
     unit = HookExpansion.unit(2, 3, bound)
     seed = HookExpansion(2, 3, bound, {(1,): 1})
     assert reference_series("G1_of_1_H23", bound) == \
-        encode_hook_mult(hook_grassmann_derived(unit)).series
+        encode_hook_mult(hook_grassmann_derived(unit))
     assert reference_series("G2sq_of_1_H23", bound) == \
-        encode_hook_mult(hook_grassmann_derived_power(unit, 2)).series
+        encode_hook_mult(hook_grassmann_derived_power(unit, 2))
     assert reference_series("G2sq_of_v1_H23", bound) == \
-        encode_hook_mult(hook_grassmann_derived_power(seed, 2)).series
+        encode_hook_mult(hook_grassmann_derived_power(seed, 2))
 
 
 def test_ut2_hook_series_assembles_from_g_pieces():

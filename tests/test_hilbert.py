@@ -12,7 +12,7 @@ from cochar.hilbert import (
     utn_hilbert,
     utn_mult_series,
 )
-from cochar.hooks import decode_hook_mult, encode_hook_mult, hs_decompose
+from cochar.hooks import hs_decompose
 from cochar.partitions import part_at, partitions_of
 from cochar.series import expand_factor, Series, ty
 from test_operators import at_differences
@@ -70,18 +70,18 @@ def test_mult_series_routes_agree():
         for d in (1, 2, 3):
             direct = utn_mult_series(n, d, 8)
             via_series = hs_decompose(utn_hilbert(n, d, 8), d, 0)
-            assert direct == encode_hook_mult(via_series)
+            assert direct == via_series
 
 
 def test_one_block_mult_series_closed_form():
-    got = decode_hook_mult(utn_mult_series(1, 2, 10))
+    got = utn_mult_series(1, 2, 10)
     vv = ("v1", "v2")
     s = expand_factor(vv, [("v2", 1, 1), ("v1", -1, -1)], 10)
     assert got.coeffs == at_differences(s, 10)
 
 
 def test_two_block_mult_series_closed_form():
-    got = decode_hook_mult(utn_mult_series(2, 2, 10))
+    got = utn_mult_series(2, 2, 10)
     vv = ("v1", "v2")
     lead = expand_factor(vv, [("v2", 1, 1), ("v1", -1, -1)], 10).scale(2)
     tail = expand_factor(vv, [("v2", 1, 2), ("v1", -1, -2), ("v2", -1, -1)], 10)
@@ -101,7 +101,7 @@ def test_row_support_bound():
     # blocks n force the (n+1)-st row to stay below 2n
     for n in (1, 2):
         d = 2 * n + 1
-        for lam in decode_hook_mult(utn_mult_series(n, d, 7)).coeffs:
+        for lam in utn_mult_series(n, d, 7).coeffs:
             assert part_at(lam, n + 1) <= 2 * n - 1
         for lam in hs_decompose(utn_hilbert(n, d, 7), d, 0).coeffs:
             assert part_at(lam, n + 1) <= 2 * n - 1

@@ -25,9 +25,7 @@ from cochar.hooks import (
     _schur_row,
     _schur_terms,
     _symmetric_slices,
-    _utn_hook_expansion,
     _vertical_peels,
-    decode_hook_mult,
     encode_hook_mult,
     hook_col_derived,
     hook_even_col_derived,
@@ -40,7 +38,6 @@ from cochar.hooks import (
     hs_poly,
     utn_hook_mult_series,
     HookExpansion,
-    HookMultSeries,
 )
 from cochar.partitions import (_assemble_exps, _hook_partitions_upto, _split_exps, char_degree,
                                conjugate, partition, horizontal_strips, in_hook, partitions_of,
@@ -241,8 +238,7 @@ def test_pieri_row_rectangle_example():
         (6, 3, 2, 1): 1, (5, 3, 3, 1): 1, (5, 3, 2, 2): 1, (5, 3, 2, 1, 1): 1,
         (4, 3, 3, 2): 1, (4, 3, 3, 1, 1): 1, (4, 3, 2, 2, 1): 1, (3, 3, 3, 2, 1): 1,
     }
-    enc = encode_hook_mult(got)
-    assert enc.series.terms == {
+    assert encode_hook_mult(got).terms == {
         (3, 3, 0, 0, 3, 2, 1): 1,
         (3, 3, 1, 0, 3, 2, 0): 1,
         (3, 3, 1, 0, 2, 2, 1): 1,
@@ -260,8 +256,7 @@ def test_pieri_row_overhang_example():
     assert got.coeffs == {
         (7, 1, 1): 1, (6, 1, 1, 1): 1, (6, 2, 1): 1, (5, 3, 1): 1, (5, 2, 1, 1): 1,
     }
-    enc = encode_hook_mult(got)
-    assert enc.series.terms == {
+    assert encode_hook_mult(got).terms == {
         (2, 1, 5, 0, 1, 0): 1,
         (2, 1, 4, 0, 2, 0): 1,
         (2, 2, 4, 0, 1, 0): 1,
@@ -688,39 +683,45 @@ def test_decompose_builds_no_monomial_tables():
 
 def test_encode_single_partition_examples():
     e = HookExpansion(2, 1, 6, {(2, 1, 1): 1})
-    assert encode_hook_mult(e).series.terms == {(1, 1, 1, 0, 1): 1}
+    assert encode_hook_mult(e).terms == {(1, 1, 1, 0, 1): 1}
     e = HookExpansion(3, 1, 6, {(2, 1, 1): 1})
-    assert encode_hook_mult(e).series.terms == {(1, 1, 1, 1, 0, 0, 0): 1}
+    assert encode_hook_mult(e).terms == {(1, 1, 1, 1, 0, 0, 0): 1}
 
 
 def test_encode_decode_roundtrip():
     for k, l in ((1, 1), (2, 1), (1, 2), (2, 3)):
         for e in random_hook_expansions(k, l, 7, 3, seed=60 * k + l):
-            assert decode_hook_mult(encode_hook_mult(e)) == e
+            assert {_assemble_exps(x, k, l): c
+                    for x, c in encode_hook_mult(e).terms.items()} == e.coeffs
+            assert HookExpansion.from_obj(e.to_obj(), e.bound) == e
+
+
+def split_doc(k, l, terms):
+    """The {"hook", "terms"} document of split exponent vectors and coefficients."""
+    return {"hook": [k, l], "terms": [
+        {"lambda0": list(x[:k]), "mu": list(x[k:2 * k]), "nu": list(x[2 * k:]), "coeff": c}
+        for x, c in terms.items()]}
 
 
 def test_hook_mult_series_validation():
-    vars_ = vty(1, 1)
-    with pytest.raises(ValueError):
-        # arm present without a full rectangle row backing it
-        HookMultSeries(1, 1, 6, Series(vars_, 6, {(0, 2, 0): 1}))
-    with pytest.raises(ValueError):
-        HookMultSeries(1, 1, 6, Series(ty(1, 1), 6, {}))
+    # arm present without a full rectangle row backing it
+    with pytest.raises(ValueError, match=re.escape("(0, 2, 0) is not a valid (1, 1) split")):
+        HookExpansion.from_obj(split_doc(1, 1, {(0, 2, 0): 1}), 6)
 
 
 @pytest.mark.parametrize("k, l", [(-2, 1), (-1, 2), (0, 0), (1, -1)])
 def test_hook_mult_series_needs_a_nonempty_hook(k, l):
     with pytest.raises(ValueError, match="need a nonempty hook"):
-        HookMultSeries(k, l, 3, Series(vty(k, l), 3))
+        HookExpansion(k, l, 3)
     with pytest.raises(ValueError, match="need a nonempty hook"):
-        HookMultSeries.from_obj({"hook": [k, l], "terms": []}, 3)
+        HookExpansion.from_obj({"hook": [k, l], "terms": []}, 3)
 
 
 def test_hook_mult_series_from_obj_refuses_a_repeated_term():
     # a second row for one split is refused, not written over the first
     row = {"lambda0": [0], "mu": [1], "nu": [0], "coeff": "1"}
     with pytest.raises(ValueError, match=r"term \(0, 1, 0\) is repeated"):
-        HookMultSeries.from_obj({"hook": [1, 1], "terms": [row, dict(row, coeff="2")]}, 3)
+        HookExpansion.from_obj({"hook": [1, 1], "terms": [row, dict(row, coeff="2")]}, 3)
 
 
 @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(4, 2), 0.1, True, "3"])
@@ -730,8 +731,6 @@ def test_hook_expansion_refuses_a_non_int_coefficient(c):
         HookExpansion(1, 1, 3, {(1,): c})
     with pytest.raises(ValueError, match=message):
         hs_poly((1,), 1, 1, 3).scale(c)
-    with pytest.raises(ValueError, match=message):
-        HookMultSeries(1, 1, 3, Series(vty(1, 1), 3, {(1, 0, 0): c}))
 
 
 def test_scale_by_zero_is_the_zero_expansion():
@@ -742,26 +741,23 @@ def test_scale_by_zero_is_the_zero_expansion():
 
 def test_hook_mult_series_json_roundtrip():
     e = HookExpansion(2, 1, 8, {(2, 1, 1): 2, (3,): 1, (): 1, (4, 2): 5})
-    m = encode_hook_mult(e)
-    obj = m.to_obj()
+    obj = e.to_obj()
     assert obj["hook"] == [2, 1]
     assert obj["terms"][0] == {"lambda0": [0, 0], "mu": [0, 0], "nu": [0], "coeff": "1"}
-    back = HookMultSeries.from_obj(obj, 8)
-    assert back == m
-    assert decode_hook_mult(back) == e
+    assert HookExpansion.from_obj(obj, 8) == e
     with pytest.raises(ValueError):
-        HookMultSeries.from_obj(obj, 5)  # (4, 2) weighs 6
+        HookExpansion.from_obj(obj, 5)  # (4, 2) weighs 6
     obj["terms"][0]["coeff"] = -2
-    assert decode_hook_mult(HookMultSeries.from_obj(obj, 8)).coefficient(()) == -2
+    assert HookExpansion.from_obj(obj, 8).coefficient(()) == -2
 
 
-# to_obj writes the decimal digits of an int, after a "-" if it is negative
+# to_obj writes the decimal digits of a nonzero int, after a "-" if it is negative
 @pytest.mark.parametrize("coeff", [" 1e1 ", "1e1", "1.5", "1/2", "1/0", " 1_0", "+1", "1 ", "",
-                                   "-", "\u0663", 1.0, True, None])
+                                   "-", "\u0663", 1.0, True, None, "0", 0, "-0", "00"])
 def test_hook_mult_series_from_obj_refuses_a_coeff_that_to_obj_does_not_write(coeff):
     obj = {"hook": [1, 1], "terms": [{"lambda0": [0], "mu": [1], "nu": [0], "coeff": coeff}]}
     with pytest.raises(ValueError, match=re.escape(f"field 'coeff' has a bad value {coeff!r}")):
-        HookMultSeries.from_obj(obj, 4)
+        HookExpansion.from_obj(obj, 4)
 
 
 @pytest.mark.parametrize("k, l", [(1, 0), (3, 0), (2, 1), (1, 3), (0, 2)])
@@ -775,22 +771,22 @@ def test_hook_mult_series_obj_roundtrip(k, l, bound, picks):
     # through JSON text and back, at l = 0 (hook [d, 0], every nu empty) and
     # l > 0, the empty series included
     pool = _hook_partitions_upto(bound, k, l)
-    m = encode_hook_mult(HookExpansion(k, l, bound, {pool[i % len(pool)]: c for i, c in picks}))
-    obj = json.loads(json.dumps(m.to_obj()))
+    e = HookExpansion(k, l, bound, {pool[i % len(pool)]: c for i, c in picks})
+    obj = json.loads(json.dumps(e.to_obj()))
     assert obj["hook"] == [k, l] and all(len(t["nu"]) == l for t in obj["terms"])
-    assert len(obj["terms"]) == len(m.series.terms)
-    assert HookMultSeries.from_obj(obj, bound) == m
+    assert len(obj["terms"]) == len(e.coeffs)
+    assert HookExpansion.from_obj(obj, bound) == e
 
 
 @pytest.mark.parametrize("field", ["hook", "terms", "lambda0", "mu", "nu", "coeff"])
 def test_hook_mult_series_from_obj_names_a_missing_field(field):
-    obj = encode_hook_mult(HookExpansion(2, 1, 6, {(2, 1, 1): 3})).to_obj()
+    obj = HookExpansion(2, 1, 6, {(2, 1, 1): 3}).to_obj()
     if field in obj:
         del obj[field]
     else:
         del obj["terms"][0][field]
     with pytest.raises(ValueError, match=f"missing field '{field}'"):
-        HookMultSeries.from_obj(obj, 6)
+        HookExpansion.from_obj(obj, 6)
 
 
 @pytest.mark.parametrize("obj, message", [
@@ -821,22 +817,20 @@ def test_hook_mult_series_from_obj_names_a_missing_field(field):
 ])
 def test_hook_mult_series_from_obj_names_the_field_of_the_wrong_shape(obj, message):
     with pytest.raises(ValueError, match=message):
-        HookMultSeries.from_obj(obj, 6)
+        HookExpansion.from_obj(obj, 6)
 
 
 def test_hook_mult_series_from_obj_takes_a_json_int_coeff():
     obj = {"hook": [2, 1], "terms": [{"lambda0": [0, 0], "mu": [0, 0], "nu": [0], "coeff": 3}]}
-    assert HookMultSeries.from_obj(obj, 6) == encode_hook_mult(HookExpansion(2, 1, 6, {(): 3}))
+    assert HookExpansion.from_obj(obj, 6) == HookExpansion(2, 1, 6, {(): 3})
 
 
 def test_encode_matches_validating_constructor():
     for k, l in ((1, 1), (2, 1), (1, 2), (2, 3), (3, 0), (0, 2)):
         for e in random_hook_expansions(k, l, 8, 3, seed=70 * k + l):
             m = encode_hook_mult(e)
-            checked = HookMultSeries(k, l, e.bound, Series(m.series.vars, e.bound,
-                                                           m.series.terms))
-            assert m == checked
-            assert m.series.vars == checked.series.vars
+            assert m == Series(vty(k, l), e.bound, m.terms)
+            assert HookExpansion.from_obj(split_doc(k, l, m.terms), e.bound) == e
 
 
 def split_tuple_assemble(e, k, l):
@@ -869,7 +863,6 @@ def test_constructor_accepts_exactly_the_split_tuple_monomials():
     # every vector with entries -1..3 and |e|_1 <= 6 at each hook with k, l <= 3
     count = 0
     for k, l in ((k, l) for k in range(4) for l in range(4) if k + l):
-        vars_ = vty(k, l)
         for e in small_vectors(2 * k + l, 6):
             count += 1
             try:
@@ -878,7 +871,7 @@ def test_constructor_accepts_exactly_the_split_tuple_monomials():
             except ValueError:
                 want = False
             try:
-                HookMultSeries(k, l, 6, Series(vars_, 6, {e: 1}, _raw=True))
+                HookExpansion.from_obj(split_doc(k, l, {e: 1}), 6)
                 got = True
             except ValueError:
                 got = False
@@ -886,25 +879,23 @@ def test_constructor_accepts_exactly_the_split_tuple_monomials():
     assert count == 84279
 
 
-def validating_decode(m):
-    """decode_hook_mult as it was before it trusted its input."""
-    k, l = m.k, m.l
-    return HookExpansion(k, l, m.bound, {split_tuple_assemble(e, k, l): c
-                                         for e, c in m.series.terms.items()})
+def oracle_read(k, l, bound, terms):
+    """The expansion of split exponent vectors and coefficients, each read
+    by :func:`split_tuple_assemble`."""
+    return HookExpansion(k, l, bound, {split_tuple_assemble(e, k, l): c
+                                       for e, c in terms.items()})
 
 
-def test_trusted_decode_matches_validating_decode():
+def test_from_obj_reads_each_split_as_the_oracle_does():
     for job in ((3, 1, 1, 10), (2, 2, 3, 9), (3, 3, 0, 9), (2, 0, 2, 8)):
-        m = utn_hook_mult_series(*job)
-        assert decode_hook_mult(m) == validating_decode(m)
-    # a series from the public constructor, with a term above its bound
-    vars_ = vty(2, 1)
-    m = HookMultSeries(2, 1, 6, Series(vars_, 8, {
-        (0, 0, 0, 0, 0): 1, (1, 1, 2, 0, 2): 2, (1, 1, 0, 0, 2): -4,
-        (1, 1, 1, 1, 1): 3, (1, 1, 3, 2, 1): 7}))
-    got = decode_hook_mult(m)
-    assert got == validating_decode(m)
-    assert got.coeffs == {(): 1, (3, 1, 1, 1): 2, (1, 1, 1, 1): -4, (2, 2, 1): 3}
+        e = utn_hook_mult_series(*job)
+        terms = encode_hook_mult(e).terms
+        assert HookExpansion.from_obj(e.to_obj(), e.bound) == oracle_read(*job[1:], terms) == e
+    terms = {(0, 0, 0, 0, 0): 1, (1, 1, 2, 0, 2): 2, (1, 1, 0, 0, 2): -4,
+             (1, 1, 1, 1, 1): 3, (1, 1, 3, 2, 1): 7}
+    got = HookExpansion.from_obj(split_doc(2, 1, terms), 8)
+    assert got == oracle_read(2, 1, 8, terms)
+    assert got.coeffs == {(): 1, (3, 1, 1, 1): 2, (1, 1, 1, 1): -4, (2, 2, 1): 3, (4, 3, 1): 7}
 
 
 def json_digest(m):
@@ -925,10 +916,10 @@ def test_pipeline_to_obj_is_unchanged(job, digest):
 
 
 def test_to_obj_of_unit_and_zero():
-    unit = encode_hook_mult(HookExpansion.unit(2, 3, 10)).to_obj()
+    unit = HookExpansion.unit(2, 3, 10).to_obj()
     assert unit == {"hook": [2, 3], "terms": [
         {"lambda0": [0, 0], "mu": [0, 0], "nu": [0, 0, 0], "coeff": "1"}]}
-    assert encode_hook_mult(HookExpansion(2, 3, 10)).to_obj() == {"hook": [2, 3], "terms": []}
+    assert HookExpansion(2, 3, 10).to_obj() == {"hook": [2, 3], "terms": []}
 
 
 def test_hook_mult_series_coefficient_checks_its_argument():
@@ -945,9 +936,9 @@ def test_hook_mult_series_coefficient_checks_its_argument():
 
 def test_hook_mult_series_unit_keeps_its_bound():
     for k, l in ((2, 1), (3, 0)):
-        m = encode_hook_mult(HookExpansion.unit(k, l, 10))
-        back = HookMultSeries.from_obj(m.to_obj(), 10)
-        assert back == m
+        e = HookExpansion.unit(k, l, 10)
+        back = HookExpansion.from_obj(e.to_obj(), 10)
+        assert back == e
         assert back.bound == 10
 
 
@@ -959,14 +950,14 @@ def test_hook_mult_one_block_closed_form():
     vars_ = vty(1, 1)
     geo = expand_factor(vars_, [("t1", -1, -1), ("y1", -1, -1)], 10)
     expected = Series.one(vars_, 10) + geo * Series(vars_, 10, {(1, 0, 0): 1})
-    assert got.series == expected
+    assert encode_hook_mult(got) == expected
 
 
 def test_hook_mult_matches_decompose_route():
     for n, k, l, bound in ((1, 2, 2, 8), (2, 1, 1, 8), (2, 2, 3, 8)):
         direct = utn_hook_mult_series(n, k, l, bound)
         via = hs_decompose(utn_double_hilbert(n, k, l, bound), k, l)
-        assert decode_hook_mult(direct) == via
+        assert direct == via
 
 
 @pytest.mark.parametrize("n, k, l, bound", [(3, 1, 1, 12), (2, 2, 3, 12),
@@ -980,7 +971,7 @@ def test_cli_raw_route_matches_hs_decompose(n, k, l, bound):
 
 def test_cli_raw_route_shares_no_type_with_the_pipeline(monkeypatch):
     # a fault in HookExpansion shows as a route disagreement
-    want = _utn_hook_expansion(3, 2, 3, 8).coeffs
+    want = utn_hook_mult_series(3, 2, 3, 8).coeffs
 
     def refuse(*args, **kwargs):
         raise AssertionError("the decompose route reached the pipeline's types")
@@ -1011,7 +1002,7 @@ def seed_sum(n, k, l, bound):
 @pytest.mark.parametrize("n, k, l, bound", [(3, 1, 1, 10), (4, 2, 3, 8),
                                             (3, 2, 0, 10), (2, 3, 4, 9)])
 def test_horner_pipeline_matches_seed_sum(n, k, l, bound):
-    assert decode_hook_mult(utn_hook_mult_series(n, k, l, bound)) == seed_sum(n, k, l, bound)
+    assert utn_hook_mult_series(n, k, l, bound) == seed_sum(n, k, l, bound)
 
 
 # multiplicities that the former ordinary-Schur pipeline gave for
@@ -1033,7 +1024,7 @@ ONE_ALPHABET_PINS = [
                          ids=[str(p[0]) for p in ONE_ALPHABET_PINS])
 def test_empty_second_alphabet_matches_pinned_multiplicities(job, size, total, digest, spot):
     n, d, b = job
-    items = sorted(decode_hook_mult(utn_hook_mult_series(n, d, 0, b)).coeffs.items())
+    items = sorted(utn_hook_mult_series(n, d, 0, b).coeffs.items())
     assert (len(items), sum(c for _, c in items)) == (size, total)
     assert hashlib.sha256(repr(items).encode()).hexdigest() == digest
     lam, want = spot
@@ -1053,7 +1044,7 @@ def test_hook_mult_two_blocks_frozen():
 def test_mult_series_is_the_l0_pipeline(n, d, b):
     m = utn_mult_series(n, d, b)
     assert m == utn_hook_mult_series(n, d, 0, b)
-    assert (m.k, m.l, m.series.vars) == (d, 0, vty(d, 0))
+    assert (m.k, m.l, encode_hook_mult(m).vars) == (d, 0, vty(d, 0))
 
 
 # -- theory that neither computed route uses -----------------------------------
@@ -1061,10 +1052,10 @@ def test_mult_series_is_the_l0_pipeline(n, d, b):
 
 def pipeline_coeffs(n, k, l, bound):
     """The pipeline's multiplicities, as :func:`_raw_expansion` gives the raw route's."""
-    return _utn_hook_expansion(n, k, l, bound).coeffs
+    return utn_hook_mult_series(n, k, l, bound).coeffs
 
 
-ROUTES = [pytest.param(pipeline_coeffs, id="_utn_hook_expansion"),
+ROUTES = [pytest.param(pipeline_coeffs, id="utn_hook_mult_series"),
           pytest.param(_raw_expansion, id="_raw_expansion")]
 
 
@@ -1083,7 +1074,7 @@ def _codimensions(n: int, bound: int) -> list[int]:
     """c_m = sum of m_lam d_lam over |lam| = m, for m <= bound; the (n, 2n - 1)
     hook holds the whole cocharacter of UT_n(E)."""
     c = [0] * (bound + 1)
-    for lam, m in _utn_hook_expansion(n, n, 2 * n - 1, bound).coeffs.items():
+    for lam, m in utn_hook_mult_series(n, n, 2 * n - 1, bound).coeffs.items():
         c[sum(lam)] += m * char_degree(lam)
     return c
 

@@ -6,7 +6,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
-from cochar.hooks import _derived, HookExpansion, HookMultSeries
+from cochar.hooks import _derived, HookExpansion
 from cochar.partitions import (
     _assemble_exps,
     _format_partition,
@@ -26,7 +26,7 @@ from cochar.partitions import (
     vertical_strips,
     weight,
 )
-from cochar.series import Series, vty
+from test_hooks import split_doc
 
 
 # -- independent oracles -------------------------------------------------
@@ -234,7 +234,7 @@ def test_hook_mult_series_rejects_invalid_splits():
         (2, 2, (1, 2, 0, 0, 0, 0)),  # rows that increase
     ):
         with pytest.raises(ValueError, match=re.escape(f"{e} is not a valid ({k}, {l}) split")):
-            HookMultSeries(k, l, 8, Series(vty(k, l), 8, {e: 1}))
+            HookExpansion.from_obj(split_doc(k, l, {e: 1}), 8)
 
 
 def test_assemble_exps_examples():

@@ -11,17 +11,16 @@ from itertools import combinations, permutations
 import pytest
 
 from cochar.hooks import (
-    decode_hook_mult,
     encode_hook_mult,
     hook_pieri_col,
     hook_pieri_row,
     hs_decompose,
     hs_poly,
     HookExpansion,
-    HookMultSeries,
 )
 from cochar.partitions import partitions_of, partitions_upto
 from cochar.series import expand_factor, Series, ty, vty
+from test_hooks import split_doc
 
 
 # -- brute-force oracle: semistandard tableaux row by row ------------------
@@ -133,12 +132,12 @@ def test_expansion_basics():
 def test_expansion_serialization():
     # an l = 0 expansion serializes through the split encoding: every row is arm
     e = HookExpansion(2, 0, 8, {(2, 1): 3, (3,): -2, (1, 1): 1})
-    obj = encode_hook_mult(e).to_obj()
+    obj = e.to_obj()
     assert obj["hook"] == [2, 0]
     assert obj["terms"][0] == {"lambda0": [0, 0], "mu": [1, 1], "nu": [], "coeff": "1"}
     assert obj["terms"][1] == {"lambda0": [0, 0], "mu": [2, 1], "nu": [], "coeff": "3"}
     assert obj["terms"][2] == {"lambda0": [0, 0], "mu": [3, 0], "nu": [], "coeff": "-2"}
-    assert decode_hook_mult(HookMultSeries.from_obj(obj, 8)) == e
+    assert HookExpansion.from_obj(obj, 8) == e
 
 
 def test_pieri_row_frozen():
@@ -226,25 +225,20 @@ def test_schur_decompose_rejects_asymmetric():
 def test_mult_series_forms():
     e = HookExpansion(2, 0, 8, {(3, 1): 5, (1, 1): 1, (2,): 2})
     t = encode_hook_mult(e)
-    assert t.series.vars == vty(2, 0)
-    assert t.series.terms == {(0, 0, 3, 1): 5, (0, 0, 1, 1): 1, (0, 0, 2, 0): 2}
-    assert decode_hook_mult(t) == e
-    assert encode_hook_mult(decode_hook_mult(t)) == t
-    assert t.coefficient((3, 1)) == 5 and t.coefficient((2,)) == 2
-    assert t.coefficient((9, 9)) == 0 and t.coefficient((1, 1, 1)) == 0
+    assert t.vars == vty(2, 0)
+    assert t.terms == {(0, 0, 3, 1): 5, (0, 0, 1, 1): 1, (0, 0, 2, 0): 2}
+    assert HookExpansion.from_obj(e.to_obj(), 8) == e
+    assert e.coefficient((3, 1)) == 5 and e.coefficient((2,)) == 2
+    assert e.coefficient((9, 9)) == 0 and e.coefficient((1, 1, 1)) == 0
 
 
 def test_mult_series_validation():
-    vt = vty(2, 0)
     for bad in ((0, 0, 1, 2), (1, 0, 1, 0)):  # no partition; a box in the empty rectangle
         with pytest.raises(ValueError, match=r"not a valid \(2, 0\) split"):
-            HookMultSeries(2, 0, 6, Series(vt, 6, {bad: 1}))
-    with pytest.raises(ValueError, match="do not match the split encoding"):
-        HookMultSeries(2, 0, 6, Series.one(ty(2, 0), 6))
-    # terms beyond the weight bound are dropped on construction
-    deep = Series(vt, 8, {(0, 0, 5, 2): 1, (0, 0, 1, 1): 2})
-    m = HookMultSeries(2, 0, 6, deep)
-    assert m.series.terms == {(0, 0, 1, 1): 2}
+            HookExpansion.from_obj(split_doc(2, 0, {bad: 1}), 6)
+    # to_obj writes no term beyond the bound, and the reader refuses one
+    with pytest.raises(ValueError, match=r"term \(0, 0, 5, 2\) is heavier than the bound 6"):
+        HookExpansion.from_obj(split_doc(2, 0, {(0, 0, 5, 2): 1, (0, 0, 1, 1): 2}), 6)
 
 
 def test_mult_series_geometric_t_form():
@@ -252,7 +246,7 @@ def test_mult_series_geometric_t_form():
     e = HookExpansion(2, 0, 7, {(m,): 1 for m in range(8)})
     t = encode_hook_mult(e)
     geo = expand_factor(vty(2, 0), [("t1", -1, -1)], 7)
-    assert t.series == geo
+    assert t == geo
 
 
 def test_decompose_synthesize_identity():
