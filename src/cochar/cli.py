@@ -39,8 +39,7 @@ from .series import ty
 
 # Soft limits.  Past these the computations still work, they just get slow;
 # the tool refuses unless --force is given, and then proceeds exactly as
-# asked (it never silently lowers a bound).
-GUARD_N = 4
+# asked (it never silently lowers a bound).  n has no limit: see _seen_n.
 GUARD_HOOK = 4
 GUARD_VARS = 8
 GUARD_TRUNC = 24
@@ -50,15 +49,6 @@ ROUTE_ORDER = ("pipeline", "decompose", "closed-form")
 
 class SpecError(Exception):
     """The request itself is malformed or out of range."""
-
-
-def _parse_algebra(tag: str) -> int:
-    if tag == "E":
-        return 1
-    m = re.fullmatch(r"UT([1-9][0-9]*)E", tag)
-    if m is None:
-        raise SpecError(f"unknown algebra {tag!r}: expected E or UTnE with n >= 1")
-    return int(m.group(1))
 
 
 def _parse_hook(text: str) -> tuple[int, int]:
@@ -75,36 +65,18 @@ def _parse_hook(text: str) -> tuple[int, int]:
     raise argparse.ArgumentTypeError(f"bad hook {text!r}: {problem}")
 
 
-def _check_guardrails(args, n: int) -> None:
-    if args.trunc < 0:
-        raise SpecError("--trunc must be >= 0")
-    breaches = []
-    if n > GUARD_N:
-        breaches.append(f"n={n} exceeds the default limit {GUARD_N}")
-    if args.trunc > GUARD_TRUNC:
-        breaches.append(f"--trunc {args.trunc} exceeds the default limit {GUARD_TRUNC}")
-    hook = getattr(args, "hook", None)
-    if hook is not None:
-        k, l = hook
-        if max(k, l) > GUARD_HOOK:
-            breaches.append(f"hook ({k},{l}) exceeds the default limit {GUARD_HOOK}")
-    d = getattr(args, "vars", None)
-    if d is not None and d > GUARD_VARS:
-        breaches.append(f"--vars {d} exceeds the default limit {GUARD_VARS}")
-    if d is not None and d < 1:
-        raise SpecError("--vars must be >= 1")
-    if not breaches:
-        return
-    if getattr(args, "force", False):
-        for b in breaches:
-            print(f"warning: {b}; proceeding as requested (--force)", file=sys.stderr)
-    else:
-        raise SpecError("; ".join(breaches) + " (pass --force to proceed anyway)")
-
-
 # ---------------------------------------------------------------------------
 # route computation
 # ---------------------------------------------------------------------------
+
+
+def _seen_n(n: int, trunc: int) -> int:
+    """The n that the computed series of UT_n(E) to weight ``trunc`` are taken
+    at.  T(UT_n(E)) = T(E)^n and T(E) is generated by [x1, x2, x3], so UT_n(E)
+    has no identity below weight 3n: to weight ``trunc``, H, the strip
+    cocharacter and the hook multiplicities of UT_n(E) are those of UT_n'(E)
+    with n' = trunc // 3 + 1, for every n >= n'."""
+    return min(n, trunc // 3 + 1)
 
 
 def _closed_tag(n: int, k: int, l: int) -> str | None:
@@ -133,8 +105,9 @@ def _routes(n: int, k: int, l: int, trunc: int, domain: list) -> dict[str, Calla
             raise ValueError(f"{route} route: {_format_partition(lam)} lies outside the domain")
         return got
 
-    routes = {"pipeline": lambda: read("pipeline", utn_hook_mult_series(n, k, l, trunc).coeffs),
-              "decompose": lambda: read("decompose", _raw_expansion(n, k, l, trunc))}
+    seen = _seen_n(n, trunc)
+    routes = {"pipeline": lambda: read("pipeline", utn_hook_mult_series(seen, k, l, trunc).coeffs),
+              "decompose": lambda: read("decompose", _raw_expansion(seen, k, l, trunc))}
     tag = _closed_tag(n, k, l)
     if tag is not None:
         table = closed_table(tag)
@@ -320,36 +293,52 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _job_fields(args) -> dict:
-    job = {"command": args.command, "algebra": args.algebra, "trunc": args.trunc}
-    if getattr(args, "vars", None) is not None:
-        job["vars"] = args.vars
-    if getattr(args, "hook", None) is not None:
-        job["hook"] = list(args.hook)
-    if hasattr(args, "method"):
-        job["method"] = args.method
-    return job
-
-
-def _job(args) -> tuple[int, int, int]:
-    """The n and the (k, l) hook of a checked request, one alphabet of d
-    variables being (d, 0); the mult and hookmult parsers require theirs."""
-    n = _parse_algebra(args.algebra)
-    _check_guardrails(args, n)
-    d, hook = getattr(args, "vars", None), getattr(args, "hook", None)
+def _job(args) -> tuple[int, int, int, dict]:
+    """The n, the (k, l) hook and the JSON job echo of a checked request, one
+    alphabet of d variables being (d, 0).  Every option is read once, and
+    every check of the request's shape runs before any of its size."""
+    tag, trunc, d, hook, method, force = map(
+        vars(args).get, ("algebra", "trunc", "vars", "hook", "method", "force"))
+    algebra = re.fullmatch(r"E|UT([1-9][0-9]*)E", tag)
+    if algebra is None:
+        raise SpecError(f"unknown algebra {tag!r}: expected E or UTnE with n >= 1")
+    if trunc < 0:
+        raise SpecError("--trunc must be >= 0")
     if (d is None) == (hook is None):
         raise SpecError(f"{args.command} needs exactly one of --vars or --hook")
-    return (n, d, 0) if d is not None else (n, *hook)
+    if d is not None and d < 1:
+        raise SpecError("--vars must be >= 1")
+    k, l = (d, 0) if hook is None else hook
+    breaches = []
+    if trunc > GUARD_TRUNC:
+        breaches.append(f"--trunc {trunc} exceeds the default limit {GUARD_TRUNC}")
+    if hook is not None and max(k, l) > GUARD_HOOK:
+        breaches.append(f"hook ({k},{l}) exceeds the default limit {GUARD_HOOK}")
+    if d is not None and d > GUARD_VARS:
+        breaches.append(f"--vars {d} exceeds the default limit {GUARD_VARS}")
+    if breaches and not force:
+        raise SpecError("; ".join(breaches) + " (pass --force to proceed anyway)")
+    for b in breaches:
+        print(f"warning: {b}; proceeding as requested (--force)", file=sys.stderr)
+    job = {"command": args.command, "algebra": tag, "trunc": trunc}
+    if d is not None:
+        job["vars"] = d
+    if hook is not None:
+        job["hook"] = [k, l]
+    if method is not None:
+        job["method"] = method
+    return int(algebra.group(1) or 1), k, l, job
 
 
 def _cmd_hilbert(args) -> int:
-    n, k, l = _job(args)
+    n, k, l, job = _job(args)
     if args.format == "csv":
         raise SpecError("csv output is defined for multiplicity tables, not raw series")
     # the one step that can fail runs before the first byte is written
-    terms = _graded_terms(_sorted_coefficients(n, k + l, args.trunc), k + l, args.trunc)
+    terms = _graded_terms(_sorted_coefficients(_seen_n(n, args.trunc), k + l, args.trunc),
+                          k + l, args.trunc)
     if args.format == "json":
-        head, tail = _document_json(_job_fields(args), {"series": "\0"}).split("\0")
+        head, tail = _document_json(job, {"series": "\0"}).split("\0")
         _emit(chain((head,), _terms_json(terms, k + l, "  "), (tail,)), args.out)
     else:
         # each variable's pieces "", "t1", "t1^2", ... are built once, not per term
@@ -378,7 +367,7 @@ def _mult_series_json(rows: list, d: int, l: int, trunc: int) -> str:
 def _cmd_table(args, series: Callable[[list, int, int, int], str] | None = None) -> int:
     """Run the selected routes over the domain and write the rows they agree
     on; a JSON job also writes ``series`` of those rows."""
-    n, k, l = _job(args)
+    n, k, l, job = _job(args)
     domain, results, diffs = _run_routes(n, k, l, args.trunc, args.method)
     if diffs:
         print("route disagreement on "
@@ -392,7 +381,7 @@ def _cmd_table(args, series: Callable[[list, int, int, int], str] | None = None)
     first = results[names[0]]
     rows = [(lam, first[lam]) for lam in domain if first[lam]]
     embed = series(rows, k, l, args.trunc) if series and args.format == "json" else None
-    _emit((_render_rows(rows, names, args.format, _job_fields(args), embed),), args.out)
+    _emit((_render_rows(rows, names, args.format, job, embed),), args.out)
     return 0
 
 

@@ -49,10 +49,8 @@ from cochar.partitions import (
     _conjugate,
     _split_exps,
     _walk,
-    in_hook,
     partition,
     partitions_of,
-    weight,
 )
 from cochar.series import _coeff, _exact, _field, _ints, _list, _new_term, Exps, Series, ty, vty
 
@@ -117,7 +115,7 @@ def hs_poly(lam: Sequence[int], k: int, l: int, bound: int) -> Series:
     """Hook Schur polynomial of lam in t_1..t_k, y_1..y_l, zero above bound."""
     lam = partition(lam)
     vars_ = ty(k, l)
-    if weight(lam) > bound:
+    if sum(lam) > bound:
         return Series.zero(vars_, bound)
     return Series(vars_, bound, dict(_hs_terms(lam, k, l)), _raw=True)
 
@@ -148,13 +146,15 @@ class HookExpansion:
             self.coeffs = coeffs if coeffs is not None else {}
             return
         clean: dict[tuple[int, ...], int] = {}
+        seen = set()
         for lam, c in (coeffs or {}).items():
             lam = partition(lam)
-            if not in_hook(lam, k, l):
+            if lam in seen:
+                raise ValueError(f"partition {lam} is given twice")
+            seen.add(lam)
+            if len(lam) > k and lam[k] > l:
                 raise ValueError(f"partition {lam} lies outside the ({k},{l}) hook")
-            if weight(lam) > bound:
-                continue
-            if _coeff(c):
+            if sum(lam) <= bound and _coeff(c):
                 clean[lam] = c
         self.coeffs = clean
 

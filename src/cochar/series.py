@@ -192,24 +192,17 @@ def _list(value: object) -> list:
     return value
 
 
-def _json_int(value: object) -> int:
-    """A JSON integer; a TypeError for anything else, a float or a bool included."""
-    if type(value) is not int:
-        raise TypeError(value)
-    return value
-
-
 def _ints(value: object) -> Exps:
-    return tuple(map(_json_int, _list(value)))
+    return tuple(map(_coeff, _list(value)))
 
 
 def _exact(value: object) -> int:
     """A nonzero JSON integer, or the string of ASCII digits, perhaps after one
-    ``-``, that ``to_obj`` writes for one; a TypeError for anything else, zero
-    included, since no writer writes a zero coefficient."""
+    ``-``, that ``to_obj`` writes for one; a TypeError or ValueError for anything
+    else, zero included, since no writer writes a zero coefficient."""
     if type(value) is str and value.isascii() and value.removeprefix("-").isdigit():
         value = int(value)
-    if not _json_int(value):
+    if not _coeff(value):
         raise TypeError(value)
     return value
 

@@ -23,8 +23,8 @@ from .hooks import (HookExpansion, encode_hook_mult,
                     hook_col_derived, hook_even_col_derived,
                     hook_grassmann_derived, hook_grassmann_derived_power,
                     hook_row_derived, hs_decompose, utn_hook_mult_series)
-from .partitions import (_assemble_exps, _hook_partitions_upto, in_extended_hook, in_hook,
-                         part_at, partition, partitions_upto)
+from .partitions import (_assemble_exps, _hook_partitions_upto, conjugate, in_extended_hook,
+                         in_hook, part_at, partition, partitions_upto)
 from .series import expand_factor, ty
 
 
@@ -162,8 +162,8 @@ def support_bounds():
         for lam in (lam for lam, c in mult.items() if c):
             if part_at(lam, n + 1) > 2 * n - 1:
                 failures.append(f"n={n}: row bound broken at {lam}")
-            if not in_hook(lam, n, 2 * n - 1):
-                failures.append(f"n={n}: hook bound broken at {lam}")
+            if not in_hook(conjugate(lam), n, 2 * n - 1):
+                failures.append(f"n={n}: conjugate hook bound broken at {lam}")
             if not in_extended_hook(lam, n):
                 failures.append(f"n={n}: square allowance broken at {lam}")
     for n, d, trunc in [(1, 3, 8), (2, 5, 10), (3, 7, 8)]:
@@ -234,7 +234,7 @@ def integrality():
 
 @_check("invariants", "partition basics")
 def _inv_partition_basics():
-    from .partitions import char_degree, conjugate, partitions_of
+    from .partitions import char_degree, partitions_of
     failures = []
     for lam in partitions_upto(9):
         if partition(conjugate(conjugate(lam))) != lam:

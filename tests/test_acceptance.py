@@ -114,6 +114,24 @@ def test_support_bounds_fail_when_the_routes_disagree(monkeypatch):
     assert result.detail.startswith("[3,2]: pipeline=0, decompose=1, closed-form=0")
 
 
+def test_support_bounds_catch_a_shape_whose_conjugate_leaves_the_hook(monkeypatch):
+    # (3,3,3,3) keeps row 3 within 2n - 1 = 3 and sits in the square
+    # allowance, but its conjugate (4,4,4) has 4 > 3 boxes in row 3; the
+    # routes agree on it, so only the conjugate bound can name it
+    all_routes = verify._all_routes
+
+    def one_at_3333(n, k, l, trunc):
+        diffs, mult = all_routes(n, k, l, trunc)
+        if n == 2:
+            mult = {**mult, (3, 3, 3, 3): 1}
+        return diffs, mult
+
+    monkeypatch.setattr(verify, "_all_routes", one_at_3333)
+    result = verify.support_bounds()
+    assert not result.passed
+    assert result.detail == "n=2: conjugate hook bound broken at (3, 3, 3, 3)"
+
+
 def test_hook_routes_name_a_partition_the_domain_misses(monkeypatch):
     upto = cli._hook_partitions_upto
     monkeypatch.setattr(cli, "_hook_partitions_upto",

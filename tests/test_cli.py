@@ -274,7 +274,8 @@ def test_hilbert_json_matches_json_dumps(capsys, argv):
     else:
         job["hook"] = [int(x) for x in opts["--hook"].split(",")]
         k, l = job["hook"]
-    s = utn_double_hilbert(cli._parse_algebra(job["algebra"]), k, l, job["trunc"])
+    n = int(job["algebra"][2:-1] or 1)  # E is UT1E
+    s = utn_double_hilbert(n, k, l, job["trunc"])
     assert out == json.dumps(dict(job, series=s.to_obj()), sort_keys=True, indent=2) + "\n"
 
 
@@ -370,10 +371,11 @@ def test_invalid_algebra(capsys, tag):
 
 
 def test_guardrails(capsys):
+    # n has no limit: the job computes at min(n, trunc // 3 + 1)
     code, out, err = run(["mult", "--algebra", "UT5E", "--vars", "2",
-                          "--trunc", "4"], capsys)
-    assert code == 2
-    assert "--force" in err
+                          "--trunc", "4", "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert _rows(out) == utn_mult_series(5, 2, 4).coeffs
 
     code, out, err = run(["mult", "--algebra", "UT2E", "--vars", "2",
                           "--trunc", "25", "--method", "pipeline"], capsys)
@@ -385,6 +387,61 @@ def test_guardrails(capsys):
     assert code == 0
     assert "warning" in err
     assert "[25]" in out  # the requested bound is honored, not quietly lowered
+
+
+def _rows(out: str) -> dict:
+    """The rows of a table job's JSON document, as partition -> multiplicity."""
+    return {tuple(row["partition"]): row["multiplicity"] for row in json.loads(out)["rows"]}
+
+
+# the jobs of test_n_is_reduced_to_what_the_truncation_sees: trunc is 0, 1
+# and 2 mod 3, and the alphabet sees the first identity of UT_n(E) for every n
+SEEN_N_JOBS = [(command, alphabet, trunc)
+               for command, alphabet in (("mult", ["--vars", "2"]),
+                                         ("hookmult", ["--hook", "1,2"]),
+                                         ("hilbert", ["--hook", "1,2"]))
+               for trunc in (3, 7, 11)]
+SEEN_N_IDS = [f"{command} {' '.join(alphabet)} --trunc {trunc}"
+              for command, alphabet, trunc in SEEN_N_JOBS]
+
+
+def _printed_and_unreduced(command, alphabet, trunc, capsys):
+    """The exit code and stderr of the job at n = trunc // 3 + 2 and what it
+    prints, and what the library computes at that n, unreduced: the rows of
+    a table, the series of hilbert."""
+    n = trunc // 3 + 2
+    code, out, err = run([command, "--algebra", f"UT{n}E", *alphabet, "--trunc", str(trunc),
+                          "--format", "json"], capsys)
+    printed = (json.loads(out)["series"] if command == "hilbert" else _rows(out)) if out else None
+    if command == "mult":
+        return code, err, printed, utn_mult_series(n, int(alphabet[1]), trunc).coeffs
+    k, l = map(int, alphabet[1].split(","))
+    if command == "hookmult":
+        return code, err, printed, utn_hook_mult_series(n, k, l, trunc).coeffs
+    return code, err, printed, utn_double_hilbert(n, k, l, trunc).to_obj()
+
+
+@pytest.mark.parametrize("command, alphabet, trunc", SEEN_N_JOBS, ids=SEEN_N_IDS)
+def test_n_is_reduced_to_what_the_truncation_sees(capsys, command, alphabet, trunc):
+    code, err, printed, unreduced = _printed_and_unreduced(command, alphabet, trunc, capsys)
+    assert (code, err) == (0, "")
+    assert printed == unreduced
+
+
+@pytest.mark.parametrize("command, alphabet, trunc", SEEN_N_JOBS, ids=SEEN_N_IDS)
+def test_a_rule_that_reduces_n_too_far_is_caught(capsys, monkeypatch, command, alphabet, trunc):
+    # UT_n(E) has identities of weight 3n, so at n = trunc // 3 the series
+    # differ; at n = 3 the closed table refuses the job instead
+    monkeypatch.setattr(cli, "_seen_n", lambda n, trunc: min(n, trunc // 3))
+    code, err, printed, unreduced = _printed_and_unreduced(command, alphabet, trunc, capsys)
+    assert (code, printed) != (0, unreduced)
+
+
+@pytest.mark.parametrize("force", [[], ["--force"]], ids=["", "force"])
+def test_the_alphabet_is_checked_before_the_size(capsys, force):
+    code, out, err = run(["table", "--algebra", "UT2E", "--trunc", "30", *force], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: table needs exactly one of --vars or --hook\n"
 
 
 def test_missing_route(capsys):
@@ -574,7 +631,7 @@ def test_cli_import_skips_dataclasses_and_inspect():
     ["hookmult", "--algebra", "UT3E", "--hook", "1,1", "--trunc", "6", "--format", "json"],
     ["mult", "--algebra", "UT2E", "--vars", "2", "--trunc", "6", "--format", "csv",
      "--out", "table.csv"],
-    ["hookmult", "--algebra", "UT9E", "--hook", "1,1", "--trunc", "6"],  # SpecError
+    ["hookmult", "--algebra", "UT9E", "--hook", "1,1", "--trunc", "25"],  # SpecError
     ["hookmult", "--algebra", "UT2E", "--hook", "1", "--trunc", "6"],  # argparse error
 ])
 def test_module_entry_point_matches_main(tmp_path, monkeypatch, capsysbinary, argv):

@@ -724,6 +724,14 @@ def test_hook_mult_series_from_obj_refuses_a_repeated_term():
         HookExpansion.from_obj({"hook": [1, 1], "terms": [row, dict(row, coeff="2")]}, 3)
 
 
+@pytest.mark.parametrize("keys", [[(2, 1), (2, 1, 0)], [(2, 1, 0), (2, 1)],
+                                  [(9,), (9, 0)]], ids=str)
+def test_hook_expansion_refuses_a_partition_given_twice(keys):
+    # in either order, and also past the bound, where neither would be kept
+    with pytest.raises(ValueError, match=re.escape(f"partition {keys[0][:2]} is given twice")):
+        HookExpansion(2, 1, 6, dict(zip(keys, (1, 2))))
+
+
 @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(4, 2), 0.1, True, "3"])
 def test_hook_expansion_refuses_a_non_int_coefficient(c):
     message = re.escape(f"coefficient {c!r} is not an int")
